@@ -1,11 +1,12 @@
 """Numerical certification of derivative-structure conditions.
 
-Every check shares the same shape: evaluate finite-difference derivatives of
-a black-box function at a declared probe set, compare against a scale-aware
-tolerance, and emit a CheckReport carrying the verdict, the worst-case
-margin, and witnesses for failures.  "For all z" in the written conditions
-always means "at every probe" here; reports record the probe count so the
-claim's scope is explicit.
+Every check shares the same shape: ask the derivative engine for all the
+partials it needs at every probe of a declared probe set in one request,
+compare against a scale-aware tolerance, and emit a CheckReport carrying the
+verdict, the worst-case margin, and witnesses for failures.  "For all z" in
+the written conditions always means "at every probe" here; reports record
+the probe count so the claim's scope is explicit, and details["evaluations"]
+records how many points the engine evaluated the function at.
 
 Tolerances: a derivative counts as nonzero when |value| exceeds
 tol_active = 1e-5 * (1 + max |Df(z)|), and numerical rank counts singular
@@ -21,7 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivatives import StencilConfig, cross_partial, derivative_by_multiindex, jacobian
+from .derivatives import StencilConfig, partials
+# the one-probe wrappers stay importable from here for existing callers
+from .derivatives import cross_partial, derivative_by_multiindex, jacobian  # noqa: F401
 from .generators import apply_equivalence, random_equivalence
 from .multiindex import (
     MultiIndex,
@@ -29,6 +32,7 @@ from .multiindex import (
     interaction_indices,
     multiindices_within_block,
     split_interaction_indices,
+    unit_indices,
 )
 
 VectorFn = Callable[[np.ndarray], np.ndarray]
@@ -91,6 +95,21 @@ def active_tolerance(jac_values: np.ndarray, tol: float | None) -> float:
     return ACTIVE_TOL_FACTOR * (1.0 + float(np.max(np.abs(jac_values))))
 
 
+def _tolerances(J: np.ndarray, tol: float | None) -> np.ndarray:
+    """active_tolerance at every probe of a Jacobian stack (N, d_x, d_z)."""
+    return np.array([active_tolerance(Jz, tol) for Jz in J])
+
+
+def _request(f: VectorFn, probes: np.ndarray, alphas: Sequence[MultiIndex],
+             cfg: StencilConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """One engine request for the Jacobian and the given partials at every
+    probe: J (N, d_x, d_z), the partials (N, len(alphas), d_x), and the
+    number of points evaluated."""
+    d = probes.shape[1]
+    values, evaluations = partials(f, probes, unit_indices(d) + tuple(alphas), cfg)
+    return values[:, :d].transpose(0, 2, 1), values[:, d:], evaluations
+
+
 def _witness(z: np.ndarray, index, value) -> dict:
     return {"point": [float(v) for v in z], "index": index, "value": float(value)}
 
@@ -112,32 +131,28 @@ def check_no_interaction(
     """No interaction across slots: D_i f (.) D_j f = 0 elementwise for every
     cross-block coordinate pair (Hadamard product of Jacobian columns)."""
     probes = _as_probes(probes)
+    J, _, evaluations = _request(f, probes, (), cfg)
+    tol_z = _tolerances(J, tol)
+    pairs = list(_cross_pairs(partition))
+    # |D_i1 f * D_i2 f| per probe, flattened pair-major so argmax finds the
+    # first pair (then the first output) reaching the maximum
+    prods = np.abs(np.stack([J[:, :, i1] * J[:, :, i2] for i1, i2 in pairs], axis=1)
+                   if pairs else np.zeros((len(probes), 1, 1))).reshape(len(probes), -1)
+    worst = prods.max(axis=1)
+    where = prods.argmax(axis=1)
     witnesses = []
-    margin = np.inf
-    passed_probes = 0
-    for z in probes:
-        J = jacobian(f, z, cfg).values
-        tol_z = active_tolerance(J, tol)
-        worst = 0.0
-        worst_idx = None
-        for i1, i2 in _cross_pairs(partition):
-            prod = np.abs(J[:, i1] * J[:, i2])
-            l = int(np.argmax(prod))
-            if prod[l] > worst:
-                worst = float(prod[l])
-                worst_idx = (i1 + 1, i2 + 1, l + 1)
-        margin = min(margin, tol_z - worst)
-        if worst <= tol_z:
-            passed_probes += 1
-        else:
-            witnesses.append(_witness(z, worst_idx, worst))
+    for p in np.nonzero(worst > tol_z)[0]:
+        (i1, i2), l = pairs[where[p] // J.shape[1]], where[p] % J.shape[1]
+        witnesses.append(_witness(probes[p], (i1 + 1, i2 + 1, int(l) + 1), worst[p]))
+    passed_probes = len(probes) - len(witnesses)
     return CheckReport(
         name="no_interaction",
         passed=passed_probes == len(probes),
-        margin=float(margin),
+        margin=float(np.min(tol_z - worst)),
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=passed_probes,
+        details={"evaluations": evaluations},
     )
 
 
@@ -155,31 +170,21 @@ def check_order_at_most_n(
         raise ValueError("cross-order check supports n in {1, 2}")
     probes = _as_probes(probes)
     alphas = interaction_indices(partition, n + 1)
-    witnesses = []
-    margin = np.inf
-    passed_probes = 0
-    for z in probes:
-        J = jacobian(f, z, cfg).values
-        tol_z = active_tolerance(J, tol)
-        worst = 0.0
-        worst_alpha = None
-        for a in alphas:
-            val = float(np.max(np.abs(derivative_by_multiindex(f, z, a, cfg))))
-            if val > worst:
-                worst, worst_alpha = val, a
-        margin = min(margin, tol_z - worst)
-        if worst <= tol_z:
-            passed_probes += 1
-        else:
-            witnesses.append(_witness(z, list(worst_alpha), worst))
+    J, D, evaluations = _request(f, probes, alphas, cfg)
+    tol_z = _tolerances(J, tol)
+    vals = np.concatenate([np.zeros((len(probes), 1)), np.max(np.abs(D), axis=2)], axis=1)
+    worst = vals.max(axis=1)
+    witnesses = [_witness(probes[p], list(alphas[vals[p].argmax() - 1]), worst[p])
+                 for p in np.nonzero(worst > tol_z)[0]]
+    passed_probes = len(probes) - len(witnesses)
     return CheckReport(
         name=f"order_at_most_{n}",
         passed=passed_probes == len(probes),
-        margin=float(margin),
+        margin=float(np.min(tol_z - worst)),
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=passed_probes,
-        details={"multi_indices_checked": len(alphas)},
+        details={"multi_indices_checked": len(alphas), "evaluations": evaluations},
     )
 
 
@@ -219,44 +224,47 @@ def check_within_slot_order(
     if any(len(b) > 6 for b in partition.blocks):
         raise ValueError("slot too large to enumerate splits (max 6)")
     probes = _as_probes(probes)
+    splits = [(k, A, B) for k, block in enumerate(partition.blocks)
+              for A, B in _slot_splits(block)]
+    candidates = [split_interaction_indices(partition, k, A, B, n + 1) if n else []
+                  for k, A, B in splits]
+    alphas = sorted({a for c in candidates for a in c})
+    J, D, evaluations = _request(f, probes, alphas, cfg)
+    tol_z = _tolerances(J, tol)
+    vals = np.max(np.abs(D), axis=2)
+    column = {a: c for c, a in enumerate(alphas)}
+    best = np.zeros((len(probes), len(splits)))
+    for s, ((k, A, B), cand) in enumerate(zip(splits, candidates)):
+        if n == 0:
+            # first-order interaction is the shared-output condition: some
+            # output moved from both sides of the split
+            for iA in A:
+                for iB in B:
+                    best[:, s] = np.maximum(
+                        best[:, s], np.max(np.abs(J[:, :, iA] * J[:, :, iB]), axis=1))
+        elif cand:
+            # the first candidate above tolerance decides the split; without
+            # one, the largest candidate is the margin
+            v = vals[:, [column[a] for a in cand]]
+            above = v > tol_z[:, None]
+            first = v[np.arange(len(probes)), above.argmax(axis=1)]
+            best[:, s] = np.where(above.any(axis=1), first, v.max(axis=1))
     witnesses = []
-    margin = np.inf
-    passed_probes = 0
-    for z in probes:
-        J = jacobian(f, z, cfg).values
-        tol_z = active_tolerance(J, tol)
-        probe_ok = True
-        for k, block in enumerate(partition.blocks):
-            for A, B in _slot_splits(block):
-                best = 0.0
-                if n == 0:
-                    # first-order interaction is the shared-output condition:
-                    # some output moved from both sides of the split
-                    for iA in A:
-                        for iB in B:
-                            best = max(best, float(np.max(np.abs(J[:, iA] * J[:, iB]))))
-                else:
-                    for a in split_interaction_indices(partition, k, A, B, n + 1):
-                        val = float(np.max(np.abs(derivative_by_multiindex(f, z, a, cfg))))
-                        best = max(best, val)
-                        if best > tol_z:
-                            break
-                margin = min(margin, best - tol_z)
-                if best <= tol_z:
-                    probe_ok = False
-                    witnesses.append(
-                        _witness(z, {"slot": k + 1, "split": [sorted(i + 1 for i in A),
-                                                             sorted(i + 1 for i in B)]}, best)
-                    )
-        if probe_ok:
-            passed_probes += 1
+    for p in range(len(probes)):
+        for s in np.nonzero(best[p] <= tol_z[p])[0]:
+            k, A, B = splits[s]
+            witnesses.append(_witness(probes[p], {
+                "slot": k + 1, "split": [sorted(i + 1 for i in A), sorted(i + 1 for i in B)]},
+                best[p, s]))
+    passed_probes = int(np.sum(np.all(best > tol_z[:, None], axis=1)))
     return CheckReport(
         name=f"within_slot_order_{n + 1}",
         passed=passed_probes == len(probes),
-        margin=float(margin),
+        margin=float(np.min(best - tol_z[:, None])),
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=passed_probes,
+        details={"evaluations": evaluations},
     )
 
 
@@ -287,8 +295,7 @@ def check_interaction_asymmetry(
     for s in range(equiv_samples):
         T = random_equivalence(partition, rng)
         fbar = apply_equivalence(f, T, partition)
-        mapped = np.stack([fbar.push_point(z) for z in probes])
-        rep = check_within_slot_order(fbar, partition, n, mapped, tol, cfg)
+        rep = check_within_slot_order(fbar, partition, n, fbar.push_point(probes), tol, cfg)
         sub.append((f"within_equiv_{s}", rep))
 
     witnesses = []
@@ -303,7 +310,10 @@ def check_interaction_asymmetry(
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=min(rep.probes_passed for _, rep in sub),
-        details={label: {"passed": rep.passed, "margin": rep.margin} for label, rep in sub},
+        details={
+            **{label: {"passed": rep.passed, "margin": rep.margin} for label, rep in sub},
+            "evaluations": sum(rep.details["evaluations"] for _, rep in sub),
+        },
     )
 
 
@@ -340,6 +350,64 @@ class SufficientIndependenceMatrix:
         return sum(g.shape[1] for _, g in self.groups)
 
 
+def _independence_groups(partition: SlotPartition, n: int) -> list[tuple[str, list[MultiIndex]]]:
+    """The column groups of the order-n matrix, each a list of multi-indices."""
+    if n not in (0, 1, 2):
+        raise ValueError("sufficient independence defined for n in {0, 1, 2}")
+    d = partition.latent_dim
+
+    def e(*axes: int) -> MultiIndex:
+        return tuple(axes.count(i) for i in range(d))
+
+    first = [(f"block{k + 1}_order1", [e(i) for i in b]) for k, b in enumerate(partition.blocks)]
+    if n == 0:
+        return first
+    if n == 1:
+        groups = []
+        for k, b in enumerate(partition.blocks):
+            groups.append(first[k])
+            groups.append((f"block{k + 1}_order2",
+                           [e(i, j) for i, j in itertools.combinations_with_replacement(b, 2)]))
+        return groups
+
+    # n = 2: per block, [order-1 | order-2 with second index over all of
+    # [d_z]] plus a separate within-block order-3 group
+    rest_groups = []
+    claimed: set[tuple[int, int]] = set()
+    for k, b in enumerate(partition.blocks):
+        cols = list(first[k][1])
+        for i in b:
+            for j in range(d):
+                key = (min(i, j), max(i, j))
+                if key in claimed:
+                    continue
+                claimed.add(key)
+                cols.append(e(*key))
+        rest_groups.append((f"block{k + 1}_order12", cols))
+    high_groups = [(f"block{k + 1}_order3", multiindices_within_block(partition, k, 3))
+                   for k in range(partition.K)]
+    return rest_groups + high_groups
+
+
+def _independence_matrices(
+    f: VectorFn,
+    partition: SlotPartition,
+    n: int,
+    probes: np.ndarray,
+    cfg: StencilConfig,
+) -> tuple[list[SufficientIndependenceMatrix], int]:
+    """The order-n matrix at every probe from one engine request, and the
+    number of points evaluated."""
+    groups = _independence_groups(partition, n)
+    alphas = sorted({a for _, g in groups for a in g})
+    values, evaluations = partials(f, probes, alphas, cfg)
+    column = {a: c for c, a in enumerate(alphas)}
+    index = [(name, [column[a] for a in g]) for name, g in groups]
+    mats = [SufficientIndependenceMatrix(order=n, groups=[(name, v[idx].T) for name, idx in index])
+            for v in values]
+    return mats, evaluations
+
+
 def build_sufficient_independence_matrix(
     f: VectorFn,
     partition: SlotPartition,
@@ -347,55 +415,7 @@ def build_sufficient_independence_matrix(
     z: np.ndarray,
     cfg: StencilConfig = StencilConfig(),
 ) -> SufficientIndependenceMatrix:
-    if n not in (0, 1, 2):
-        raise ValueError("sufficient independence defined for n in {0, 1, 2}")
-    J = jacobian(f, z, cfg).values
-    first = {k: J[:, list(b)] for k, b in enumerate(partition.blocks)}
-    if n == 0:
-        return SufficientIndependenceMatrix(
-            order=0, groups=[(f"block{k + 1}_order1", first[k]) for k in range(partition.K)]
-        )
-
-    def d2(i: int, j: int) -> np.ndarray:
-        return cross_partial(f, z, (i, j), cfg)
-
-    if n == 1:
-        groups = []
-        for k, b in enumerate(partition.blocks):
-            groups.append((f"block{k + 1}_order1", first[k]))
-            cols = [d2(i, j) for i, j in itertools.combinations_with_replacement(b, 2)]
-            groups.append((f"block{k + 1}_order2", np.stack(cols, axis=1)))
-        return SufficientIndependenceMatrix(order=1, groups=groups)
-
-    # n = 2: per block, [order-1 | order-2 with second index over all of
-    # [d_z]] plus a separate within-block order-3 group
-    d2_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def d2c(i: int, j: int) -> np.ndarray:
-        key = (min(i, j), max(i, j))
-        if key not in d2_cache:
-            d2_cache[key] = d2(*key)
-        return d2_cache[key]
-
-    rest_groups = []
-    claimed: set[tuple[int, int]] = set()
-    for k, b in enumerate(partition.blocks):
-        cols = [first[k][:, c] for c in range(len(b))]
-        for i in b:
-            for j in range(partition.latent_dim):
-                key = (min(i, j), max(i, j))
-                if key in claimed:
-                    continue
-                claimed.add(key)
-                cols.append(d2c(i, j))
-        rest_groups.append((f"block{k + 1}_order12", np.stack(cols, axis=1)))
-    high_groups = []
-    for k, b in enumerate(partition.blocks):
-        cols = []
-        for a in multiindices_within_block(partition, k, 3):
-            cols.append(derivative_by_multiindex(f, z, a, cfg))
-        high_groups.append((f"block{k + 1}_order3", np.stack(cols, axis=1)))
-    return SufficientIndependenceMatrix(order=2, groups=rest_groups + high_groups)
+    return _independence_matrices(f, partition, n, _as_probes(z), cfg)[0][0]
 
 
 def sufficient_independence_check(
@@ -409,12 +429,12 @@ def sufficient_independence_check(
     """Rank additivity of the stacked derivative groups at every probe:
     rank(whole) must equal the sum of per-group ranks."""
     probes = _as_probes(probes)
+    mats, evaluations = _independence_matrices(f, partition, n, probes, cfg)
     witnesses = []
     worst_gap = 0
     passed_probes = 0
     warned = False
-    for z in probes:
-        m = build_sufficient_independence_matrix(f, partition, n, z, cfg)
+    for z, m in zip(probes, mats):
         whole = m.whole
         if not np.any(whole):
             raise ValueError("degenerate all-zero derivative matrix")
@@ -428,7 +448,7 @@ def sufficient_independence_check(
             passed_probes += 1
         else:
             witnesses.append(_witness(z, {"rank_whole": r_whole, "rank_sum": r_sum}, gap))
-    details = {"order": n}
+    details = {"order": n, "evaluations": evaluations}
     if warned:
         details["satisfiability_warning"] = (
             "output dimension below the stacked column count; condition may be unsatisfiable"
@@ -536,11 +556,10 @@ def compositionality_check(
     """Output-index sets I_k(z) (outputs with an active slot derivative) must
     be pairwise disjoint at every probe."""
     probes = _as_probes(probes)
+    Js, _, evaluations = _request(f, probes, (), cfg)
     witnesses = []
     passed_probes = 0
-    for z in probes:
-        J = jacobian(f, z, cfg).values
-        tol_z = active_tolerance(J, tol)
+    for z, J, tol_z in zip(probes, Js, _tolerances(Js, tol)):
         sets = [_active_outputs(J, partition, k, tol_z) for k in range(partition.K)]
         clash = None
         for k, j in itertools.combinations(range(partition.K), 2):
@@ -560,6 +579,7 @@ def compositionality_check(
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=passed_probes,
+        details={"evaluations": evaluations},
     )
 
 
@@ -579,13 +599,12 @@ def irreducibility_check(
     columns).  Slots whose I_k has fewer than 2 outputs admit no split and
     pass vacuously."""
     probes = _as_probes(probes)
+    Js, _, evaluations = _request(f, probes, (), cfg)
     rng = np.random.default_rng(rng_seed)
     witnesses = []
     margin = np.inf
     passed_probes = 0
-    for z in probes:
-        J = jacobian(f, z, cfg).values
-        tol_z = active_tolerance(J, tol)
+    for z, J, tol_z in zip(probes, Js, _tolerances(Js, tol)):
         probe_ok = True
         for k in range(partition.K):
             I_k = sorted(_active_outputs(J, partition, k, tol_z))
@@ -634,6 +653,7 @@ def irreducibility_check(
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=passed_probes,
+        details={"evaluations": evaluations},
     )
 
 
@@ -662,17 +682,13 @@ def sufficient_nonlinearity_check(
     """W(z) = [per-block first derivatives | per-block unordered within-block
     second derivatives] must have full column rank at every probe."""
     probes = _as_probes(probes)
+    # W(z) is the order-1 sufficient-independence matrix taken whole
+    mats, evaluations = _independence_matrices(f, partition, 1, probes, cfg)
     witnesses = []
     worst_gap = 0
     passed_probes = 0
-    for z in probes:
-        J = jacobian(f, z, cfg).values
-        cols = []
-        for k, b in enumerate(partition.blocks):
-            cols.extend(J[:, i] for i in b)
-            for i, j in itertools.combinations_with_replacement(b, 2):
-                cols.append(cross_partial(f, z, (i, j), cfg))
-        W = np.stack(cols, axis=1)
+    for z, m in zip(probes, mats):
+        W = m.whole
         r = numerical_rank(W, rank_tol)
         gap = W.shape[1] - r
         worst_gap = max(worst_gap, gap)
@@ -687,4 +703,5 @@ def sufficient_nonlinearity_check(
         witnesses=witnesses,
         probes_used=len(probes),
         probes_passed=passed_probes,
+        details={"evaluations": evaluations},
     )

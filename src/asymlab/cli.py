@@ -120,6 +120,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    try:
+        experiments.pool_size()  # a bad ASYMLAB_THREADS is not the config's fault
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     config = _load_json(args.config) if args.config else {}
     if args.seeds is not None:
         config["seeds"] = list(range(args.seeds))

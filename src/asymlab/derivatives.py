@@ -1,28 +1,47 @@
-"""Finite-difference derivative oracle for black-box vector functions.
+"""Finite-difference derivative engine for black-box vector functions.
 
-Central-difference stencils up to order 3:
+One engine, `partials`, estimates the mixed partials D^alpha f of order
+|alpha| <= 3 for a list of multi-indices at every row of an (N, d) probe
+array.  The stencils are the O(h^2) central formulas
 
-    order 1:  (f(z + h e_i) - f(z - h e_i)) / (2h)
-    order 2, i == j:  (f(z + h e_i) - 2 f(z) + f(z - h e_i)) / h^2
-    order 2, i != j:  four corner evaluations / (4 h^2)
-    order 3:  outer central difference (in the first index) of the order-2
-              stencil, reusing the validated lower-order code.
+    order 1:  (f(z + h e_i) - f(z - h e_i)) / (2h)                  h = h1
+    order 2, i == j:  (f(z + h e_i) - 2 f(z) + f(z - h e_i)) / h^2  h = h2
+    order 2, i != j:  four corner evaluations / (4 h^2)              h = h2
+    order 3:  outer central difference, in the smallest index, of the
+              order-2 stencil in the other two                       h = h3
 
-All stencils have O(h^2) truncation error, so one Richardson level
-(4 D(h/2) - D(h)) / 3 removes the leading term.  A function here is any
-callable mapping a 1-D point to a 1-D output vector; both analytic
-generators and trained decoders qualify.
+kept as weight tables in the manner of Fornberg (1988, "Generation of
+finite difference formulas on arbitrarily spaced grids"): a multi-index
+maps to (offset, weight) pairs and its derivative is the weighted sum of f
+at the probe plus each offset.  For one request the engine merges the
+offsets of all its multi-indices and removes duplicates (the centre and the
+axis points are shared across orders; offsets whose weights cancel are
+dropped), evaluates f at every probe plus every remaining offset in one
+call, and combines the values with the (n_alphas, n_offsets) weight matrix.
+The tables depend only on the multi-indices and the step sizes, so they are
+built once per distinct request.  A non-finite value at any stencil point
+raises FloatingPointError naming that point.
+
+A function maps a point to an output vector.  Generators, their equivalent
+generators and composed model pairs also take an (M, d) array and return
+(M, d_x) in one call; they say so with a true `batched` attribute (on the
+object, or on the object a bound method belongs to).  Any other callable,
+such as a hand-written function of one point or a trained decoder's
+closure, goes through `evaluate`, which maps it row by row.
+
+`jacobian`, `cross_partial` and `derivative_by_multiindex` are one-probe
+wrappers around the engine.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .multiindex import MultiIndex, validate_multiindex
+from .multiindex import MultiIndex, unit_indices, validate_multiindex
 
 VectorFn = Callable[[np.ndarray], np.ndarray]
 
@@ -32,59 +51,109 @@ class StencilConfig:
     h1: float = 1e-4
     h2: float = 1e-3
     h3: float = 5e-3
-    richardson_levels: int = 0
-    tol_sym: float = 1e-3
 
     def __post_init__(self):
         if min(self.h1, self.h2, self.h3) <= 0:
             raise ValueError("stencil steps must be positive")
-        if self.richardson_levels < 0:
-            raise ValueError("richardson_levels must be >= 0")
 
     def step(self, order: int) -> float:
         return {1: self.h1, 2: self.h2, 3: self.h3}[order]
 
 
-def _eval(f: VectorFn, z: np.ndarray) -> np.ndarray:
-    x = np.asarray(f(z), dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite function value at stencil point {z}")
-    return x
+def is_batched(f) -> bool:
+    """Whether f evaluates an (M, d) array of points in one call."""
+    owner = getattr(f, "__self__", f)
+    return bool(getattr(owner, "batched", False))
 
 
-def _d1(f: VectorFn, z: np.ndarray, i: int, h: float) -> np.ndarray:
-    e = np.zeros_like(z)
-    e[i] = h
-    return (_eval(f, z + e) - _eval(f, z - e)) / (2 * h)
+def evaluate(f: VectorFn, Z: np.ndarray) -> np.ndarray:
+    """f at every row of Z as an (N, d_x) array: one call when f takes
+    batches, one call per row otherwise."""
+    Z = np.asarray(Z, dtype=float)
+    if is_batched(f):
+        return np.asarray(f(Z), dtype=float).reshape(len(Z), -1)
+    return np.stack([np.atleast_1d(np.asarray(f(z), dtype=float)) for z in Z])
 
 
-def _d2(f: VectorFn, z: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
-    ei = np.zeros_like(z)
-    ei[i] = h
-    if i == j:
-        return (_eval(f, z + ei) - 2 * _eval(f, z) + _eval(f, z - ei)) / h**2
-    ej = np.zeros_like(z)
-    ej[j] = h
-    return (
-        _eval(f, z + ei + ej)
-        - _eval(f, z + ei - ej)
-        - _eval(f, z - ei + ej)
-        + _eval(f, z - ei - ej)
-    ) / (4 * h**2)
+def multiindex_to_axes(alpha: MultiIndex) -> tuple[int, ...]:
+    """Expand a multi-index into the sorted tuple of differentiation axes."""
+    axes: list[int] = []
+    for i, a in enumerate(alpha):
+        axes.extend([i] * a)
+    return tuple(axes)
 
 
-def _d3(f: VectorFn, z: np.ndarray, i: int, j: int, k: int, h: float) -> np.ndarray:
-    e = np.zeros_like(z)
-    e[i] = h
-    return (_d2(f, z + e, j, k, h) - _d2(f, z - e, j, k, h)) / (2 * h)
+def _unit_stencil(axes: tuple[int, ...], d: int) -> dict[tuple[int, ...], float]:
+    """Central stencil of D^axes at unit step as {integer offset: weight};
+    at step h the weights scale by h^-order.  A repeated pair is the 3-point
+    second difference; otherwise the first axis is an outer central
+    difference of the stencil of the remaining axes."""
+    if not axes:
+        return {(0,) * d: 1.0}
+    i = axes[0]
+    if axes == (i, i):
+        factor, rest = {1: 1.0, 0: -2.0, -1: 1.0}, ()
+    else:
+        factor, rest = {1: 0.5, -1: -0.5}, axes[1:]
+    out: dict[tuple[int, ...], float] = {}
+    for units, w in _unit_stencil(rest, d).items():
+        for s, v in factor.items():
+            key = units[:i] + (units[i] + s,) + units[i + 1:]
+            out[key] = out.get(key, 0.0) + v * w
+    return {k: w for k, w in out.items() if w != 0.0}
 
 
-def _richardson(est: Callable[[float], np.ndarray], h: float, levels: int) -> np.ndarray:
-    if levels == 0:
-        return est(h)
-    coarse = _richardson(est, h, levels - 1)
-    fine = _richardson(est, h / 2, levels - 1)
-    return (4 * fine - coarse) / 3
+@lru_cache(maxsize=256)
+def _weight_table(alphas: tuple[MultiIndex, ...],
+                  cfg: StencilConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct offsets (M, d) of a request and its weights (n_alphas, M)."""
+    d = len(alphas[0])
+    column: dict[tuple[float, ...], int] = {}
+    entries = []
+    for a, alpha in enumerate(alphas):
+        axes = multiindex_to_axes(alpha)
+        h = cfg.step(len(axes)) if axes else 1.0
+        for units, w in _unit_stencil(axes, d).items():
+            m = column.setdefault(tuple(u * h for u in units), len(column))
+            entries.append((a, m, w / h ** len(axes)))
+    weights = np.zeros((len(alphas), len(column)))
+    for a, m, w in entries:
+        weights[a, m] += w
+    offsets = np.array(list(column), dtype=float).reshape(len(column), d)
+    for table in (offsets, weights):
+        table.setflags(write=False)  # shared by every request that hits the cache
+    return offsets, weights
+
+
+def partials(
+    f: VectorFn,
+    Z,
+    alphas: Sequence[Sequence[int]],
+    cfg: StencilConfig = StencilConfig(),
+) -> tuple[np.ndarray, int]:
+    """D^alpha f at every probe for every requested multi-index.
+
+    Returns the estimates, shape (N, len(alphas), d_x), and the number of
+    points f was evaluated at (N times the distinct stencil offsets).
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.size == 0:
+        raise ValueError(f"probes must be a non-empty (N, d) array, got shape {Z.shape}")
+    N, d = Z.shape
+    request = tuple(validate_multiindex(a, d=d) for a in alphas)
+    if not request:
+        raise ValueError("no multi-indices requested")
+    for a in request:
+        if sum(a) > 3:
+            raise ValueError(f"unsupported derivative order |alpha| = {sum(a)}")
+    offsets, weights = _weight_table(request, cfg)
+    points = (Z[:, None, :] + offsets[None]).reshape(-1, d)
+    values = evaluate(f, points)
+    finite = np.all(np.isfinite(values), axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite function value at stencil point {points[np.argmin(finite)]}")
+    return weights @ values.reshape(N, len(offsets), -1), len(points)
 
 
 @dataclass
@@ -115,14 +184,18 @@ class DerivativeTensor:
         return self.values.shape[1]
 
 
+def _one_probe(z: Sequence[float]) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"expected one point of shape (d,), got {z.shape}")
+    return z
+
+
 def jacobian(f: VectorFn, z: Sequence[float], cfg: StencilConfig = StencilConfig()) -> DerivativeTensor:
     """Central-difference Jacobian, columns D_i f(z)."""
-    z = np.asarray(z, dtype=float)
-    cols = [
-        _richardson(lambda h, i=i: _d1(f, z, i, h), cfg.h1, cfg.richardson_levels)
-        for i in range(len(z))
-    ]
-    return DerivativeTensor(order=1, values=np.stack(cols, axis=1))
+    z = _one_probe(z)
+    values, _ = partials(f, z[None], unit_indices(len(z)), cfg)
+    return DerivativeTensor(order=1, values=values[0].T)
 
 
 def cross_partial(
@@ -133,27 +206,17 @@ def cross_partial(
 ) -> np.ndarray:
     """Mixed partial D_{i1 i2 [i3]} f(z) as a length-d_x vector.
 
-    Index order does not matter analytically; numerically the estimates for
-    permuted orderings agree within cfg.tol_sym on smooth functions (the
-    order-3 construction differences the first index on the outside).
+    The indices are taken as a multiset, so every ordering of them gives the
+    same stencil (at order 3 the smallest index is differenced outermost).
     """
-    z = np.asarray(z, dtype=float)
+    z = _one_probe(z)
     idx = tuple(int(i) for i in indices)
     if any(i < 0 or i >= len(z) for i in idx):
         raise ValueError(f"derivative index out of range: {idx}")
-    if len(idx) == 2:
-        return _richardson(lambda h: _d2(f, z, idx[0], idx[1], h), cfg.h2, cfg.richardson_levels)
-    if len(idx) == 3:
-        return _richardson(lambda h: _d3(f, z, idx[0], idx[1], idx[2], h), cfg.h3, cfg.richardson_levels)
-    raise ValueError(f"cross_partial handles 2 or 3 indices, got {len(idx)}")
-
-
-def multiindex_to_axes(alpha: MultiIndex) -> tuple[int, ...]:
-    """Expand a multi-index into the sorted tuple of differentiation axes."""
-    axes: list[int] = []
-    for i, a in enumerate(alpha):
-        axes.extend([i] * a)
-    return tuple(axes)
+    if len(idx) not in (2, 3):
+        raise ValueError(f"cross_partial handles 2 or 3 indices, got {len(idx)}")
+    alpha = tuple(idx.count(i) for i in range(len(z)))
+    return partials(f, z[None], [alpha], cfg)[0][0, 0]
 
 
 def derivative_by_multiindex(
@@ -162,62 +225,6 @@ def derivative_by_multiindex(
     alpha: Sequence[int],
     cfg: StencilConfig = StencilConfig(),
 ) -> np.ndarray:
-    """D^alpha f(z) for |alpha| <= 3, delegating to the per-order stencils."""
-    z = np.asarray(z, dtype=float)
-    a = validate_multiindex(alpha, d=len(z))
-    axes = multiindex_to_axes(a)
-    order = len(axes)
-    if order == 0:
-        return _eval(f, z)
-    if order == 1:
-        return _richardson(lambda h: _d1(f, z, axes[0], h), cfg.h1, cfg.richardson_levels)
-    if order in (2, 3):
-        return cross_partial(f, z, axes, cfg)
-    raise ValueError(f"unsupported derivative order |alpha| = {order}")
-
-
-def estimate_derivative_tensor(
-    f: VectorFn,
-    z: Sequence[float],
-    order: int,
-    cfg: StencilConfig = StencilConfig(),
-    check_symmetry: bool = True,
-) -> DerivativeTensor:
-    """Full dense derivative tensor of the given order.
-
-    Entries are estimated once per unordered index tuple and mirrored to all
-    permutations.  When check_symmetry is set, a few entries are re-estimated
-    with a permuted stencil ordering and compared against cfg.tol_sym, so the
-    symmetry invariant is measured rather than assumed.
-    """
-    z = np.asarray(z, dtype=float)
-    d = len(z)
-    if order == 1:
-        return jacobian(f, z, cfg)
-    if order not in (2, 3):
-        raise ValueError(f"unsupported derivative order {order}")
-
-    probe = _eval(f, z)
-    values = np.zeros((len(probe),) + (d,) * order)
-    canonical: dict[tuple[int, ...], np.ndarray] = {}
-    for idx in itertools.combinations_with_replacement(range(d), order):
-        est = cross_partial(f, z, idx, cfg)
-        canonical[idx] = est
-        for perm in set(itertools.permutations(idx)):
-            values[(slice(None),) + perm] = est
-
-    if check_symmetry:
-        scale = 1.0 + max(float(np.max(np.abs(v))) for v in canonical.values())
-        sampled = 0
-        for idx, est in canonical.items():
-            if len(set(idx)) < 2 or sampled >= 5:
-                continue
-            alt = cross_partial(f, z, idx[::-1], cfg)
-            gap = float(np.max(np.abs(alt - est)))
-            if gap > cfg.tol_sym * scale:
-                raise FloatingPointError(
-                    f"mixed-partial symmetry violated at indices {idx}: gap {gap:.3e}"
-                )
-            sampled += 1
-
-    return DerivativeTensor(order=order, values=values)
+    """D^alpha f(z) for |alpha| <= 3; alpha = 0 evaluates f."""
+    z = _one_probe(z)
+    return partials(f, z[None], [alpha], cfg)[0][0, 0]

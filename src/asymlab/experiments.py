@@ -43,7 +43,7 @@ from .autoencoder import ModelConfig, TrainConfig, build_autoencoder, encode, tr
 from .derivatives import StencilConfig, jacobian
 from .generators import GeneratorSpec, preset_generator, top_order_cross_nonzero
 from .metrics import assignment_from_masks, j_ari, jis
-from .multiindex import SlotPartition, interaction_indices
+from .multiindex import SlotPartition, interaction_indices, monomials
 from .sprites import DataConfig, make_dataset
 
 IN_SUPPORT_FLOOR = 1e-14
@@ -56,7 +56,10 @@ def config_hash(config: dict) -> str:
 def pool_size() -> int:
     env = os.environ.get("ASYMLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"ASYMLAB_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -219,11 +222,6 @@ def full_poly_features(d: int, degree: int = 3):
     return _monomials_upto(d, degree)
 
 
-def _design(Z: np.ndarray, feats) -> np.ndarray:
-    cols = [np.prod(Z ** np.asarray(e), axis=1) for e in feats]
-    return np.stack(cols, axis=1)
-
-
 @dataclass
 class FitModel:
     """Linear-in-features regression model; features are monomial exponent
@@ -235,7 +233,7 @@ class FitModel:
     condition: float = 0.0
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
-        return _design(np.atleast_2d(Z), self.features) @ self.coefficients
+        return monomials(np.atleast_2d(Z), self.features) @ self.coefficients
 
 
 def fit_linear(Z: np.ndarray, Y: np.ndarray, feats,
@@ -244,7 +242,7 @@ def fit_linear(Z: np.ndarray, Y: np.ndarray, feats,
     equations when they are well-conditioned and falls back to an
     orthogonal-decomposition (SVD) solve otherwise, recording which path
     ran and the observed condition number."""
-    X = _design(Z, feats)
+    X = monomials(Z, feats)
     gram = X.T @ X
     cond = float(np.linalg.cond(gram))
     if np.isfinite(cond) and cond < cond_limit:
@@ -326,11 +324,11 @@ def exp_compgen(config: dict | None = None,
 
         if cfg["support_kind"] == "box":
             Z_train = rng.uniform(-1, 1, size=(cfg["n_train"], part.latent_dim))
-            Y_train = np.stack([gt(z) for z in Z_train])
+            Y_train = gt(Z_train)
             model_c = fit_linear(Z_train, Y_train, feats_c)
             model_b = fit_linear(Z_train, Y_train, feats_b)
             Z_in = rng.uniform(-1, 1, size=(cfg["n_eval_support"], part.latent_dim))
-            Y_in = np.stack([gt(z) for z in Z_in])
+            Y_in = gt(Z_in)
             in_c = float(np.mean((model_c(Z_in) - Y_in) ** 2))
             in_b = float(np.mean((model_b(Z_in) - Y_in) ** 2))
             result.add_metric(run_id, "in_support_mse_constrained", in_c)
@@ -339,17 +337,17 @@ def exp_compgen(config: dict | None = None,
             continue
 
         Z_train = sample_graph_band(rng, cfg["n_train"], cfg["band_width"])
-        Y_train = np.stack([gt(z) for z in Z_train])
+        Y_train = gt(Z_train)
         model_c = fit_linear(Z_train, Y_train, feats_c)
         model_b = fit_linear(Z_train, Y_train, feats_b)
 
         Z_in = sample_graph_band(rng, cfg["n_eval_support"], cfg["band_width"])
-        Y_in = np.stack([gt(z) for z in Z_in])
+        Y_in = gt(Z_in)
         in_c = float(np.mean((model_c(Z_in) - Y_in) ** 2))
         in_b = float(np.mean((model_b(Z_in) - Y_in) ** 2))
 
         Z_cpe = sample_graph_band_cpe(rng, cfg["n_eval_cpe"], part, cfg["band_width"])
-        Y_cpe = np.stack([gt(z) for z in Z_cpe])
+        Y_cpe = gt(Z_cpe)
         cpe_c = float(np.mean((model_c(Z_cpe) - Y_cpe) ** 2))
         cpe_b = float(np.mean((model_b(Z_cpe) - Y_cpe) ** 2))
 
@@ -385,10 +383,9 @@ def exp_compgen(config: dict | None = None,
             for b in part.blocks
         )
         pair = compose_slotwise(gt, SlotwiseDiffeoSpec(maps=maps, permutation=(1, 0)))
-        agree_sup = max(float(np.max(np.abs(pair.model(pair.latent_map(z)) - gt(z))))
-                        for z in Z_in[:32])
-        agree_cpe = max(float(np.max(np.abs(pair.model(pair.latent_map(z)) - gt(z))))
-                        for z in Z_cpe[:32])
+        agree_sup, agree_cpe = (
+            float(np.max(np.abs(pair.model(pair.latent_map(Z[:32])) - Y[:32])))
+            for Z, Y in ((Z_in, Y_in), (Z_cpe, Y_cpe)))
         ok_pair = agree_sup <= cfg["pair_tol"] and agree_cpe <= cfg["pair_tol"]
         result.add_metric(run_id, "constructed_pair_support_agreement", agree_sup)
         result.add_metric(run_id, "constructed_pair_cpe_agreement", agree_cpe)
@@ -475,6 +472,10 @@ def exp_train_ablation(config: dict | None = None,
     per-slot Jacobian heat maps, and compare the regularized corner against
     the unregularized one."""
     cfg = _merge_defaults(config, _default_ablation_config())
+    # each cell sets these itself, from its seed and the image size
+    reserved = sorted({"seed", "height", "width"} & set(cfg["model"]))
+    if reserved:
+        raise ValueError(f"the ablation's model config must not set {', '.join(reserved)}")
     t0 = time.time()
     result = ExperimentResult("train_ablation", cfg, int(cfg["seeds"][0]))
     jobs = [

@@ -14,27 +14,34 @@ constraint is structural: slot functions write to disjoint output rows.
 Also provided: slot-wise linear basis changes (equivalent generators),
 slot-wise diffeomorphisms with a slot permutation (for manufacturing
 disentangled model pairs), and latent supports that are regular closed,
-path-connected and aligned-connected by construction.
+path-connected and aligned-connected by construction.  Generators,
+equivalent generators and composed pairs take one latent point (d_z,) or a
+batch (N, d_z) and evaluate a batch with array operations.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .derivatives import evaluate, is_batched
 from .multiindex import (
     MultiIndex,
     SlotPartition,
     interaction_indices,
-    mi_power,
+    monomials,
     validate_multiindex,
 )
 
 # ---------------------------------------------------------------------------
 # slot feature maps
+
+
+_AFFINE_FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 @dataclass(frozen=True)
@@ -59,19 +66,15 @@ class Feature:
         elif self.kind not in ("sin", "cos", "exp"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
 
-    def __call__(self, u: np.ndarray) -> float:
+    def __call__(self, u: np.ndarray):
+        """The feature of a slot vector (a float), or of every row of an
+        (N, slot_dim) array (an (N,) array)."""
+        u = np.asarray(u, dtype=float)
         if self.kind == "mon":
-            out = 1.0
-            for ui, e in zip(u, self.exponents):
-                if e:
-                    out *= float(ui) ** e
-            return out
-        t = float(np.dot(self.weights, u)) + self.bias
-        if self.kind == "sin":
-            return float(np.sin(t))
-        if self.kind == "cos":
-            return float(np.cos(t))
-        return float(np.exp(t))
+            out = monomials(u, [self.exponents])[..., 0]
+        else:
+            out = _AFFINE_FNS[self.kind](u @ np.asarray(self.weights) + self.bias)
+        return float(out) if u.ndim == 1 else out
 
     def to_json(self) -> dict:
         if self.kind == "mon":
@@ -112,10 +115,6 @@ class SlotFunctionSpec:
             raise ValueError("coefficient shape does not match feature count")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite slot coefficients")
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        phi = np.array([feat(u) for feat in self.features])
-        return self.coefficients @ phi
 
     def to_json(self) -> dict:
         return {
@@ -187,21 +186,52 @@ class GeneratorSpec:
                 if c.shape != (self.out_dim,):
                     raise ValueError("interaction coefficient length mismatch")
 
+    batched = True  # __call__ takes (N, d_z) as well as (d_z,)
+
     @property
     def order_bound(self) -> int:
         return self.interactions.order_bound
 
-    def __call__(self, z: Sequence[float]) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.partition.latent_dim,):
-            raise ValueError(
-                f"latent point has shape {z.shape}, expected ({self.partition.latent_dim},)"
-            )
-        x = np.zeros(self.out_dim)
-        for k, sf in enumerate(self.slot_functions):
-            x += sf(z[list(self.partition.blocks[k])])
+    @cached_property
+    def _tables(self):
+        """The terms over the whole latent vector: every slot monomial and
+        cross term in one exponent table (F, d_z) with output coefficients
+        (F, d_x), and the sin/cos/exp features grouped by kind as
+        (fn, W (d_z, G), b (G,), C (G, d_x))."""
+        d = self.partition.latent_dim
+        exps, mon_rows = [], []
+        affine: dict[str, tuple[list, list, list]] = {}
+        for sf, block in zip(self.slot_functions, self.partition.blocks):
+            for feat, row in zip(sf.features, sf.coefficients.T):
+                embedded = np.zeros(d)
+                if feat.kind == "mon":
+                    embedded[list(block)] = feat.exponents
+                    exps.append(embedded)
+                    mon_rows.append(row)
+                else:
+                    embedded[list(block)] = feat.weights
+                    W, b, C = affine.setdefault(feat.kind, ([], [], []))
+                    W.append(embedded)
+                    b.append(feat.bias)
+                    C.append(row)
         for a, c in self.interactions.terms:
-            x += c * mi_power(z, a)
+            exps.append(a)
+            mon_rows.append(c)
+        return (np.array(exps, dtype=int).reshape(-1, d),
+                np.array(mon_rows).reshape(-1, self.out_dim),
+                [(_AFFINE_FNS[kind], np.array(W).T, np.array(b), np.array(C))
+                 for kind, (W, b, C) in affine.items()])
+
+    def __call__(self, z: Sequence[float]) -> np.ndarray:
+        """f(z) for one latent point (d_z,), or f at every row of (N, d_z)."""
+        z = np.asarray(z, dtype=float)
+        d = self.partition.latent_dim
+        if z.ndim not in (1, 2) or z.shape[-1] != d:
+            raise ValueError(f"latent points have shape {z.shape}, expected ({d},) or (N, {d})")
+        exponents, coefficients, affine = self._tables
+        x = monomials(z, exponents) @ coefficients
+        for fn, W, b, C in affine:
+            x += fn(z @ W + b) @ C
         return x
 
     def to_json(self) -> dict:
@@ -220,10 +250,6 @@ class GeneratorSpec:
             interactions=InteractionTermSet.from_json(obj["interactions"]),
             out_dim=int(obj["out_dim"]),
         )
-
-
-def eval_generator(spec: GeneratorSpec, z: Sequence[float]) -> np.ndarray:
-    return spec(z)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +313,25 @@ class EquivalentGenerator:
         self.transform = transform
         self._inv = [np.linalg.inv(m) for m in transform.matrices]
 
+    @property
+    def batched(self) -> bool:
+        return is_batched(self.f)
+
+    def _slotwise(self, mats, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        out = np.empty_like(v)
+        for m, b in zip(mats, self.partition.blocks):
+            out[..., list(b)] = v[..., list(b)] @ m.T
+        return out
+
     def push_point(self, z: np.ndarray) -> np.ndarray:
-        """Map a latent point into the transformed basis, y_{B_k} = M_k z_{B_k}."""
-        z = np.asarray(z, dtype=float)
-        y = np.empty_like(z)
-        for k, b in enumerate(self.partition.blocks):
-            y[list(b)] = self.transform.matrices[k] @ z[list(b)]
-        return y
+        """Map latent points (d,) or (N, d) into the transformed basis,
+        y_{B_k} = M_k z_{B_k}."""
+        return self._slotwise(self.transform.matrices, z)
 
     def __call__(self, y: Sequence[float]) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        z = np.empty_like(y)
-        for k, b in enumerate(self.partition.blocks):
-            z[list(b)] = self._inv[k] @ y[list(b)]
-        return self.f(z)
+        z = self._slotwise(self._inv, y)
+        return self.f(z) if z.ndim == 1 else evaluate(self.f, z)
 
 
 def apply_equivalence(
@@ -351,15 +382,16 @@ class SlotMap:
         return len(self.matrix) if self.kind == "affine" else len(self.linear)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The map at a slot vector (dim,) or at every row of (N, dim)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "affine":
-            return self.matrix @ u + self.offset
+            return u @ self.matrix.T + self.offset
         return self.linear * u + self.cubic * u**3
 
     def invert(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if self.kind == "affine":
-            return np.linalg.solve(self.matrix, v - self.offset)
+            return np.linalg.solve(self.matrix, (v - self.offset).T).T
         # strictly monotone scalar equations; Newton from v/linear converges
         u = v / self.linear
         for _ in range(80):
@@ -409,26 +441,33 @@ class ComposedPair:
     def permutation(self) -> tuple[int, ...]:
         return self.diffeo.permutation
 
+    @property
+    def batched(self) -> bool:
+        return is_batched(self.f)
+
+    def _slot_pairs(self):
+        """(source block, destination block, slot map) for each output slot."""
+        for k, m in enumerate(self.diffeo.maps):
+            src = list(self.partition.blocks[self.diffeo.permutation[k]])
+            yield src, list(self.partition.blocks[k]), m
+
     def h(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
-        for k in range(self.partition.K):
-            src = list(self.partition.blocks[self.diffeo.permutation[k]])
-            dst = list(self.partition.blocks[k])
-            out[dst] = self.diffeo.maps[k](z[src])
+        for src, dst, m in self._slot_pairs():
+            out[..., dst] = m(z[..., src])
         return out
 
     def h_inverse(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         out = np.empty_like(y)
-        for k in range(self.partition.K):
-            src = list(self.partition.blocks[self.diffeo.permutation[k]])
-            dst = list(self.partition.blocks[k])
-            out[src] = self.diffeo.maps[k].invert(y[dst])
+        for src, dst, m in self._slot_pairs():
+            out[..., src] = m.invert(y[..., dst])
         return out
 
     def model(self, z: np.ndarray) -> np.ndarray:
-        return self.f(self.h(z))
+        u = self.h(z)
+        return self.f(u) if u.ndim == 1 else evaluate(self.f, u)
 
     def latent_map(self, z: np.ndarray) -> np.ndarray:
         return self.h_inverse(z)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .asymmetry import CheckReport
 from .attention import CrossAttentionLayer, PixelHead, analytic_slot_jacobian, cross_attention_forward
-from .derivatives import StencilConfig
-from .multiindex import SlotPartition
+from .derivatives import StencilConfig, partials
+from .multiindex import SlotPartition, unit_indices
 
 
 @dataclass
@@ -242,14 +242,12 @@ def local_disentanglement_check(
     samples = np.asarray(support_samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[None]
-    cfg = cfg or StencilConfig()
-    from .derivatives import jacobian as fd_jacobian
-
+    jacobians, _ = partials(latent_map, samples, unit_indices(samples.shape[1]),
+                            cfg or StencilConfig())
     perms = []
     witnesses = []
-    for z in samples:
-        J = fd_jacobian(latent_map, z, cfg).values
-        pi = block_permutation_structure(J, partition, tol)
+    for z, J in zip(samples, jacobians):
+        pi = block_permutation_structure(J.T, partition, tol)
         perms.append(pi)
         if pi is None:
             witnesses.append({"point": [float(v) for v in z],

@@ -49,14 +49,38 @@ def mi_factorial(alpha: Sequence[int]) -> int:
     return math.prod(math.factorial(x) for x in a)
 
 
+def monomials(Z, exponents) -> np.ndarray:
+    """Every monomial z^alpha at every point: (N, F) for points Z (N, d) and
+    exponent rows (F, d); a single point (d,) gives (F,).
+
+    Powers come from one table of z_i^k built by repeated multiplication up
+    to the largest exponent, so the cost is one gather and one product per
+    coordinate instead of a Python loop per point and per term.
+    """
+    Z = np.asarray(Z, dtype=float)
+    one = Z.ndim == 1
+    Z = Z.reshape(-1, Z.shape[-1])
+    E = np.asarray(exponents, dtype=int).reshape(-1, Z.shape[1])
+    if E.size and E.min() < 0:
+        raise ValueError("monomial exponents must be >= 0")
+    powers = np.ones((len(Z), Z.shape[1], int(E.max(initial=0)) + 1))
+    for k in range(1, powers.shape[2]):
+        powers[:, :, k] = powers[:, :, k - 1] * Z
+    out = powers[:, 0, E[:, 0]]
+    for i in range(1, Z.shape[1]):
+        out = out * powers[:, i, E[:, i]]
+    return out[0] if one else out
+
+
 def mi_power(z: Sequence[float], alpha: Sequence[int]) -> float:
-    """z^alpha = prod_i z_i^alpha_i; the empty product (alpha = 0) is 1."""
+    """z^alpha = prod_i z_i^alpha_i at one point; the empty product (alpha = 0) is 1."""
     a = validate_multiindex(alpha, d=len(z))
-    out = 1.0
-    for zi, ai in zip(z, a):
-        if ai:
-            out *= float(zi) ** ai
-    return out
+    return float(monomials(z, [a])[0])
+
+
+def unit_indices(d: int) -> tuple[MultiIndex, ...]:
+    """The first-order multi-indices e_0 .. e_{d-1}, in coordinate order."""
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 def mi_add(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:

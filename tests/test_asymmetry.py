@@ -218,3 +218,20 @@ def test_sufficient_nonlinearity_small_model():
         return np.concatenate([z, z[::-1]])
 
     assert not sufficient_nonlinearity_check(linear, PART, PROBES[:3]).passed
+
+
+def test_checks_report_evaluations():
+    # per probe: the Jacobian's 2 x 4 axis points, plus 4 corners for each
+    # of the 4 cross pairs (order-1 bound) or for each slot's one mixed
+    # index (within-slot, order 2)
+    probes = PROBES[:2]
+    assert check_no_interaction(additive_cross, PART, probes).details["evaluations"] == 2 * 8
+    cross = check_order_at_most_n(additive_cross, PART, 1, probes)
+    assert cross.details["evaluations"] == 2 * (8 + 4 * 4)
+    within = check_within_slot_order(additive_cross, PART, 1, probes)
+    assert within.details["evaluations"] == 2 * (8 + 2 * 4)
+    bundle = check_interaction_asymmetry(additive_cross, PART, 1, probes, equiv_samples=2)
+    assert bundle.details["evaluations"] == 2 * (8 + 4 * 4) + 3 * 2 * (8 + 2 * 4)
+    for rep in (compositionality_check(additive_cross, PART, probes),
+                irreducibility_check(additive_cross, PART, probes)):
+        assert rep.details["evaluations"] == 2 * 8

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from asymlab.derivatives import (
     StencilConfig,
     cross_partial,
     derivative_by_multiindex,
-    estimate_derivative_tensor,
     jacobian,
     multiindex_to_axes,
+    partials,
 )
+from asymlab.generators import preset_generator
 from asymlab.multiindex import all_multiindices, mi_poly_derivative, mi_power
 
 
@@ -89,26 +92,12 @@ def test_cross_partial_symmetry():
     assert np.allclose(a, b, atol=1e-8)
 
 
-def test_estimate_tensor_shape_and_symmetry():
-    rng = np.random.default_rng(7)
-    f = poly_fn(random_poly(rng, 2, 3))
-    z = rng.uniform(-0.5, 0.5, size=2)
-    H = estimate_derivative_tensor(f, z, 2)
-    assert H.values.shape == (3, 2, 2)
-    assert np.allclose(H.values, np.swapaxes(H.values, 1, 2), atol=1e-9)
-    T = estimate_derivative_tensor(f, z, 3)
-    assert T.values.shape == (3, 2, 2, 2)
-    assert np.allclose(T.values, np.transpose(T.values, (0, 2, 1, 3)), atol=1e-9)
-
-
 def test_bad_inputs():
     f = lambda z: np.array([z[0] ** 2])
     with pytest.raises(ValueError):
         cross_partial(f, [0.0], (0, 0, 0, 0))
     with pytest.raises(ValueError):
         cross_partial(f, [0.0], (1, 0))
-    with pytest.raises(ValueError):
-        estimate_derivative_tensor(f, [0.0], 4)
     with pytest.raises(ValueError):
         derivative_by_multiindex(f, [0.0], (4,))
 
@@ -125,3 +114,94 @@ def test_order_zero_is_evaluation():
     f = lambda z: np.array([z[0] + 2 * z[1]])
     out = derivative_by_multiindex(f, [1.0, 2.0], (0, 0))
     assert np.allclose(out, [5.0])
+
+
+class _Counting:
+    """A batched test function that records the shape of every call."""
+
+    batched = True
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, Z):
+        self.calls.append(np.shape(Z))
+        return self.f(np.asarray(Z))
+
+
+def test_engine_evaluates_once_on_distinct_points():
+    # per probe: the centre, 4 axis points at h1, 4 at h2, 4 corners at h2,
+    # and 6 points for D_001 (outer in 0 at h3 around the (0, 1) corners;
+    # the two outer shifts share the corners (0, +-h3))
+    f = _Counting(lambda Z: np.stack([np.sin(Z[:, 0]) * Z[:, 1], Z[:, 0] ** 2], axis=1))
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)]
+    Z = np.random.default_rng(0).uniform(-0.5, 0.5, size=(5, 2))
+    values, evaluations = partials(f, Z, alphas)
+    assert f.calls == [(5 * 19, 2)]
+    assert evaluations == 5 * 19
+    assert values.shape == (5, len(alphas), 2)
+    single = np.stack([[derivative_by_multiindex(lambda z: f.f(z[None])[0], z, a)
+                        for a in alphas] for z in Z])
+    # the same stencils; only the order of the weighted sums differs
+    assert np.allclose(values, single, rtol=0, atol=1e-8)
+
+
+def test_nonfinite_point_is_named():
+    z = np.zeros(2)
+    bad = np.array([1e-4, 0.0])  # the stencil point z + h1 e_0
+
+    def single(p):
+        return np.array([np.nan if p[0] > 0 else 1.0])
+
+    batched = _Counting(lambda Z: np.where(Z[:, :1] > 0, np.nan, 1.0))
+    for f in (single, batched):
+        with pytest.raises(FloatingPointError, match=re.escape(str(bad))):
+            partials(f, z[None], [(1, 0)])
+
+
+def _closed_form(spec, z, alpha):
+    """D^alpha of a GeneratorSpec at z, term by term: monomials through
+    mi_poly_derivative, sin/cos/exp of affine forms through the chain rule."""
+    d = spec.partition.latent_dim
+    out = np.zeros(spec.out_dim)
+    k = sum(alpha)
+    for sf, block in zip(spec.slot_functions, spec.partition.blocks):
+        for feat, col in zip(sf.features, sf.coefficients.T):
+            if feat.kind == "mon":
+                e = [0] * d
+                for i, p in zip(block, feat.exponents):
+                    e[i] = p
+                coef, rest = mi_poly_derivative(alpha, e)
+                out += col * coef * mi_power(z, rest)
+                continue
+            w = np.zeros(d)
+            w[list(block)] = feat.weights
+            t = w @ z + feat.bias
+            scale = np.prod(w ** np.array(alpha))
+            if feat.kind == "sin":
+                out += col * scale * np.sin(t + k * np.pi / 2)
+            elif feat.kind == "cos":
+                out += col * scale * np.cos(t + k * np.pi / 2)
+            else:
+                out += col * scale * np.exp(t)
+    for a, c in spec.interactions.terms:
+        coef, rest = mi_poly_derivative(alpha, a)
+        out += c * coef * mi_power(z, rest)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_engine_matches_closed_form_on_presets(n):
+    cfg = StencilConfig()
+    spec = preset_generator(n, rng_seed=50 + n)
+    d = spec.partition.latent_dim
+    Z = np.random.default_rng(n).uniform(-0.8, 0.8, size=(4, d))
+    alphas = [a for o in (1, 2, 3) for a in all_multiindices(d, o)]
+    est, _ = partials(spec, Z, alphas, cfg)
+    for z, row in zip(Z, est):
+        exact = np.stack([_closed_form(spec, z, a) for a in alphas])
+        M = float(np.max(np.abs(exact)))
+        for a, got, want in zip(alphas, row, exact):
+            h = cfg.step(sum(a))
+            assert np.max(np.abs(got - want)) <= h * h * (1.0 + M), a

@@ -190,3 +190,30 @@ def test_cli_jac_check(tmp_path):
     rc = cli.main(["jac-check", "--trials", "3", "--out", str(tmp_path / "jc")])
     assert rc == 0
     assert (tmp_path / "jc" / "results.json").exists()
+
+
+def test_pool_size_rejects_non_integer(monkeypatch):
+    from asymlab.experiments import pool_size
+
+    monkeypatch.setenv("ASYMLAB_THREADS", "two")
+    with pytest.raises(ValueError, match="ASYMLAB_THREADS.*'two'"):
+        pool_size()
+    monkeypatch.setenv("ASYMLAB_THREADS", "3")
+    assert pool_size() == 3
+
+
+def test_cli_names_bad_thread_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ASYMLAB_THREADS", "2.5")
+    rc = cli.main(["ablate", "--out", str(tmp_path / "ab")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "ASYMLAB_THREADS" in err and "'2.5'" in err
+    assert "bad configuration" not in err
+
+
+def test_ablation_rejects_reserved_model_keys():
+    from asymlab.experiments import exp_train_ablation
+
+    # rejected before any cell trains
+    with pytest.raises(ValueError, match="height, seed"):
+        exp_train_ablation({"model": {"n_slots": 3, "seed": 1, "height": 16}})

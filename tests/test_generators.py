@@ -16,7 +16,6 @@ from asymlab.generators import (
     cpe_of,
     default_partition,
     default_support,
-    eval_generator,
     identity_transform,
     monomial_features,
     preset_family,
@@ -65,12 +64,6 @@ def test_preset_json_roundtrip():
         z = rng.uniform(-1, 1, size=spec.partition.latent_dim)
         assert np.allclose(spec(z), clone(z), atol=1e-12)
     assert clone.order_bound == spec.order_bound
-
-
-def test_eval_generator_matches_call():
-    spec = preset_generator(0, rng_seed=4)
-    z = np.full(spec.partition.latent_dim, 0.3)
-    assert np.allclose(eval_generator(spec, z), spec(z))
 
 
 def test_identity_transform_is_identity():
@@ -220,3 +213,42 @@ def test_composed_pair_validates():
         permutation=(0, 0))
     with pytest.raises(ValueError):
         ComposedPair(f, part, bad)
+
+
+def _assert_rows_match(batch, rows):
+    rows = np.stack(rows)
+    assert batch.shape == rows.shape
+    assert np.all(np.abs(batch - rows) <= 1e-13 * (1.0 + np.abs(rows)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_batched_evaluation_matches_points(n):
+    spec = preset_generator(n, rng_seed=60 + n)  # trig features included
+    part = spec.partition
+    rng = np.random.default_rng(n)
+    Z = rng.uniform(-0.9, 0.9, size=(37, part.latent_dim))
+    _assert_rows_match(spec(Z), [spec(z) for z in Z])
+
+    eq = apply_equivalence(spec, random_equivalence(part, rng))
+    Y = eq.push_point(Z)
+    _assert_rows_match(Y, [eq.push_point(z) for z in Z])
+    _assert_rows_match(eq(Y), [eq(y) for y in Y])
+
+    maps = (SlotMap(kind="cubic", linear=rng.uniform(0.7, 1.3, size=2),
+                    cubic=rng.uniform(0.0, 0.3, size=2)),
+            SlotMap(kind="affine", matrix=rng.normal(size=(2, 2)) + 2 * np.eye(2),
+                    offset=rng.normal(scale=0.2, size=2)))
+    pair = compose_slotwise(spec, SlotwiseDiffeoSpec(maps=maps, permutation=(1, 0)))
+    _assert_rows_match(pair.model(Z), [pair.model(z) for z in Z])
+    _assert_rows_match(pair.h_inverse(Z), [pair.h_inverse(z) for z in Z])
+
+
+def test_batched_flag_follows_wrapped_function():
+    spec = preset_generator(1, rng_seed=2)
+    part = spec.partition
+    tr = identity_transform(part)
+    assert apply_equivalence(spec, tr).batched
+    single = apply_equivalence(lambda z: spec(z), tr, part)
+    assert not single.batched
+    Z = np.random.default_rng(0).uniform(-1, 1, size=(5, part.latent_dim))
+    assert np.allclose(single(Z), spec(Z), atol=1e-12)
