@@ -167,16 +167,6 @@ class SlotAutoencoder:
             out[f"head_{nm}"] = getattr(self.dec_head, nm)
         return out
 
-    def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        if set(values) != set(params):
-            raise ValueError("parameter name mismatch")
-        for k, v in values.items():
-            arr = np.asarray(v, dtype=float)
-            if arr.shape != params[k].shape:
-                raise ValueError(f"shape mismatch for {k}")
-            params[k][...] = arr
-
 
 def build_autoencoder(config: ModelConfig) -> SlotAutoencoder:
     rng = np.random.default_rng(config.seed)
@@ -422,14 +412,6 @@ def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainC
         if grads[k].shape != params[k].shape:
             raise ValueError(f"gradient shape mismatch for {k}")
     return breakdown, grads
-
-
-def gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
-              rng: np.random.Generator | None = None,
-              noise: np.ndarray | None = None,
-              alpha_scale: float = 1.0) -> dict[str, np.ndarray]:
-    _, g = loss_and_gradients(model, batch, config, rng, noise, alpha_scale)
-    return g
 
 
 def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):

@@ -12,7 +12,6 @@ single-threaded and fully seeded, so the pool size never changes results.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import time
@@ -41,9 +40,23 @@ from .attention import (
 )
 from .autoencoder import ModelConfig, TrainConfig, build_autoencoder, encode, train
 from .derivatives import StencilConfig, jacobian
-from .generators import GeneratorSpec, preset_generator, top_order_cross_nonzero
+from .generators import (
+    Box,
+    GraphBand,
+    GeneratorSpec,
+    default_partition,
+    preset_generator,
+    sample_cpe,
+    top_order_cross_nonzero,
+)
 from .metrics import assignment_from_masks, j_ari, jis
-from .multiindex import SlotPartition, interaction_indices, monomials
+from .multiindex import (
+    SlotPartition,
+    all_multiindices,
+    interaction_indices,
+    monomials,
+    multiindices_within_block,
+)
 from .sprites import DataConfig, make_dataset
 
 IN_SUPPORT_FLOOR = 1e-14
@@ -191,35 +204,22 @@ def exp_characterization(config: dict | None = None,
 # compositional generalization
 
 
-def _monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    feats = [(0,) * nvars]
-    for d in range(1, degree + 1):
-        for pos in itertools.combinations_with_replacement(range(nvars), d):
-            e = [0] * nvars
-            for p in pos:
-                e[p] += 1
-            feats.append(tuple(e))
-    return feats
-
-
 def constrained_features(partition: SlotPartition, n: int, degree: int = 3):
     """Constant, per-slot monomials up to the slot degree, and the admissible
     cross-slot monomials of order 2..n."""
-    d = partition.latent_dim
-    feats = [(0,) * d]
-    for block in partition.blocks:
-        for e_local in _monomials_upto(len(block), degree)[1:]:
-            e = [0] * d
-            for pos, exp in zip(block, e_local):
-                e[pos] = exp
-            feats.append(tuple(e))
+    feats = [(0,) * partition.latent_dim]
+    for k in range(partition.K):
+        feats.extend(a for deg in range(1, degree + 1)
+                     for a in reversed(multiindices_within_block(partition, k, deg)))
     if n >= 2:
         feats.extend(interaction_indices(partition, n, upto=True))
     return feats
 
 
 def full_poly_features(d: int, degree: int = 3):
-    return _monomials_upto(d, degree)
+    """Every monomial of total degree <= degree, by degree and, within a
+    degree, in reverse lexicographic order of the exponents."""
+    return [a for deg in range(degree + 1) for a in reversed(all_multiindices(d, deg))]
 
 
 @dataclass
@@ -255,38 +255,6 @@ def fit_linear(Z: np.ndarray, Y: np.ndarray, feats,
                     solver=solver, condition=cond)
 
 
-def sample_graph_band(rng: np.random.Generator, count: int,
-                      width: float = 0.0) -> np.ndarray:
-    """Band support on [-1, 1]^4 with the last coordinate tied to the
-    monomial z0*z1*z2 within the band width.  Width 0 pins the coordinate
-    exactly, which is what makes spurious cross terms indistinguishable
-    from true ones on the support."""
-    Z = rng.uniform(-1, 1, size=(count, 4))
-    Z[:, 3] = Z[:, 0] * Z[:, 1] * Z[:, 2]
-    if width > 0:
-        Z[:, 3] += rng.uniform(-width, width, size=count)
-    return Z
-
-
-def sample_graph_band_cpe(rng: np.random.Generator, count: int,
-                          partition: SlotPartition, width: float = 0.0,
-                          min_violation: float = 1e-6) -> np.ndarray:
-    """Cartesian-product-extension samples: per-slot marginals of the band
-    recombined independently, filtered to points outside the band itself."""
-    out = []
-    while len(out) < count:
-        a = sample_graph_band(rng, 4 * count, width)
-        b = sample_graph_band(rng, 4 * count, width)
-        mixed = a.copy()
-        for k, block in enumerate(partition.blocks):
-            src = a if k % 2 == 0 else b
-            mixed[:, list(block)] = src[:, list(block)]
-        gap = np.abs(mixed[:, 3] - mixed[:, 0] * mixed[:, 1] * mixed[:, 2])
-        keep = mixed[gap > width + min_violation]
-        out.extend(keep.tolist())
-    return np.asarray(out[:count])
-
-
 def exp_compgen(config: dict | None = None,
                 out: str | os.PathLike | None = None) -> ExperimentResult:
     """Extrapolation contest on a band support.
@@ -311,42 +279,39 @@ def exp_compgen(config: dict | None = None,
         "cpe_mse_limit": 1e-8,
         "pair_tol": 1e-8,
     })
+    if cfg["support_kind"] not in ("band", "box"):
+        raise ValueError(f"support_kind must be 'band' or 'box', got {cfg['support_kind']!r}")
     t0 = time.time()
     result = ExperimentResult("compgen", cfg, int(cfg["seeds"][0]))
+    part = default_partition(cfg["order"])
+    support = (GraphBand(cfg["band_width"]) if cfg["support_kind"] == "band"
+               else Box(part.latent_dim))
+    feats_c = constrained_features(part, cfg["order"], cfg["degree"])
+    feats_b = full_poly_features(part.latent_dim, cfg["degree"])
     all_ok = True
     for seed in cfg["seeds"]:
         run_id = f"seed{seed}"
         rng = np.random.default_rng(seed)
-        gt = preset_generator(cfg["order"], rng_seed=seed, include_trig=False)
-        part = gt.partition
-        feats_c = constrained_features(part, cfg["order"], cfg["degree"])
-        feats_b = full_poly_features(part.latent_dim, cfg["degree"])
+        gt = preset_generator(cfg["order"], rng_seed=seed, partition=part,
+                              include_trig=False)
 
-        if cfg["support_kind"] == "box":
-            Z_train = rng.uniform(-1, 1, size=(cfg["n_train"], part.latent_dim))
-            Y_train = gt(Z_train)
-            model_c = fit_linear(Z_train, Y_train, feats_c)
-            model_b = fit_linear(Z_train, Y_train, feats_b)
-            Z_in = rng.uniform(-1, 1, size=(cfg["n_eval_support"], part.latent_dim))
-            Y_in = gt(Z_in)
-            in_c = float(np.mean((model_c(Z_in) - Y_in) ** 2))
-            in_b = float(np.mean((model_b(Z_in) - Y_in) ** 2))
-            result.add_metric(run_id, "in_support_mse_constrained", in_c)
-            result.add_metric(run_id, "in_support_mse_baseline", in_b)
-            result.add_metric(run_id, "extrapolation_region_empty", 1.0)
-            continue
-
-        Z_train = sample_graph_band(rng, cfg["n_train"], cfg["band_width"])
+        Z_train = support.sample(rng, cfg["n_train"])
         Y_train = gt(Z_train)
         model_c = fit_linear(Z_train, Y_train, feats_c)
         model_b = fit_linear(Z_train, Y_train, feats_b)
 
-        Z_in = sample_graph_band(rng, cfg["n_eval_support"], cfg["band_width"])
+        Z_in = support.sample(rng, cfg["n_eval_support"])
         Y_in = gt(Z_in)
         in_c = float(np.mean((model_c(Z_in) - Y_in) ** 2))
         in_b = float(np.mean((model_b(Z_in) - Y_in) ** 2))
+        result.add_metric(run_id, "in_support_mse_constrained", in_c)
+        result.add_metric(run_id, "in_support_mse_baseline", in_b)
+        if cfg["support_kind"] == "box":
+            # a box is its own CPE: nothing to extrapolate to
+            result.add_metric(run_id, "extrapolation_region_empty", 1.0)
+            continue
 
-        Z_cpe = sample_graph_band_cpe(rng, cfg["n_eval_cpe"], part, cfg["band_width"])
+        Z_cpe = sample_cpe(support, part, rng, cfg["n_eval_cpe"])
         Y_cpe = gt(Z_cpe)
         cpe_c = float(np.mean((model_c(Z_cpe) - Y_cpe) ** 2))
         cpe_b = float(np.mean((model_b(Z_cpe) - Y_cpe) ** 2))
@@ -355,8 +320,6 @@ def exp_compgen(config: dict | None = None,
         ok_ratio = cpe_b >= cfg["ratio_required"] * max(cpe_c, IN_SUPPORT_FLOOR)
         ok_in = in_b <= 2.0 * in_c + IN_SUPPORT_FLOOR
         for name, val in [
-            ("in_support_mse_constrained", in_c),
-            ("in_support_mse_baseline", in_b),
             ("cpe_mse_constrained", cpe_c),
             ("cpe_mse_baseline", cpe_b),
             ("solver_condition_constrained", model_c.condition),

@@ -13,15 +13,14 @@ constraint is structural: slot functions write to disjoint output rows.
 
 Also provided: slot-wise linear basis changes (equivalent generators),
 slot-wise diffeomorphisms with a slot permutation (for manufacturing
-disentangled model pairs), and latent supports that are regular closed,
-path-connected and aligned-connected by construction.  Generators,
+disentangled model pairs), and two latent supports (a box and a band around
+a graph) with one sampler for their Cartesian-product extension.  Generators,
 equivalent generators and composed pairs take one latent point (d_z,) or a
 batch (N, d_z) and evaluate a batch with array operations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -32,6 +31,7 @@ from .derivatives import evaluate, is_batched
 from .multiindex import (
     MultiIndex,
     SlotPartition,
+    all_multiindices,
     interaction_indices,
     monomials,
     validate_multiindex,
@@ -89,15 +89,13 @@ class Feature:
 
 
 def monomial_features(slot_dim: int, max_degree: int = 3, min_degree: int = 1) -> list[Feature]:
-    """All slot monomials with total degree in [min_degree, max_degree]."""
-    feats = []
-    for deg in range(min_degree, max_degree + 1):
-        for positions in itertools.combinations_with_replacement(range(slot_dim), deg):
-            e = [0] * slot_dim
-            for p in positions:
-                e[p] += 1
-            feats.append(Feature(kind="mon", exponents=tuple(e)))
-    return feats
+    """All slot monomials with total degree in [min_degree, max_degree], by
+    degree and, within a degree, in reverse lexicographic order of the
+    exponents ((1, 0) before (0, 1)).  Preset coefficients are drawn per
+    feature in this order."""
+    return [Feature(kind="mon", exponents=e)
+            for deg in range(min_degree, max_degree + 1)
+            for e in reversed(all_multiindices(slot_dim, deg))]
 
 
 @dataclass(frozen=True)
@@ -482,177 +480,72 @@ def compose_slotwise(spec, diffeo: SlotwiseDiffeoSpec,
 
 # ---------------------------------------------------------------------------
 # latent supports
+#
+# A support is any object with sample(rng, n) -> (n, d) points on it and
+# contains(Z) -> bool[n] for an (n, d) array.  Its Cartesian-product extension
+# (CPE) is the product of its per-slot projections.
 
 
 @dataclass(frozen=True)
-class LatentSupport:
-    """Regular closed, path-connected, aligned-connected supports by
-    construction.
+class Box:
+    """The cube [-1, 1]^dim.  A box is its own CPE, so it has no
+    extrapolation region."""
 
-    kind "box":   product of per-coordinate intervals [lo_i, hi_i].
-    kind "band":  the box intersected with couplings |z_i - z_j| <= w.
-    kind "union": a union of overlapping-or-disjoint boxes (each box given
-                  as a (lo, hi) pair); used for supports strictly smaller
-                  than their Cartesian-product extension.
+    dim: int
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(-1, 1, size=(n, self.dim))
+
+    def contains(self, Z: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(Z) <= 1.0, axis=1)
+
+
+@dataclass(frozen=True)
+class GraphBand:
+    """Points of [-1, 1]^4 whose last coordinate lies within `width` of the
+    monomial z0*z1*z2.  Width 0 pins the coordinate exactly, which is what
+    makes spurious cross terms indistinguishable from true ones on the
+    support.  Membership allows 1e-6 beyond the width, so that CPE points
+    count as off the band only when they are clearly off it."""
+
+    width: float
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        Z = rng.uniform(-1, 1, size=(n, 4))
+        Z[:, 3] = Z[:, 0] * Z[:, 1] * Z[:, 2]
+        if self.width > 0:
+            Z[:, 3] += rng.uniform(-self.width, self.width, size=n)
+        return Z
+
+    def contains(self, Z: np.ndarray) -> np.ndarray:
+        gap = np.abs(Z[:, 3] - Z[:, 0] * Z[:, 1] * Z[:, 2])
+        return Box(4).contains(Z) & (gap <= self.width + 1e-6)
+
+
+def sample_cpe(support, partition: SlotPartition, rng: np.random.Generator,
+               n: int) -> np.ndarray:
+    """n points of the CPE that lie off the support: the genuine
+    extrapolation region.
+
+    Each round draws one batch of 4n support samples per slot, takes slot k
+    of every candidate from batch k, and keeps the candidates the support
+    does not contain.  Raises RuntimeError once at least 10,000 candidates
+    have been tried and fewer than 1e-4 of them were kept, which flags a CPE
+    that (nearly) equals its support.
     """
-
-    kind: str
-    lo: tuple[float, ...] = ()
-    hi: tuple[float, ...] = ()
-    bands: tuple[tuple[int, int, float], ...] = ()
-    boxes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("box", "band", "union"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind in ("box", "band"):
-            if len(self.lo) != len(self.hi) or not self.lo:
-                raise ValueError("box bounds malformed")
-            if any(l >= h for l, h in zip(self.lo, self.hi)):
-                raise ValueError("box bounds must satisfy lo < hi")
-        if self.kind == "band" and not self.bands:
-            raise ValueError("band support needs at least one coupling")
-        if self.kind == "union":
-            if not self.boxes:
-                raise ValueError("union support needs at least one box")
-            dims = {len(b[0]) for b in self.boxes} | {len(b[1]) for b in self.boxes}
-            if len(dims) != 1:
-                raise ValueError("union boxes must share a dimension")
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "union":
-            return len(self.boxes[0][0])
-        return len(self.lo)
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "union":
-            los = np.array([b[0] for b in self.boxes])
-            his = np.array([b[1] for b in self.boxes])
-            return los.min(axis=0), his.max(axis=0)
-        return np.asarray(self.lo), np.asarray(self.hi)
-
-    def contains(self, z: Sequence[float]) -> bool:
-        z = np.asarray(z, dtype=float)
-        if self.kind == "union":
-            return any(
-                bool(np.all(z >= np.asarray(lo)) and np.all(z <= np.asarray(hi)))
-                for lo, hi in self.boxes
-            )
-        inside = bool(np.all(z >= np.asarray(self.lo)) and np.all(z <= np.asarray(self.hi)))
-        if not inside or self.kind == "box":
-            return inside
-        return all(abs(z[i] - z[j]) <= w for i, j, w in self.bands)
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in ("box", "band"):
-            out["lo"] = list(self.lo)
-            out["hi"] = list(self.hi)
-        if self.kind == "band":
-            out["bands"] = [[i + 1, j + 1, w] for i, j, w in self.bands]
-        if self.kind == "union":
-            out["boxes"] = [[list(lo), list(hi)] for lo, hi in self.boxes]
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LatentSupport":
-        kind = obj["kind"]
-        if kind == "union":
-            return cls(kind=kind, boxes=tuple(
-                (tuple(lo), tuple(hi)) for lo, hi in obj["boxes"]
-            ))
-        bands = tuple((i - 1, j - 1, w) for i, j, w in obj.get("bands", []))
-        return cls(kind=kind, lo=tuple(obj["lo"]), hi=tuple(obj["hi"]), bands=bands)
-
-
-def sample_support(support: LatentSupport, count: int, rng_seed) -> np.ndarray:
-    """Uniform samples on the support by rejection from the bounding box.
-
-    Deterministic given the seed (or a Generator).  Aborts when acceptance
-    drops below 1e-4, which flags supports too thin to sample honestly.
-    """
-    if count < 1:
-        raise ValueError("need count >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    lo, hi = support.bounding_box()
-    out = np.empty((count, support.dim))
-    got = 0
-    drawn = 0
-    while got < count:
-        batch = rng.uniform(lo, hi, size=(max(64, count), support.dim))
-        drawn += len(batch)
-        for z in batch:
-            if support.contains(z):
-                out[got] = z
-                got += 1
-                if got == count:
-                    break
-        if drawn >= 10_000 and got / drawn < 1e-4:
+    out = np.empty((0, partition.latent_dim))
+    tried = 0
+    while len(out) < n:
+        batches = [support.sample(rng, 4 * n) for _ in partition.blocks]
+        Z = np.empty_like(batches[0])
+        for block, batch in zip(partition.blocks, batches):
+            Z[:, list(block)] = batch[:, list(block)]
+        out = np.concatenate([out, Z[~support.contains(Z)]])
+        tried += len(Z)
+        if tried >= 10_000 and len(out) < 1e-4 * tried:
             raise RuntimeError(
-                f"support too thin to sample: acceptance {got}/{drawn}"
-            )
-    return out
-
-
-def cpe_of(support: LatentSupport, partition: SlotPartition) -> LatentSupport:
-    """Cartesian-product extension: product of the per-slot projections.
-
-    Boxes are their own CPE.  Band supports lose their cross-slot couplings
-    (each slot's projection is the full sub-box); couplings within one slot
-    survive projection.  A union of boxes extends to all mixed products of
-    per-slot projections, again a union of boxes.
-    """
-    if support.kind == "box":
-        return support
-    if support.kind == "band":
-        kept = tuple(
-            (i, j, w)
-            for i, j, w in support.bands
-            if partition.block_of(i) == partition.block_of(j)
-        )
-        if not kept:
-            return LatentSupport(kind="box", lo=support.lo, hi=support.hi)
-        return LatentSupport(kind="band", lo=support.lo, hi=support.hi, bands=kept)
-    # union: per slot, each source box projects to a sub-box of that slot's
-    # coordinates; the CPE is every cross-combination glued back together
-    d = support.dim
-    combos = itertools.product(range(len(support.boxes)), repeat=partition.K)
-    boxes = []
-    for combo in combos:
-        lo = np.empty(d)
-        hi = np.empty(d)
-        for k, src in enumerate(combo):
-            idx = list(partition.blocks[k])
-            lo[idx] = np.asarray(support.boxes[src][0])[idx]
-            hi[idx] = np.asarray(support.boxes[src][1])[idx]
-        boxes.append((tuple(lo), tuple(hi)))
-    uniq = sorted(set(boxes))
-    return LatentSupport(kind="union", boxes=tuple(uniq))
-
-
-def sample_cpe_complement(
-    support: LatentSupport,
-    partition: SlotPartition,
-    count: int,
-    rng_seed,
-    max_draw: int = 200_000,
-) -> np.ndarray:
-    """Samples from CPE(support) \\ support: the genuine extrapolation region."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    cpe = cpe_of(support, partition)
-    out = np.empty((count, support.dim))
-    got = 0
-    drawn = 0
-    while got < count:
-        z = sample_support(cpe, 1, rng)[0]
-        drawn += 1
-        if not support.contains(z):
-            out[got] = z
-            got += 1
-        if drawn > max_draw:
-            raise RuntimeError("CPE complement appears empty (support equals its CPE?)")
-    return out
+                f"CPE too close to its support to sample: kept {len(out)} of {tried}")
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +576,6 @@ def default_partition(n: int) -> SlotPartition:
     # two 2-d slots keep every within-slot split nontrivial while staying
     # cheap to probe at third order
     return SlotPartition(blocks=((0, 1), (2, 3)), latent_dim=4)
-
-
-def default_support(d_z: int) -> LatentSupport:
-    return LatentSupport(kind="box", lo=(-1.0,) * d_z, hi=(1.0,) * d_z)
 
 
 def _slot_features(slot_dim: int, include_trig: bool, rng: np.random.Generator) -> list[Feature]:

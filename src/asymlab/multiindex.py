@@ -213,17 +213,11 @@ def interaction_indices(partition: SlotPartition, n: int, upto: bool = False) ->
 
 
 def multiindices_within_block(partition: SlotPartition, k: int, order: int) -> list[MultiIndex]:
-    """Order-`order` multi-indices supported entirely on slot k."""
-    block = partition.blocks[k]
-    d = partition.latent_dim
-    out = []
-    for positions in itertools.combinations_with_replacement(block, order):
-        a = [0] * d
-        for p in positions:
-            a[p] += 1
-        out.append(tuple(a))
-    out.sort()
-    return out
+    """Order-`order` multi-indices supported entirely on slot k, in
+    lexicographic order."""
+    outside = [i for i in range(partition.latent_dim) if i not in partition.blocks[k]]
+    return [a for a in all_multiindices(partition.latent_dim, order)
+            if not any(a[i] for i in outside)]
 
 
 def split_interaction_indices(

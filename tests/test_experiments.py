@@ -15,10 +15,8 @@ from asymlab.experiments import (
     exp_train,
     fit_linear,
     full_poly_features,
-    sample_graph_band,
-    sample_graph_band_cpe,
 )
-from asymlab.generators import preset_generator
+from asymlab.generators import GraphBand, preset_generator, sample_cpe
 from asymlab.multiindex import SlotPartition
 from asymlab.tensorio import load_json, load_tensor
 
@@ -57,13 +55,17 @@ def test_experiment_result_serialization(tmp_path):
 def test_graph_band_samplers():
     rng = np.random.default_rng(0)
     part = SlotPartition(blocks=((0,), (1,), (2,), (3,)), latent_dim=4)
-    Z = sample_graph_band(rng, 50)
+    Z = GraphBand(0.0).sample(rng, 50)
     assert Z.shape == (50, 4)
     np.testing.assert_allclose(Z[:, 3], Z[:, 0] * Z[:, 1] * Z[:, 2], atol=1e-15)
-    Zw = sample_graph_band(rng, 50, width=0.1)
+    assert np.all(GraphBand(0.0).contains(Z))
+    Zw = GraphBand(0.1).sample(rng, 50)
     assert np.all(np.abs(Zw[:, 3] - Zw[:, 0] * Zw[:, 1] * Zw[:, 2]) <= 0.1 + 1e-12)
-    C = sample_graph_band_cpe(rng, 30, part)
+    assert np.all(GraphBand(0.1).contains(Zw))
+    C = sample_cpe(GraphBand(0.0), part, rng, 30)
+    assert C.shape == (30, 4)
     assert np.all(np.abs(C[:, 3] - C[:, 0] * C[:, 1] * C[:, 2]) > 1e-6)
+    assert np.all(np.abs(C) <= 1.0)
 
 
 def test_fit_linear_solver_switch():
@@ -97,6 +99,8 @@ def test_exp_compgen_box_support():
                      "n_eval_cpe": 50, "n_eval_support": 50})
     flags = [m for m in r.metrics if m["metric"] == "extrapolation_region_empty"]
     assert flags and flags[0]["value"] == 1.0
+    with pytest.raises(ValueError, match="support_kind"):
+        exp_compgen({"seeds": [0], "support_kind": "ball"})
 
 
 def test_exp_jacobian_check_small():
@@ -217,3 +221,18 @@ def test_ablation_rejects_reserved_model_keys():
     # rejected before any cell trains
     with pytest.raises(ValueError, match="height, seed"):
         exp_train_ablation({"model": {"n_slots": 3, "seed": 1, "height": 16}})
+
+
+def test_ablation_results_independent_of_pool_size(monkeypatch):
+    from asymlab.experiments import exp_train_ablation
+
+    # eval_images within the 7-image test split of the default data
+    cfg = {"alphas": [0.0, 0.05], "betas": [0.0], "seeds": [0],
+           "iterations": 20, "warmup": 10, "eval_images": 4}
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ASYMLAB_THREADS", threads)
+        obj = exp_train_ablation(cfg).to_json()
+        obj.pop("wall_clock")
+        runs.append(obj)
+    assert runs[0] == runs[1]

@@ -3,27 +3,25 @@ import pytest
 
 from asymlab.derivatives import derivative_by_multiindex
 from asymlab.generators import (
+    Box,
     ComposedPair,
     Feature,
     GeneratorSpec,
+    GraphBand,
     InteractionTermSet,
-    LatentSupport,
     SlotFunctionSpec,
     SlotMap,
     SlotwiseDiffeoSpec,
     apply_equivalence,
     compose_slotwise,
-    cpe_of,
     default_partition,
-    default_support,
     identity_transform,
     monomial_features,
     preset_family,
     preset_generator,
     random_equivalence,
     required_output_dim,
-    sample_cpe_complement,
-    sample_support,
+    sample_cpe,
     top_order_cross_nonzero,
 )
 from asymlab.multiindex import SlotPartition, interaction_indices
@@ -42,6 +40,9 @@ def test_feature_kinds():
 def test_monomial_features_count():
     feats = monomial_features(2, max_degree=3)
     assert len(feats) == 9  # degrees 1..3 on two variables
+    # preset coefficients are drawn per feature, so the order is pinned too
+    assert [f.exponents for f in feats] == [
+        (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
 def test_preset_declared_order_holds():
@@ -147,39 +148,31 @@ def test_diffeo_size_mismatch():
 
 
 def test_support_membership():
-    sup = default_support(4)
-    rng_pts = sample_support(sup, 50, rng_seed=0)
-    assert all(sup.contains(z) for z in rng_pts)
-    lo, hi = sup.bounding_box()
-    assert np.all(rng_pts >= lo - 1e-12) and np.all(rng_pts <= hi + 1e-12)
-
-
-def test_support_json_roundtrip():
-    sup = default_support(4)
-    clone = LatentSupport.from_json(sup.to_json())
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(-1.5, 1.5, size=(100, 4))
-    for z in pts:
-        assert sup.contains(z) == clone.contains(z)
+    sup = Box(4)
+    pts = sup.sample(np.random.default_rng(0), 50)
+    assert pts.shape == (50, 4) and np.all(sup.contains(pts))
+    outside = pts.copy()
+    outside[::2, 1] = 1.5
+    assert list(sup.contains(outside)) == [i % 2 == 1 for i in range(50)]
 
 
 def test_cpe_complement_outside_support():
-    # a cross-slot coupling makes the CPE strictly larger than the support
+    # the band ties z3 to z0*z1*z2 across the two slots, so its CPE is
+    # strictly larger than the band
     part = default_partition(2)
-    sup = LatentSupport(kind="band", lo=(-1.0,) * 4, hi=(1.0,) * 4,
-                        bands=((0, 2, 0.5),))
-    cpe = cpe_of(sup, part)
-    pts = sample_cpe_complement(sup, part, 30, rng_seed=1)
-    for z in pts:
-        assert cpe.contains(z) and not sup.contains(z)
+    sup = GraphBand(0.1)
+    pts = sample_cpe(sup, part, np.random.default_rng(1), 30)
+    assert pts.shape == (30, 4)
+    assert not np.any(sup.contains(pts))
+    # inside the CPE: each slot's coordinates are those of some band point
+    assert np.all(np.abs(pts) <= 1.0)
+    assert np.all(np.abs(pts[:, 3]) <= np.abs(pts[:, 2]) + 0.1 + 1e-12)
 
 
 def test_box_cpe_complement_is_empty():
     part = default_partition(2)
-    sup = default_support(part.latent_dim)
-    assert cpe_of(sup, part).to_json() == sup.to_json()
     with pytest.raises(RuntimeError):
-        sample_cpe_complement(sup, part, 5, rng_seed=0)
+        sample_cpe(Box(part.latent_dim), part, np.random.default_rng(0), 5)
 
 
 def test_required_output_dim_monotone():
