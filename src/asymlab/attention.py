@@ -19,45 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-ROW_SUM_TOL = 1e-9
-
 
 def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with rowwise max subtraction so finite logits never overflow."""
+    """Softmax with rowwise max subtraction so finite logits never overflow;
+    non-finite logits raise FloatingPointError."""
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax input must be finite")
+        raise FloatingPointError("softmax input must be finite")
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-@dataclass
-class AttentionMatrix:
-    """Pixel-by-slot attention weights.  Softmax outputs are row-stochastic
-    (each row sums to 1); aggregated matrices keep normalized=False since
-    their rows sum to the number of summed heads/layers."""
-
-    values: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim < 2:
-            raise ValueError("attention matrix needs (pixels, slots) axes")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("attention weights must be finite")
-        if np.any(v < 0):
-            raise ValueError("attention weights must be non-negative")
-        if self.normalized:
-            sums = np.sum(v, axis=-1)
-            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-                raise ValueError("attention rows must sum to 1")
-        self.values = v
-
-    @property
-    def n_slots(self) -> int:
-        return self.values.shape[-1]
 
 
 @dataclass
@@ -105,31 +76,19 @@ class CrossAttentionLayer:
     def head_dim(self) -> int:
         return self.d_q // self.n_heads
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"W_K": self.W_K, "W_V": self.W_V, "W_Q": self.W_Q}
-
-
-_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda p: 1.0 - np.tanh(p) ** 2),
-    "softplus": (lambda p: np.logaddexp(0.0, p), lambda p: 1.0 / (1.0 + np.exp(-p))),
-}
-
 
 @dataclass
 class PixelHead:
-    """Smooth two-layer map from a token to RGB: W2 act(W1 t + b1) + b2.
-    Only C-infinity activations are allowed so the whole decoder stays
-    smooth enough for third-derivative checks."""
+    """Smooth two-layer map from a token to RGB: W2 tanh(W1 t + b1) + b2.
+    tanh is C-infinity, so the whole decoder stays smooth enough for
+    third-derivative checks."""
 
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError("activation must be tanh or softplus")
         self.W1 = np.asarray(self.W1, dtype=float)
         self.b1 = np.asarray(self.b1, dtype=float)
         self.W2 = np.asarray(self.W2, dtype=float)
@@ -139,24 +98,14 @@ class PixelHead:
         if self.W2.shape[1] != self.W1.shape[0]:
             raise ValueError("head layers do not compose")
 
-    @property
-    def out_dim(self) -> int:
-        return self.W2.shape[0]
-
     def __call__(self, token: np.ndarray) -> np.ndarray:
-        act, _ = _ACTIVATIONS[self.activation]
-        pre = token @ self.W1.T + self.b1
-        return act(pre) @ self.W2.T + self.b2
+        return np.tanh(token @ self.W1.T + self.b1) @ self.W2.T + self.b2
 
     def jacobian(self, token: np.ndarray) -> np.ndarray:
         """d psi / d token, shape (..., out_dim, d_q)."""
-        _, dact = _ACTIVATIONS[self.activation]
-        pre = token @ self.W1.T + self.b1
+        dact = 1.0 - np.tanh(token @ self.W1.T + self.b1) ** 2
         # (..., out, hidden) * (..., hidden) -> contract with W1
-        return np.einsum("oh,...h,hd->...od", self.W2, dact(pre), self.W1)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+        return np.einsum("oh,...h,hd->...od", self.W2, dact, self.W1)
 
 
 def positional_query_inputs(
@@ -190,14 +139,12 @@ def positional_query_inputs(
 @dataclass
 class ForwardCache:
     """Intermediates of one decoder forward pass, consumed by the backward
-    pass and the trainer.  Attention matrices are stored per layer per head."""
+    pass.  Each layer's attention is one (n_heads, B, P, K) array."""
 
     slots: np.ndarray
     per_layer: list = field(default_factory=list)
     token_final: np.ndarray | None = None
-    head_pre: np.ndarray | None = None
     head_hidden: np.ndarray | None = None
-    pixels: np.ndarray | None = None
     batched: bool = True
 
 
@@ -215,16 +162,16 @@ def cross_attention_forward(
     """Run the decoder on slot vectors.
 
     Returns (pixels, attention) where attention is a list over layers of
-    lists over heads of AttentionMatrix; with_cache=True returns a third
-    ForwardCache element.  First layer queries come from its query_inputs;
-    each deeper layer queries the previous layer's tokens, and the pixel
-    head applies only after the last layer.
+    (n_heads, [B,] P, K) arrays of softmax weights; with_cache=True returns
+    a third ForwardCache element.  First layer queries come from its
+    query_inputs; each deeper layer queries the previous layer's tokens, and
+    the pixel head applies only after the last layer.
     """
     if not layers:
         raise ValueError("need at least one layer")
     z = np.asarray(z_hat, dtype=float)
     if not np.all(np.isfinite(z)):
-        raise ValueError("slot vectors must be finite")
+        raise FloatingPointError("slot vectors must be finite")
     batched = z.ndim == 3
     if not batched:
         z = z[None]
@@ -252,7 +199,6 @@ def cross_attention_forward(
         Kk = z @ ly.W_K.T
         V = z @ ly.W_V.T
         per_head = []
-        layer_attn = []
         out = np.empty((B, n_pix, ly.d_q))
         for sl in _head_slices(ly):
             logits = np.einsum("bpd,bkd->bpk", Q[..., sl], Kk[..., sl])
@@ -261,16 +207,13 @@ def cross_attention_forward(
             A = softmax_rows(logits)
             out[..., sl] = np.einsum("bpk,bkd->bpd", A, V[..., sl])
             per_head.append(A)
-            layer_attn.append(AttentionMatrix(A if batched else A[0]))
-        attn_all.append(layer_attn)
-        cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": per_head})
+        A_layer = np.stack(per_head)
+        attn_all.append(A_layer if batched else A_layer[:, 0])
+        cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A_layer})
         tokens = out
     cache.token_final = tokens
-    act, _ = _ACTIVATIONS[head.activation]
-    cache.head_pre = tokens @ head.W1.T + head.b1
-    cache.head_hidden = act(cache.head_pre)
+    cache.head_hidden = np.tanh(tokens @ head.W1.T + head.b1)
     pixels = cache.head_hidden @ head.W2.T + head.b2
-    cache.pixels = pixels
     if not batched:
         pixels = pixels[0]
     if with_cache:
@@ -278,35 +221,24 @@ def cross_attention_forward(
     return pixels, attn_all
 
 
-def aggregate_attention(attention) -> AttentionMatrix:
+def aggregate_attention(attention) -> np.ndarray:
     """Elementwise sum of the attention matrices over layers and heads,
     deliberately not renormalized: a pixel splitting mass across slots in
     any head or layer keeps a visible overlap in the sum."""
-    flat: list[AttentionMatrix] = []
-
-    def collect(x):
-        if isinstance(x, AttentionMatrix):
-            flat.append(x)
-        else:
-            for y in x:
-                collect(y)
-
-    collect(attention)
+    flat = [A for layer in attention for A in layer]
     if not flat:
         raise ValueError("no attention matrices to aggregate")
-    total = flat[0].values.copy()
-    for m in flat[1:]:
-        if m.values.shape != total.shape:
-            raise ValueError("attention matrices must share a shape")
-        total += m.values
-    return AttentionMatrix(total, normalized=False)
+    total = flat[0].copy()
+    for A in flat[1:]:
+        total += A
+    return total
 
 
 def l_interact(A) -> float:
     """Sum over pixels of all pairwise products of a pixel's attention to
     two different slots, averaged over the batch if one is present.  Zero
     exactly when every pixel's row has at most one nonzero entry."""
-    v = A.values if isinstance(A, AttentionMatrix) else np.asarray(A, dtype=float)
+    v = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("attention weights must be finite")
     if np.any(v < 0):
@@ -351,7 +283,6 @@ def analytic_slot_jacobian(
     z = np.asarray(z_hat, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected an unbatched (K, slot_dim) slot array")
-    K = z.shape[0]
     Q = layer.query_inputs @ layer.W_Q.T
     M = Q @ layer.W_K
     if layer.scaling:
@@ -369,14 +300,14 @@ def analytic_slot_jacobian(
     dpsi_V = np.einsum("pod,kd->pok", dpsi, V)
     mix = np.einsum("pok,pk->po", dpsi_V, A)
 
-    jac = np.empty((K, A.shape[0], head.out_dim, z.shape[1]))
-    for m in range(K):
-        term1 = A[:, m][:, None, None] * (
-            dpsi_WV + dpsi_V[:, :, m][:, :, None] * M[:, None, :]
-        )
-        term2 = (A[:, m] * 1.0)[:, None, None] * mix[:, :, None] * M[:, None, :]
-        jac[m] = term1 - term2
-    return jac
+    # axes (slot m, pixel, channel, slot coordinate); contiguous slot-major
+    # operands and an in-place subtraction keep this as fast as a slot loop
+    A_m = np.ascontiguousarray(A.T)[:, :, None, None]
+    V_m = np.ascontiguousarray(np.moveaxis(dpsi_V, 2, 0))[..., None]
+    M_m = M[:, None, :]
+    term1 = A_m * (dpsi_WV + V_m * M_m)
+    term1 -= A_m * mix[:, :, None] * M_m  # term2
+    return term1
 
 
 def decoder_backward(
@@ -388,9 +319,10 @@ def decoder_backward(
 ):
     """Reverse-mode pass through the decoder.
 
-    grad_pixels matches cache.pixels; grad_attention, if given, is the
-    gradient with respect to the aggregated attention matrix and is routed
-    identically into every layer/head softmax (aggregation is a plain sum).
+    grad_pixels matches the forward pass's pixels; grad_attention, if given,
+    is the gradient with respect to the aggregated attention matrix and is
+    routed identically into every layer/head softmax (aggregation is a plain
+    sum).
     Returns (grad_slots, layer_grads, head_grads) with one parameter dict
     per layer.
     """
@@ -399,14 +331,13 @@ def decoder_backward(
         g_out = g_out[None]
     z = cache.slots
     B = z.shape[0]
-    _, dact = _ACTIVATIONS[head.activation]
 
     head_grads = {
         "W2": np.einsum("bpo,bph->oh", g_out, cache.head_hidden),
         "b2": np.sum(g_out, axis=(0, 1)),
     }
     g_hidden = g_out @ head.W2
-    g_pre = g_hidden * dact(cache.head_pre)
+    g_pre = g_hidden * (1.0 - cache.head_hidden**2)
     head_grads["W1"] = np.einsum("bph,bpd->hd", g_pre, cache.token_final)
     head_grads["b1"] = np.sum(g_pre, axis=(0, 1))
     g_tok = g_pre @ head.W1
@@ -423,8 +354,6 @@ def decoder_backward(
     for li in range(len(layers) - 1, -1, -1):
         ly = layers[li]
         c = cache.per_layer[li]
-        gW_K = np.zeros_like(ly.W_K)
-        gW_V = np.zeros_like(ly.W_V)
         gQ_full = np.zeros((B,) + c["Q"].shape[1:])
         gK_full = np.zeros((B,) + c["K"].shape[1:])
         gV_full = np.zeros((B,) + c["V"].shape[1:])
@@ -441,8 +370,8 @@ def decoder_backward(
                 g_logits = g_logits / np.sqrt(ly.head_dim)
             gQ_full[..., sl] += np.einsum("bpk,bkd->bpd", g_logits, c["K"][..., sl])
             gK_full[..., sl] += np.einsum("bpk,bpd->bkd", g_logits, c["Q"][..., sl])
-        gW_K += np.einsum("bkd,bks->ds", gK_full, z)
-        gW_V += np.einsum("bkd,bks->ds", gV_full, z)
+        gW_K = np.einsum("bkd,bks->ds", gK_full, z)
+        gW_V = np.einsum("bkd,bks->ds", gV_full, z)
         g_slots += gK_full @ ly.W_K + gV_full @ ly.W_V
         gW_Q = np.einsum("bpd,bpo->do", gQ_full, c["q_in"])
         layer_grads[li] = {"W_K": gW_K, "W_V": gW_V, "W_Q": gW_Q}

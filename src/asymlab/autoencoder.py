@@ -12,7 +12,7 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,18 @@ DIVERGENCE_LIMIT = 1e6
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the total loss blows past the divergence limit; carries
-    the log collected so far."""
+    """Raised when a training step fails numerically: the step raised
+    FloatingPointError, the loss passed DIVERGENCE_LIMIT, or a gradient went
+    non-finite.  Carries the log collected so far, the iteration, and the
+    first parameter group found non-finite (its gradient on the gradient
+    route, its value otherwise; None when all are finite)."""
 
-    def __init__(self, message: str, log: list):
-        super().__init__(message)
-        self.log = log
+    def __init__(self, message: str, log: list, iteration: int, group: str | None):
+        super().__init__(message, log, iteration, group)  # all of them, so it pickles
+        self.log, self.iteration, self.group = log, iteration, group
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} at iteration {self.iteration}"
 
 
 @dataclass
@@ -70,10 +76,6 @@ class ModelConfig:
     def n_patches(self) -> int:
         return (self.height // self.patch) * (self.width // self.patch)
 
-    @property
-    def n_pixels(self) -> int:
-        return self.height * self.width
-
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -91,17 +93,10 @@ class TrainConfig:
     batch_size: int = 16
     warmup: int = 1000
     seed: int = 0
-    optimizer: str = "adam"
-    # stability levers, default off
-    lr_drop_iter: int | None = None
-    lr_drop_factor: float = 1.0
-    rec_weight: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be adam or sgd")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -338,10 +333,12 @@ def _loss_forward(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig
     resid = pixels - target
     rec = float(np.mean(resid**2))
     kl = kl_to_unit_gaussian(mu, lv)
-    A_sum = aggregate_attention(attn).values
+    A_sum = aggregate_attention(attn)
     interact = l_interact(A_sum)
     alpha_eff = config.alpha * alpha_scale
-    total = config.rec_weight * rec + alpha_eff * interact + config.beta * kl
+    total = rec + alpha_eff * interact + config.beta * kl
+    if not np.isfinite(total):
+        raise FloatingPointError(f"non-finite loss: rec={rec} kl={kl} interact={interact}")
     breakdown = LossBreakdown(rec=rec, kl=kl, interact=interact, total=float(total))
     state = {
         "mu": mu, "lv": lv, "sigma": sigma, "z": z, "noise": noise,
@@ -366,13 +363,7 @@ def loss_disent(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
         batch = batch[None]
     if noise is None:
         noise = _draw_noise(model, batch.shape[0], rng)
-    breakdown, _ = _loss_forward(model, batch, config, noise, alpha_scale)
-    if not np.isfinite(breakdown.total):
-        raise FloatingPointError(
-            f"non-finite loss: rec={breakdown.rec} kl={breakdown.kl} "
-            f"interact={breakdown.interact}"
-        )
-    return breakdown
+    return _loss_forward(model, batch, config, noise, alpha_scale)[0]
 
 
 def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
@@ -389,11 +380,8 @@ def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainC
             raise ValueError("need an rng when noise is not supplied")
         noise = _draw_noise(model, batch.shape[0], rng)
     breakdown, st = _loss_forward(model, batch, config, noise, alpha_scale)
-    if not np.isfinite(breakdown.total):
-        raise FloatingPointError("non-finite loss before backward pass")
-
     B = batch.shape[0]
-    g_pixels = config.rec_weight * 2.0 * st["resid"] / st["resid"].size
+    g_pixels = 2.0 * st["resid"] / st["resid"].size
     g_attn = st["alpha_eff"] * l_interact_grad(st["A_sum"]) if st["alpha_eff"] != 0 else None
     g_z, dec_grads, head_grads = decoder_backward(
         model.dec_layers, model.dec_head, st["dec_cache"], g_pixels, g_attn
@@ -407,17 +395,17 @@ def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainC
             grads[f"dec{i}_{nm}"] = g
     for nm, g in head_grads.items():
         grads[f"head_{nm}"] = g
-    params = model.parameters()
-    for k in params:
-        if grads[k].shape != params[k].shape:
-            raise ValueError(f"gradient shape mismatch for {k}")
     return breakdown, grads
 
 
+def _first_nonfinite(arrays: dict[str, np.ndarray]) -> str | None:
+    return next((k for k, v in arrays.items() if not np.all(np.isfinite(v))), None)
+
+
 def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
-    """Seeded training loop with linear alpha warmup and an adaptive
-    per-parameter step.  Returns (model, per-iteration LossBreakdown list);
-    aborts with the partial log if the loss exceeds the divergence limit.
+    """Seeded Adam training loop with linear alpha warmup.  Returns (model,
+    per-iteration LossBreakdown list); a numerically failed step raises
+    TrainingDiverged with the partial log, before any parameter is written.
     """
     dataset = np.asarray(dataset, dtype=float)
     if dataset.ndim == 3:
@@ -435,38 +423,31 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
         batch = dataset[idx]
         alpha_scale = min(1.0, (it + 1) / config.warmup) if config.warmup > 0 else 1.0
         noise = _draw_noise(model, batch.shape[0], rng)
-        breakdown, grads = loss_and_gradients(model, batch, config, noise=noise,
-                                              alpha_scale=alpha_scale)
+        try:
+            breakdown, grads = loss_and_gradients(model, batch, config, noise=noise,
+                                                  alpha_scale=alpha_scale)
+        except FloatingPointError as e:
+            raise TrainingDiverged(str(e), log, it, _first_nonfinite(params)) from e
         log.append(breakdown)
         if breakdown.total > DIVERGENCE_LIMIT:
-            raise TrainingDiverged(f"loss {breakdown.total:.3e} at iteration {it}", log)
-        lr = config.lr
-        if config.lr_drop_iter is not None and it >= config.lr_drop_iter:
-            lr = lr * config.lr_drop_factor
-        if config.optimizer == "adam":
-            t = it + 1
-            for k, p in params.items():
-                m1[k] = b1 * m1[k] + (1 - b1) * grads[k]
-                m2[k] = b2 * m2[k] + (1 - b2) * grads[k] ** 2
-                mhat = m1[k] / (1 - b1**t)
-                vhat = m2[k] / (1 - b2**t)
-                p -= lr * mhat / (np.sqrt(vhat) + eps)
-        else:
-            for k, p in params.items():
-                p -= lr * grads[k]
+            raise TrainingDiverged(f"loss {breakdown.total:.3e}", log, it,
+                                   _first_nonfinite(params))
+        bad = _first_nonfinite(grads)
+        if bad is not None:
+            raise TrainingDiverged(f"non-finite gradient of {bad}", log, it, bad)
+        t = it + 1
+        for k, p in params.items():
+            m1[k] = b1 * m1[k] + (1 - b1) * grads[k]
+            m2[k] = b2 * m2[k] + (1 - b2) * grads[k] ** 2
+            mhat = m1[k] / (1 - b1**t)
+            vhat = m2[k] / (1 - b2**t)
+            p -= config.lr * mhat / (np.sqrt(vhat) + eps)
     return model, log
 
 
-def reconstruct(model: SlotAutoencoder, images: np.ndarray, use_mean: bool = True,
-                rng: np.random.Generator | None = None):
-    """Deterministic reconstruction (posterior mean by default); returns
+def reconstruct(model: SlotAutoencoder, images: np.ndarray):
+    """Deterministic reconstruction from the posterior mean; returns
     (pixels, attention, z)."""
-    mu, lv = encode(model, images)
-    if use_mean:
-        z = mu
-    else:
-        if rng is None:
-            raise ValueError("sampling reconstruction needs an rng")
-        z = mu + np.exp(0.5 * lv) * rng.standard_normal(mu.shape)
+    z, _ = encode(model, images)
     pixels, attn = cross_attention_forward(model.dec_layers, model.dec_head, z)
     return pixels, attn, z

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when every expected verdict held, 1 when a check or
-experiment reported a mismatch, 2 for usage or configuration errors.
+experiment reported a mismatch or training diverged, 2 for usage or
+configuration errors.
 An existing non-empty output directory is refused unless --force is given.
 """
 
@@ -22,6 +23,7 @@ from .asymmetry import (
     check_within_slot_order,
     sufficient_independence_check,
 )
+from .autoencoder import TrainingDiverged
 from .generators import GeneratorSpec
 from .sprites import DataConfig
 
@@ -102,6 +104,9 @@ def _run_experiment(fn, config, out_path, force) -> int:
     out = _prepare_out(out_path, force)
     try:
         result = fn(config, out=out)
+    except TrainingDiverged as e:
+        print(f"error: training diverged: {e}", file=sys.stderr)
+        return 1
     except (ValueError, TypeError) as e:
         raise UsageError(f"bad configuration: {e}") from e
     print(f"{result.experiment_id}: {'pass' if result.passed else 'FAIL'} "

@@ -584,7 +584,7 @@ def exp_jacobian_check(config: dict | None = None,
         layer, head, z, m = zero_attention_instance(cfg["seed"] + t)
         analytic = analytic_slot_jacobian(layer, head, z)
         _, attn = cross_attention_forward([layer], head, z)
-        a_m = float(np.max(attn[0][0].values[:, m]))
+        a_m = float(np.max(attn[0][0][:, m]))
         worst_zero = max(worst_zero, float(np.max(np.abs(analytic[m]))), a_m)
     result.add_metric("zero_attention", "max_block_norm", worst_zero)
     ok_zero = worst_zero <= cfg["zero_tol"]

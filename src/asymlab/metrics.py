@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymmetry import CheckReport
-from .attention import CrossAttentionLayer, PixelHead, analytic_slot_jacobian, cross_attention_forward
+from .attention import analytic_slot_jacobian, cross_attention_forward
 from .derivatives import StencilConfig, partials
 from .multiindex import SlotPartition, unit_indices
 
@@ -99,9 +99,9 @@ def slot_jacobian_norms(
     the norm runs over the slot's coordinates and all pixel channels.
 
     decoder is either an (attention layers, pixel head) pair, which uses the
-    closed-form Jacobian when it is single-layer single-head and central
-    differences otherwise, or a plain callable (K, slot_dim) -> (pixels,
-    channels), which always uses central differences.
+    closed-form Jacobian when it is single-layer single-head and the
+    derivative engine's central differences otherwise, or a plain callable
+    (K, slot_dim) -> (pixels, channels), which always uses the engine.
     """
     z = np.asarray(z_hat, dtype=float)
     if z.ndim != 2:
@@ -114,22 +114,20 @@ def slot_jacobian_norms(
             jac = analytic_slot_jacobian(layers[0], head, z)
             return np.sum(np.abs(jac), axis=(2, 3)).T
 
-        def f(zz):
-            return cross_attention_forward(layers, head, zz)[0]
-    else:
-        f = decoder
+        channels = head.W2.shape[0]
 
-    h = (cfg or StencilConfig()).h1
-    base = np.asarray(f(z), dtype=float)
-    norms = np.zeros((base.shape[0], K))
-    for k in range(K):
-        for r in range(s):
-            zp, zm = z.copy(), z.copy()
-            zp[k, r] += h
-            zm[k, r] -= h
-            col = (np.asarray(f(zp)) - np.asarray(f(zm))) / (2 * h)
-            norms[:, k] += np.sum(np.abs(col), axis=-1)
-    return norms
+        def f(flat):  # the decoder takes a batch of slot sets in one pass
+            return cross_attention_forward(layers, head, flat.reshape(-1, K, s))[0]
+        f.batched = True
+    else:
+        channels = np.shape(decoder(z))[-1]
+
+        def f(flat):
+            return decoder(flat.reshape(K, s))
+
+    jac, _ = partials(f, z.reshape(1, -1), unit_indices(K * s), cfg or StencilConfig())
+    # row k * s + r of jac[0] is d pixels / d z[k, r], flat over (pixel, channel)
+    return np.sum(np.abs(jac.reshape(K, s, -1, channels)), axis=(1, 3)).T
 
 
 def j_ari(
@@ -167,6 +165,8 @@ def jis(
     if foreground is None:
         foreground = np.ones(norms.shape[0], dtype=bool)
     foreground = np.asarray(foreground, dtype=bool)
+    if foreground.shape != norms.shape[:1]:
+        raise ValueError("pixel counts disagree")
     totals = np.sum(norms, axis=1)
     nonzero = totals > zero_tol
     use = foreground & nonzero

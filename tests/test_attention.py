@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from asymlab.attention import (
-    AttentionMatrix,
     CrossAttentionLayer,
     PixelHead,
     aggregate_attention,
@@ -33,23 +32,12 @@ def test_softmax_rows_property(logits):
     assert np.allclose(A.sum(axis=-1), 1.0, atol=1e-12)
 
 
-def test_attention_matrix_validation():
-    with pytest.raises(ValueError):
-        AttentionMatrix(values=np.array([[0.5, 0.6]]), normalized=True)
-    with pytest.raises(ValueError):
-        AttentionMatrix(values=np.array([[-0.1, 1.1]]), normalized=False)
-    with pytest.raises(ValueError):
-        AttentionMatrix(values=np.array([[np.nan, 1.0]]), normalized=False)
-    ok = AttentionMatrix(values=np.array([[0.25, 0.75]]), normalized=True)
-    assert ok.values.shape == (1, 2)
-
-
 def test_forward_shapes():
     layers, head = random_decoder(0, n_pixels=5, K=3, slot_dim=4)
     z = np.random.default_rng(1).normal(size=(3, 4))
     pixels, attn = cross_attention_forward(layers, head, z)
     assert pixels.shape == (5, 3)
-    assert attn[0][0].values.shape == (5, 3)
+    assert attn[0][0].shape == (5, 3)
     batch = np.stack([z, 2 * z])
     bp, battn = cross_attention_forward(layers, head, batch)
     assert bp.shape == (2, 5, 3)
@@ -65,7 +53,7 @@ def test_multilayer_multihead_runs():
     assert len(attn) == 2 and len(attn[0]) == 2
     for per_layer in attn:
         for am in per_layer:
-            assert np.allclose(am.values.sum(axis=-1), 1.0, atol=1e-9)
+            assert np.allclose(am.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_aggregate_attention_sums():
@@ -74,11 +62,11 @@ def test_aggregate_attention_sums():
     z = np.random.default_rng(3).normal(size=(2, 3))
     _, attn = cross_attention_forward(layers, head, z)
     agg = aggregate_attention(attn)
-    manual = sum(am.values for per_layer in attn for am in per_layer)
-    assert np.allclose(agg.values, manual, atol=1e-12)
-    assert not agg.normalized
+    manual = sum(am for per_layer in attn for am in per_layer)
+    assert isinstance(agg, np.ndarray)
+    assert np.allclose(agg, manual, atol=1e-12)
     # four row-stochastic matrices summed: rows sum to 4, visibly unnormalized
-    assert np.allclose(agg.values.sum(axis=-1), 4.0, atol=1e-9)
+    assert np.allclose(agg.sum(axis=-1), 4.0, atol=1e-9)
 
 
 def test_l_interact_hand_values():
@@ -139,6 +127,26 @@ def test_analytic_jacobian_matches_fd():
             fd = (cross_attention_forward(layers, head, zp)[0]
                   - cross_attention_forward(layers, head, zm)[0]) / (2 * h)
             assert np.max(np.abs(analytic[m, :, :, s] - fd)) < 1e-6
+
+
+def test_analytic_jacobian_equals_per_slot_loop():
+    # the same term1 - term2 arithmetic written one slot at a time
+    layers, head = random_decoder(12, n_pixels=5, K=3, slot_dim=4, scaling=True)
+    layer = layers[0]
+    z = np.random.default_rng(6).normal(size=(3, 4))
+    Q = layer.query_inputs @ layer.W_Q.T
+    M = Q @ layer.W_K / np.sqrt(layer.d_q)
+    A = softmax_rows(np.einsum("pd,kd->pk", Q, z @ layer.W_K.T) / np.sqrt(layer.d_q))
+    V = z @ layer.W_V.T
+    dpsi = head.jacobian(A @ V)
+    dpsi_WV = np.einsum("pod,dr->por", dpsi, layer.W_V)
+    dpsi_V = np.einsum("pod,kd->pok", dpsi, V)
+    mix = np.einsum("pok,pk->po", dpsi_V, A)
+    loop = np.stack([
+        A[:, m][:, None, None] * (dpsi_WV + dpsi_V[:, :, m][:, :, None] * M[:, None, :])
+        - A[:, m][:, None, None] * mix[:, :, None] * M[:, None, :]
+        for m in range(3)])
+    assert np.array_equal(analytic_slot_jacobian(layer, head, z), loop)
 
 
 def test_analytic_jacobian_rejects_multihead():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ def test_cli_jac_check(tmp_path):
     rc = cli.main(["jac-check", "--trials", "3", "--out", str(tmp_path / "jc")])
     assert rc == 0
     assert (tmp_path / "jc" / "results.json").exists()
+
+
+def test_cli_train_reports_divergence(tmp_path, capsys):
+    def run(name, train):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"data": {"count": 10, "seed": 4}, "eval_images": 1,
+                                   "train": dict(train, iterations=5, batch_size=4)}))
+        rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / name)])
+        return rc, capsys.readouterr().err
+
+    for name, lr in (("loss", 100.0), ("logits", 1e200)):
+        rc, err = run(name, {"lr": lr, "warmup": 1})
+        assert rc == 1, name
+        # numpy's overflow warnings may come first; the CLI's own report is one line
+        ours = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(ours) == 1, err
+        assert re.match(r"error: training diverged: .* at iteration \d+$", ours[0]), err
+    # a key the trainer no longer has is a configuration error
+    rc, err = run("removed", {"optimizer": "sgd"})
+    assert rc == 2 and "bad configuration" in err
 
 
 def test_pool_size_rejects_non_integer(monkeypatch):

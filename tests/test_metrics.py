@@ -121,6 +121,31 @@ def test_slot_jacobian_norms_analytic_vs_fd():
     assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
+def test_slot_jacobian_norms_multilayer_multihead():
+    # no closed form here: the pair goes through the derivative engine
+    from asymlab.attention import cross_attention_forward
+
+    K, s, h = 3, 4, 1e-4
+    layers, head = random_decoder(5, n_pixels=6, K=K, slot_dim=s,
+                                  n_heads=2, n_layers=2, d_q=6)
+    z = np.random.default_rng(2).normal(scale=0.5, size=(K, s))
+
+    def fn(zz):
+        return cross_attention_forward(layers, head, zz)[0]
+
+    pair = slot_jacobian_norms((layers, head), z)
+    assert pair.shape == (6, K)
+    np.testing.assert_allclose(pair, slot_jacobian_norms(fn, z), rtol=1e-12, atol=1e-12)
+    by_hand = np.zeros((6, K))
+    for k in range(K):
+        for r in range(s):
+            zp, zm = z.copy(), z.copy()
+            zp[k, r] += h
+            zm[k, r] -= h
+            by_hand[:, k] += np.sum(np.abs((fn(zp) - fn(zm)) / (2 * h)), axis=-1)
+    assert np.max(np.abs(pair - by_hand)) < 1e-9
+
+
 def test_j_ari_and_jis_on_planted_structure():
     # decoder built so pixel p reacts to exactly one slot
     K, P, s = 3, 9, 2
@@ -168,6 +193,15 @@ def test_jis_uniform_split():
 
     r = jis(decoder, np.ones((K, s)))
     assert r.value == pytest.approx(0.5)
+
+
+def test_jis_checks_pixel_count():
+    layers, head = random_decoder(6, n_pixels=6, K=2, slot_dim=3)
+    z = np.random.default_rng(0).normal(size=(2, 3))
+    assert jis((layers, head), z, foreground=np.ones(6, dtype=bool)).value > 0
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="pixel counts disagree"):
+            jis((layers, head), z, foreground=np.ones(n, dtype=bool))
 
 
 def test_block_permutation_structure():
