@@ -8,6 +8,13 @@ the written conditions always means "at every probe" here; reports record
 the probe count so the claim's scope is explicit, and details["evaluations"]
 records how many points the engine evaluated the function at.
 
+One code path serves every order n >= 0; only the n = 0 cross bound, a
+condition on shared outputs rather than derivatives, is check_no_interaction.
+The rank checks take their columns from multiindex.independence_groups (the
+rule generators.required_output_dim counts), stack them for every probe into
+one (N, d_x, columns) array and take each rank over the whole stack.  Orders
+the derivative engine cannot difference (above 3) raise ValueError.
+
 Tolerances: a derivative counts as nonzero when |value| exceeds
 tol_active = 1e-5 * (1 + max |Df(z)|), and numerical rank counts singular
 values above rank_tol * sigma_max (default rank_tol 1e-7, matching the
@@ -23,14 +30,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .derivatives import StencilConfig, partials
-# the one-probe wrappers stay importable from here for existing callers
-from .derivatives import cross_partial, derivative_by_multiindex, jacobian  # noqa: F401
+from .derivatives import jacobian  # noqa: F401  (re-exported for existing callers)
 from .generators import apply_equivalence, random_equivalence
 from .multiindex import (
     MultiIndex,
     SlotPartition,
+    independence_groups,
     interaction_indices,
-    multiindices_within_block,
     split_interaction_indices,
     unit_indices,
 )
@@ -164,10 +170,15 @@ def check_order_at_most_n(
     tol: float | None = None,
     cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
-    """At most n-th order interaction across slots, n in {1, 2}: every
-    order-(n+1) multi-index touching two or more blocks has D^alpha f = 0."""
-    if n not in (1, 2):
-        raise ValueError("cross-order check supports n in {1, 2}")
+    """At most n-th order interaction across slots: every order-(n+1)
+    multi-index touching two or more blocks has D^alpha f = 0.  At n = 0 the
+    condition is about shared outputs, not derivatives, and this returns
+    check_no_interaction's report.  Orders the derivative engine cannot
+    difference raise ValueError."""
+    if n < 0:
+        raise ValueError(f"interaction order must be >= 0, got {n}")
+    if n == 0:
+        return check_no_interaction(f, partition, probes, tol, cfg)
     probes = _as_probes(probes)
     alphas = interaction_indices(partition, n + 1)
     J, D, evaluations = _request(f, probes, alphas, cfg)
@@ -219,8 +230,8 @@ def check_within_slot_order(
     order-(n+1) index straddling the slot boundary vanishes anyway, so the
     restriction loses nothing.
     """
-    if n not in (0, 1, 2):
-        raise ValueError("within-slot check supports n in {0, 1, 2}")
+    if n < 0:
+        raise ValueError(f"interaction order must be >= 0, got {n}")
     if any(len(b) > 6 for b in partition.blocks):
         raise ValueError("slot too large to enumerate splits (max 6)")
     probes = _as_probes(probes)
@@ -282,15 +293,8 @@ def check_interaction_asymmetry(
     and the within-slot richness holds for f and for a random sample of
     equivalent generators (slot-wise basis changes, probes mapped along)."""
     probes = _as_probes(probes)
-    if n == 0:
-        cross = check_no_interaction(f, partition, probes, tol, cfg)
-    else:
-        cross = check_order_at_most_n(f, partition, n, probes, tol, cfg)
-    sub = [("cross", cross)]
-
-    within = check_within_slot_order(f, partition, n, probes, tol, cfg)
-    sub.append(("within", within))
-
+    sub = [("cross", check_order_at_most_n(f, partition, n, probes, tol, cfg)),
+           ("within", check_within_slot_order(f, partition, n, probes, tol, cfg))]
     rng = np.random.default_rng(rng_seed)
     for s in range(equiv_samples):
         T = random_equivalence(partition, rng)
@@ -321,72 +325,16 @@ def check_interaction_asymmetry(
 # rank conditions
 
 
-def numerical_rank(M: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
-
-
-@dataclass
-class SufficientIndependenceMatrix:
-    """Stacked derivative columns grouped as the order-n rank condition
-    prescribes.  Symmetric duplicates are collapsed: each unordered
-    second-derivative pair contributes one column, and a cross-block pair
-    is assigned to the lower-indexed block's group (the two groups would
-    otherwise share a literal column, making rank additivity unsatisfiable
-    for any generator with genuine bilinear cross terms)."""
-
-    order: int
-    groups: list[tuple[str, np.ndarray]]
-
-    @property
-    def whole(self) -> np.ndarray:
-        return np.concatenate([g for _, g in self.groups], axis=1)
-
-    def column_count(self) -> int:
-        return sum(g.shape[1] for _, g in self.groups)
-
-
-def _independence_groups(partition: SlotPartition, n: int) -> list[tuple[str, list[MultiIndex]]]:
-    """The column groups of the order-n matrix, each a list of multi-indices."""
-    if n not in (0, 1, 2):
-        raise ValueError("sufficient independence defined for n in {0, 1, 2}")
-    d = partition.latent_dim
-
-    def e(*axes: int) -> MultiIndex:
-        return tuple(axes.count(i) for i in range(d))
-
-    first = [(f"block{k + 1}_order1", [e(i) for i in b]) for k, b in enumerate(partition.blocks)]
-    if n == 0:
-        return first
-    if n == 1:
-        groups = []
-        for k, b in enumerate(partition.blocks):
-            groups.append(first[k])
-            groups.append((f"block{k + 1}_order2",
-                           [e(i, j) for i, j in itertools.combinations_with_replacement(b, 2)]))
-        return groups
-
-    # n = 2: per block, [order-1 | order-2 with second index over all of
-    # [d_z]] plus a separate within-block order-3 group
-    rest_groups = []
-    claimed: set[tuple[int, int]] = set()
-    for k, b in enumerate(partition.blocks):
-        cols = list(first[k][1])
-        for i in b:
-            for j in range(d):
-                key = (min(i, j), max(i, j))
-                if key in claimed:
-                    continue
-                claimed.add(key)
-                cols.append(e(*key))
-        rest_groups.append((f"block{k + 1}_order12", cols))
-    high_groups = [(f"block{k + 1}_order3", multiindices_within_block(partition, k, 3))
-                   for k in range(partition.K)]
-    return rest_groups + high_groups
+def numerical_rank(M: np.ndarray, rank_tol: float = RANK_TOL):
+    """Numerical rank of a matrix (m, n) as an int, or of every matrix of a
+    stack (..., m, n) as an int array, from one SVD call."""
+    M = np.asarray(M, dtype=float)
+    if M.shape[-1] == 0 or M.shape[-2] == 0:
+        ranks = np.zeros(M.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(M, compute_uv=False)
+        ranks = np.sum(s > rank_tol * s[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def _independence_matrices(
@@ -395,27 +343,18 @@ def _independence_matrices(
     n: int,
     probes: np.ndarray,
     cfg: StencilConfig,
-) -> tuple[list[SufficientIndependenceMatrix], int]:
-    """The order-n matrix at every probe from one engine request, and the
-    number of points evaluated."""
-    groups = _independence_groups(partition, n)
+) -> tuple[np.ndarray, list[tuple[str, slice]], int]:
+    """The order-n matrix at every probe from one engine request, as one
+    (N, d_x, columns) array with independence_groups' columns in order; the
+    column slice of each group; and the number of points evaluated."""
+    groups = independence_groups(partition, n)
     alphas = sorted({a for _, g in groups for a in g})
     values, evaluations = partials(f, probes, alphas, cfg)
     column = {a: c for c, a in enumerate(alphas)}
-    index = [(name, [column[a] for a in g]) for name, g in groups]
-    mats = [SufficientIndependenceMatrix(order=n, groups=[(name, v[idx].T) for name, idx in index])
-            for v in values]
-    return mats, evaluations
-
-
-def build_sufficient_independence_matrix(
-    f: VectorFn,
-    partition: SlotPartition,
-    n: int,
-    z: np.ndarray,
-    cfg: StencilConfig = StencilConfig(),
-) -> SufficientIndependenceMatrix:
-    return _independence_matrices(f, partition, n, _as_probes(z), cfg)[0][0]
+    stack = values[:, [column[a] for _, g in groups for a in g]].transpose(0, 2, 1)
+    ends = np.cumsum([len(g) for _, g in groups])
+    slices = [(name, slice(end - len(g), end)) for (name, g), end in zip(groups, ends)]
+    return stack, slices, evaluations
 
 
 def sufficient_independence_check(
@@ -426,40 +365,30 @@ def sufficient_independence_check(
     rank_tol: float = RANK_TOL,
     cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
-    """Rank additivity of the stacked derivative groups at every probe:
-    rank(whole) must equal the sum of per-group ranks."""
+    """Rank additivity of the order-n derivative groups at every probe:
+    rank(whole) must equal the sum of per-group ranks, each rank taken over
+    the probe stack in one SVD call."""
     probes = _as_probes(probes)
-    mats, evaluations = _independence_matrices(f, partition, n, probes, cfg)
-    witnesses = []
-    worst_gap = 0
-    passed_probes = 0
-    warned = False
-    for z, m in zip(probes, mats):
-        whole = m.whole
-        if not np.any(whole):
-            raise ValueError("degenerate all-zero derivative matrix")
-        if whole.shape[0] < m.column_count() and not warned:
-            warned = True
-        r_whole = numerical_rank(whole, rank_tol)
-        r_sum = sum(numerical_rank(g, rank_tol) for _, g in m.groups)
-        gap = abs(r_whole - r_sum)
-        worst_gap = max(worst_gap, gap)
-        if gap == 0:
-            passed_probes += 1
-        else:
-            witnesses.append(_witness(z, {"rank_whole": r_whole, "rank_sum": r_sum}, gap))
+    stack, slices, evaluations = _independence_matrices(f, partition, n, probes, cfg)
+    if not np.all(np.any(stack, axis=(1, 2))):
+        raise ValueError("degenerate all-zero derivative matrix")
+    r_whole = numerical_rank(stack, rank_tol)
+    r_sum = sum(numerical_rank(stack[:, :, cols], rank_tol) for _, cols in slices)
+    gap = np.abs(r_whole - r_sum)
+    witnesses = [_witness(probes[p], {"rank_whole": int(r_whole[p]), "rank_sum": int(r_sum[p])},
+                          gap[p]) for p in np.nonzero(gap)[0]]
     details = {"order": n, "evaluations": evaluations}
-    if warned:
+    if stack.shape[1] < stack.shape[2]:
         details["satisfiability_warning"] = (
             "output dimension below the stacked column count; condition may be unsatisfiable"
         )
     return CheckReport(
         name=f"sufficient_independence_n{n}",
-        passed=passed_probes == len(probes),
-        margin=float(-worst_gap),
+        passed=not witnesses,
+        margin=float(-gap.max()),
         witnesses=witnesses,
         probes_used=len(probes),
-        probes_passed=passed_probes,
+        probes_passed=len(probes) - len(witnesses),
         details=details,
     )
 
@@ -683,25 +612,17 @@ def sufficient_nonlinearity_check(
     second derivatives] must have full column rank at every probe."""
     probes = _as_probes(probes)
     # W(z) is the order-1 sufficient-independence matrix taken whole
-    mats, evaluations = _independence_matrices(f, partition, 1, probes, cfg)
-    witnesses = []
-    worst_gap = 0
-    passed_probes = 0
-    for z, m in zip(probes, mats):
-        W = m.whole
-        r = numerical_rank(W, rank_tol)
-        gap = W.shape[1] - r
-        worst_gap = max(worst_gap, gap)
-        if gap == 0:
-            passed_probes += 1
-        else:
-            witnesses.append(_witness(z, {"rank": r, "columns": W.shape[1]}, gap))
+    W, _, evaluations = _independence_matrices(f, partition, 1, probes, cfg)
+    r = numerical_rank(W, rank_tol)
+    gap = W.shape[2] - r
+    witnesses = [_witness(probes[p], {"rank": int(r[p]), "columns": W.shape[2]}, gap[p])
+                 for p in np.nonzero(gap)[0]]
     return CheckReport(
         name="sufficient_nonlinearity",
-        passed=passed_probes == len(probes),
-        margin=float(-worst_gap),
+        passed=not witnesses,
+        margin=float(-gap.max()),
         witnesses=witnesses,
         probes_used=len(probes),
-        probes_passed=passed_probes,
+        probes_passed=len(probes) - len(witnesses),
         details={"evaluations": evaluations},
     )

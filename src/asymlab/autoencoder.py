@@ -418,30 +418,32 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
     m2 = {k: np.zeros_like(v) for k, v in params.items()}
     log: list[LossBreakdown] = []
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for it in range(config.iterations):
-        idx = rng.integers(0, dataset.shape[0], size=min(config.batch_size, dataset.shape[0]))
-        batch = dataset[idx]
-        alpha_scale = min(1.0, (it + 1) / config.warmup) if config.warmup > 0 else 1.0
-        noise = _draw_noise(model, batch.shape[0], rng)
-        try:
-            breakdown, grads = loss_and_gradients(model, batch, config, noise=noise,
-                                                  alpha_scale=alpha_scale)
-        except FloatingPointError as e:
-            raise TrainingDiverged(str(e), log, it, _first_nonfinite(params)) from e
-        log.append(breakdown)
-        if breakdown.total > DIVERGENCE_LIMIT:
-            raise TrainingDiverged(f"loss {breakdown.total:.3e}", log, it,
-                                   _first_nonfinite(params))
-        bad = _first_nonfinite(grads)
-        if bad is not None:
-            raise TrainingDiverged(f"non-finite gradient of {bad}", log, it, bad)
-        t = it + 1
-        for k, p in params.items():
-            m1[k] = b1 * m1[k] + (1 - b1) * grads[k]
-            m2[k] = b2 * m2[k] + (1 - b2) * grads[k] ** 2
-            mhat = m1[k] / (1 - b1**t)
-            vhat = m2[k] / (1 - b2**t)
-            p -= config.lr * mhat / (np.sqrt(vhat) + eps)
+    # overflow is caught below as TrainingDiverged; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.iterations):
+            idx = rng.integers(0, dataset.shape[0], size=min(config.batch_size, dataset.shape[0]))
+            batch = dataset[idx]
+            alpha_scale = min(1.0, (it + 1) / config.warmup) if config.warmup > 0 else 1.0
+            noise = _draw_noise(model, batch.shape[0], rng)
+            try:
+                breakdown, grads = loss_and_gradients(model, batch, config, noise=noise,
+                                                      alpha_scale=alpha_scale)
+            except FloatingPointError as e:
+                raise TrainingDiverged(str(e), log, it, _first_nonfinite(params)) from e
+            log.append(breakdown)
+            if breakdown.total > DIVERGENCE_LIMIT:
+                raise TrainingDiverged(f"loss {breakdown.total:.3e}", log, it,
+                                       _first_nonfinite(params))
+            bad = _first_nonfinite(grads)
+            if bad is not None:
+                raise TrainingDiverged(f"non-finite gradient of {bad}", log, it, bad)
+            t = it + 1
+            for k, p in params.items():
+                m1[k] = b1 * m1[k] + (1 - b1) * grads[k]
+                m2[k] = b2 * m2[k] + (1 - b2) * grads[k] ** 2
+                mhat = m1[k] / (1 - b1**t)
+                vhat = m2[k] / (1 - b2**t)
+                p -= config.lr * mhat / (np.sqrt(vhat) + eps)
     return model, log
 
 

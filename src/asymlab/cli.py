@@ -18,7 +18,6 @@ import numpy as np
 from . import experiments, tensorio
 from .asymmetry import (
     check_interaction_asymmetry,
-    check_no_interaction,
     check_order_at_most_n,
     check_within_slot_order,
     sufficient_independence_check,
@@ -66,20 +65,19 @@ def _cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-0.8, 0.8, size=(args.probes, part.latent_dim))
 
-    if args.order == 0:
-        order_rep = check_no_interaction(spec, part, probes)
-    else:
-        order_rep = check_order_at_most_n(spec, part, args.order, probes)
-    reports = {
-        "cross_order": order_rep,
-        "within_slot": check_within_slot_order(spec, part, args.order, probes),
-        "sufficient_independence": sufficient_independence_check(
-            spec, part, args.order, probes),
-    }
-    if args.equiv > 0:
-        reports["asymmetry"] = check_interaction_asymmetry(
-            spec, part, args.order, probes,
-            equiv_samples=args.equiv, rng_seed=args.seed)
+    try:
+        reports = {
+            "cross_order": check_order_at_most_n(spec, part, args.order, probes),
+            "within_slot": check_within_slot_order(spec, part, args.order, probes),
+            "sufficient_independence": sufficient_independence_check(
+                spec, part, args.order, probes),
+        }
+        if args.equiv > 0:
+            reports["asymmetry"] = check_interaction_asymmetry(
+                spec, part, args.order, probes,
+                equiv_samples=args.equiv, rng_seed=args.seed)
+    except ValueError as e:  # an order the engine cannot difference, or an all-zero matrix
+        raise UsageError(f"cannot certify at order {args.order}: {e}") from e
 
     passed = all(r.passed for r in reports.values())
     tensorio.save_json(out / "results.json", {

@@ -29,8 +29,9 @@ object, or on the object a bound method belongs to).  Any other callable,
 such as a hand-written function of one point or a trained decoder's
 closure, goes through `evaluate`, which maps it row by row.
 
-`jacobian`, `cross_partial` and `derivative_by_multiindex` are one-probe
-wrappers around the engine.
+`jacobian` (the plain (d_x, d_z) array) and `derivative_by_multiindex`
+are one-probe conveniences over the engine; the certification checks ask
+`partials` for a whole probe set at once.
 """
 
 from __future__ import annotations
@@ -156,34 +157,6 @@ def partials(
     return weights @ values.reshape(N, len(offsets), -1), len(points)
 
 
-@dataclass
-class DerivativeTensor:
-    """Dense partial-derivative block D^(order) f(z), symmetric in its
-    differentiation axes.
-
-    values has shape (d_x,) + (d_z,) * order.
-    """
-
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.order not in (1, 2, 3):
-            raise ValueError(f"unsupported derivative order {self.order}")
-        if self.values.ndim != self.order + 1:
-            raise ValueError("values rank does not match declared order")
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("non-finite derivative entries")
-
-    @property
-    def out_dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.values.shape[1]
-
-
 def _one_probe(z: Sequence[float]) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
@@ -191,32 +164,11 @@ def _one_probe(z: Sequence[float]) -> np.ndarray:
     return z
 
 
-def jacobian(f: VectorFn, z: Sequence[float], cfg: StencilConfig = StencilConfig()) -> DerivativeTensor:
-    """Central-difference Jacobian, columns D_i f(z)."""
+def jacobian(f: VectorFn, z: Sequence[float], cfg: StencilConfig = StencilConfig()) -> np.ndarray:
+    """Central-difference Jacobian (d_x, d_z), columns D_i f(z)."""
     z = _one_probe(z)
     values, _ = partials(f, z[None], unit_indices(len(z)), cfg)
-    return DerivativeTensor(order=1, values=values[0].T)
-
-
-def cross_partial(
-    f: VectorFn,
-    z: Sequence[float],
-    indices: Sequence[int],
-    cfg: StencilConfig = StencilConfig(),
-) -> np.ndarray:
-    """Mixed partial D_{i1 i2 [i3]} f(z) as a length-d_x vector.
-
-    The indices are taken as a multiset, so every ordering of them gives the
-    same stencil (at order 3 the smallest index is differenced outermost).
-    """
-    z = _one_probe(z)
-    idx = tuple(int(i) for i in indices)
-    if any(i < 0 or i >= len(z) for i in idx):
-        raise ValueError(f"derivative index out of range: {idx}")
-    if len(idx) not in (2, 3):
-        raise ValueError(f"cross_partial handles 2 or 3 indices, got {len(idx)}")
-    alpha = tuple(idx.count(i) for i in range(len(z)))
-    return partials(f, z[None], [alpha], cfg)[0][0, 0]
+    return values[0].T
 
 
 def derivative_by_multiindex(

@@ -25,7 +25,6 @@ from . import tensorio
 from .asymmetry import (
     CheckReport,
     check_interaction_asymmetry,
-    check_no_interaction,
     check_order_at_most_n,
     sufficient_independence_check,
 )
@@ -38,7 +37,8 @@ from .attention import (
     l_interact,
     random_decoder,
 )
-from .autoencoder import ModelConfig, TrainConfig, build_autoencoder, encode, train
+from .autoencoder import (ModelConfig, TrainConfig, TrainingDiverged, build_autoencoder,
+                          encode, train)
 from .derivatives import StencilConfig, jacobian
 from .generators import (
     Box,
@@ -162,20 +162,14 @@ def exp_characterization(config: dict | None = None,
             part = spec.partition
             probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
                                  size=(cfg["probes"], part.latent_dim))
-            if n == 0:
-                rep = check_no_interaction(spec, part, probes)
-            else:
-                rep = check_order_at_most_n(spec, part, n, probes)
+            rep = check_order_at_most_n(spec, part, n, probes)
             result.add_report(run_id, rep)
             ok = rep.passed
             result.add_metric(run_id, "order_check_as_expected", float(ok))
             all_ok &= ok
 
             if n >= 1 and top_order_cross_nonzero(spec):
-                if n == 1:
-                    rep_low = check_no_interaction(spec, part, probes)
-                else:
-                    rep_low = check_order_at_most_n(spec, part, n - 1, probes)
+                rep_low = check_order_at_most_n(spec, part, n - 1, probes)
                 ok_low = not rep_low.passed
                 result.add_metric(run_id, "fails_below_declared_order", float(ok_low))
                 all_ok &= ok_low
@@ -385,6 +379,10 @@ def _run_ablation_cell(args: dict) -> dict:
     data_cfg = DataConfig.from_json(args["data"])
     dataset = make_dataset(data_cfg)
     train_images = dataset.split("train")
+    # held-out images only: a split shorter than eval_images is scored whole
+    eval_idx = dataset.manifest["splits"]["test"][: args["eval_images"]]
+    if not eval_idx:
+        raise ValueError("no held-out image to score: the test split or eval_images is empty")
     mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
                      seed=args["seed"], **args["model"])
     tc = TrainConfig(alpha=args["alpha"], beta=args["beta"], lr=args["lr"],
@@ -393,9 +391,6 @@ def _run_ablation_cell(args: dict) -> dict:
     model = build_autoencoder(mc)
     model, log = train(model, train_images, tc)
 
-    eval_idx = dataset.manifest["splits"]["test"][: args["eval_images"]]
-    if len(eval_idx) < args["eval_images"]:
-        eval_idx = list(range(args["eval_images"]))
     jari_vals, jis_vals, excl = [], [], 0
     heatmaps = None
     decoder = (model.dec_layers, model.dec_head)
@@ -420,6 +415,7 @@ def _run_ablation_cell(args: dict) -> dict:
         "alpha": args["alpha"], "beta": args["beta"], "seed": args["seed"],
         "j_ari": float(np.mean(jari_vals)), "jis": float(np.mean(jis_vals)),
         "excluded": excl,
+        "images_scored": len(eval_idx),
         "final_interact": float(np.mean([b.interact for b in tail])),
         "final_rec": float(np.mean([b.rec for b in tail])),
         "initial_rec": log[0].rec,
@@ -482,6 +478,7 @@ def exp_train_ablation(config: dict | None = None,
             "jis_mean": float(np.mean([r["jis"] for r in rs])),
             "jis_std": float(np.std([r["jis"] for r in rs])),
             "interact_mean": float(np.mean([r["final_interact"] for r in rs])),
+            "images_scored": rs[0]["images_scored"],
         }
     result.extras["cells"] = summary
     result.extras["published_reference"] = {
@@ -572,7 +569,7 @@ def exp_jacobian_check(config: dict | None = None,
         def flat(v, layers=layers, head=head, K=K, s=s):
             return cross_attention_forward(layers, head, v.reshape(K, s))[0].ravel()
 
-        fd = jacobian(flat, z.ravel(), stencil).values
+        fd = jacobian(flat, z.ravel(), stencil)
         fd_blocks = fd.reshape(P, 3, K, s).transpose(2, 0, 1, 3)
         scale = max(1.0, float(np.max(np.abs(fd_blocks))))
         worst = max(worst, float(np.max(np.abs(analytic - fd_blocks))) / scale)
@@ -619,6 +616,11 @@ def exp_jacobian_check(config: dict | None = None,
 # single training run and dataset generation (CLI entry points)
 
 
+def _save_train_log(out: str | os.PathLike, log: list) -> None:
+    tensorio.save_csv(Path(out) / "log.csv", ["iter", "rec", "kl", "interact", "total"],
+                      [(i,) + b.as_row() for i, b in enumerate(log)])
+
+
 def exp_train(config: dict | None = None,
               out: str | os.PathLike | None = None) -> ExperimentResult:
     cfg = _merge_defaults(config, {
@@ -635,7 +637,17 @@ def exp_train(config: dict | None = None,
     tc = TrainConfig(**cfg["train"])
     result = ExperimentResult("train", cfg, tc.seed)
     model = build_autoencoder(mc)
-    model, log = train(model, dataset.split("train"), tc)
+    try:
+        model, log = train(model, dataset.split("train"), tc)
+    except TrainingDiverged as e:
+        if out is not None:  # leave the partial log and the point of divergence
+            result.passed = False
+            result.extras["divergence"] = {"iteration": e.iteration, "cause": e.args[0],
+                                           "group": e.group}
+            result.wall_clock = time.time() - t0
+            result.write(out)
+            _save_train_log(out, e.log)
+        raise
     result.add_metric("train", "final_rec", log[-1].rec)
     result.add_metric("train", "final_kl", log[-1].kl)
     result.add_metric("train", "final_interact", log[-1].interact)
@@ -657,9 +669,7 @@ def exp_train(config: dict | None = None,
     result.wall_clock = time.time() - t0
     if out is not None:
         result.write(out)
-        tensorio.save_csv(Path(out) / "log.csv",
-                          ["iter", "rec", "kl", "interact", "total"],
-                          [(i,) + b.as_row() for i, b in enumerate(log)])
+        _save_train_log(out, log)
         tdir = Path(out) / "tensors"
         manifest = {"model_config": mc.to_json(), "train_config": tc.to_json(),
                     "parameters": {}}

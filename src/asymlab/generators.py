@@ -32,6 +32,7 @@ from .multiindex import (
     MultiIndex,
     SlotPartition,
     all_multiindices,
+    independence_groups,
     interaction_indices,
     monomials,
     validate_multiindex,
@@ -554,22 +555,13 @@ def sample_cpe(support, partition: SlotPartition, rng: np.random.Generator,
 
 def required_output_dim(partition: SlotPartition, n: int) -> int:
     """Output dimension needed for the order-n rank conditions to be
-    satisfiable (counts of distinct derivative columns; for n = 0 the count
-    gives each multi-coordinate slot one spare output row so that no slot's
-    output group is square)."""
-    sizes = [len(b) for b in partition.blocks]
-    d_z = partition.latent_dim
+    satisfiable: the column count of the order-n independence groups.  For
+    n = 0 each multi-coordinate slot gets one spare output row on top, so
+    that no slot's output group is square."""
+    columns = sum(len(g) for _, g in independence_groups(partition, n))
     if n == 0:
-        return d_z + sum(1 for s in sizes if s >= 2)
-    if n == 1:
-        return sum(s * (s + 1) // 2 for s in sizes) + d_z
-    if n == 2:
-        return (
-            sum(s * (s + 1) * (s + 2) // 6 for s in sizes)
-            + d_z * (d_z + 1) // 2
-            + d_z
-        )
-    raise ValueError(f"unsupported interaction order {n}")
+        columns += sum(1 for b in partition.blocks if len(b) >= 2)
+    return columns
 
 
 def default_partition(n: int) -> SlotPartition:
@@ -607,11 +599,10 @@ def preset_generator(
         raise ValueError("preset order must be 0, 1 or 2")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     partition = partition or default_partition(n)
-    d_x = d_x or (required_output_dim(partition, n) + 2)
-    if d_x < required_output_dim(partition, n):
-        raise ValueError(
-            f"d_x = {d_x} below the satisfiability count {required_output_dim(partition, n)}"
-        )
+    need = required_output_dim(partition, n)
+    d_x = d_x or need + 2
+    if d_x < need:
+        raise ValueError(f"d_x = {d_x} below the satisfiability count {need}")
 
     # n = 0: disjoint output rows per slot; otherwise all rows are shared
     row_ranges: list[tuple[int, int]] = []

@@ -10,7 +10,8 @@ mixed partial derivative D^alpha.  The key identity used throughout:
 Interaction index sets I_n collect the multi-indices of order n whose
 nonzero entries touch at least two different slots; they enumerate the
 admissible cross-slot polynomial terms of a generator with bounded
-interaction order.
+interaction order.  independence_groups assigns every multi-index of the
+order-n rank condition to one slot's column group.
 
 Indices are 0-based internally and 1-based in serialized/user-facing form.
 """
@@ -218,6 +219,26 @@ def multiindices_within_block(partition: SlotPartition, k: int, order: int) -> l
     outside = [i for i in range(partition.latent_dim) if i not in partition.blocks[k]]
     return [a for a in all_multiindices(partition.latent_dim, order)
             if not any(a[i] for i in outside)]
+
+
+def independence_groups(partition: SlotPartition, n: int) -> list[tuple[str, list[MultiIndex]]]:
+    """The column groups of the order-n sufficient-independence matrix.
+
+    Per slot k, one group of every multi-index of order 1..n whose first
+    touched slot is k (none at n = 0), then per slot the within-slot
+    order-(n+1) group.  Giving each cross-slot index to one slot only keeps
+    the groups from sharing a literal column, which would make rank
+    additivity unsatisfiable for any genuine cross term (Brady et al. 2023).
+    """
+    if n < 0:
+        raise ValueError(f"interaction order must be >= 0, got {n}")
+    lower = [a for m in range(1, n + 1) for a in reversed(all_multiindices(partition.latent_dim, m))]
+    label = "".join(str(m) for m in range(1, n + 1))
+    first = [partition.blocks_touched(a)[0] for a in lower]
+    groups = [(f"block{k + 1}_order{label}", [a for a, j in zip(lower, first) if j == k])
+              for k in range(partition.K)] if n else []
+    return groups + [(f"block{k + 1}_order{n + 1}", multiindices_within_block(partition, k, n + 1))
+                     for k in range(partition.K)]
 
 
 def split_interaction_indices(

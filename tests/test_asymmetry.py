@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from asymlab.asymmetry import (
     CheckReport,
+    _independence_matrices,
     active_tolerance,
     additivity_check,
-    build_sufficient_independence_matrix,
     check_interaction_asymmetry,
     check_no_interaction,
     check_order_at_most_n,
@@ -17,8 +19,9 @@ from asymlab.asymmetry import (
     sufficient_independence_check,
     sufficient_nonlinearity_check,
 )
+from asymlab.derivatives import StencilConfig
 from asymlab.generators import preset_generator
-from asymlab.multiindex import SlotPartition
+from asymlab.multiindex import SlotPartition, independence_groups
 
 PART = SlotPartition(blocks=((0, 1), (2, 3)), latent_dim=4)
 RNG = np.random.default_rng(42)
@@ -81,8 +84,13 @@ def test_order_bounds():
     assert not check_order_at_most_n(bilinear_cross, PART, 1, PROBES).passed
     assert check_order_at_most_n(bilinear_cross, PART, 2, PROBES).passed
     assert not check_order_at_most_n(triple_cross, PART, 2, PROBES).passed
-    with pytest.raises(ValueError):
-        check_order_at_most_n(bilinear_cross, PART, 0, PROBES)
+    # order 0 is the shared-output condition: the no-interaction report itself
+    rep = check_order_at_most_n(bilinear_cross, PART, 0, PROBES)
+    assert rep.to_json() == check_no_interaction(bilinear_cross, PART, PROBES).to_json()
+    assert rep.name == "no_interaction" and not rep.passed
+    for check in (check_order_at_most_n, check_within_slot_order):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            check(bilinear_cross, PART, -1, PROBES)
 
 
 def test_within_slot_split_detection():
@@ -127,7 +135,25 @@ def test_asymmetry_fails_with_subcheck_tag():
 def test_numerical_rank():
     M = np.diag([1.0, 1e-3, 1e-12])
     assert numerical_rank(M) == 2
+    assert type(numerical_rank(M)) is int
     assert numerical_rank(np.zeros((3, 3))) == 0
+    assert numerical_rank(np.zeros((3, 0))) == 0
+
+
+def test_numerical_rank_of_a_stack_equals_the_loop():
+    def rank_of_one(M, rank_tol=1e-7):  # one SVD per matrix, as the checks did
+        s = np.linalg.svd(M, compute_uv=False)
+        return int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
+
+    rng = np.random.default_rng(3)
+    # ranks 0..4 of 6 x 4 matrices, plus a nearly rank-2 one, in a (2, 3) stack
+    mats = [rng.normal(size=(6, r)) @ rng.normal(size=(r, 4)) for r in (0, 1, 2, 3, 4)]
+    mats.append(mats[2] + 1e-9 * rng.normal(size=(6, 4)))
+    stack = np.stack(mats).reshape(2, 3, 6, 4)
+    ranks = numerical_rank(stack)
+    assert ranks.shape == (2, 3)
+    assert ranks.tolist() == [[rank_of_one(m) for m in row] for row in stack]
+    assert ranks.ravel().tolist() == [0, 1, 2, 3, 4, 2]
 
 
 def test_sufficient_independence_on_presets():
@@ -140,14 +166,29 @@ def test_sufficient_independence_on_presets():
 
 def test_independence_matrix_groups():
     spec = preset_generator(2, rng_seed=8)
-    m = build_sufficient_independence_matrix(spec, PART, 2, PROBES[0])
-    labels = [lab for lab, _ in m.groups]
+    stack, slices, _ = _independence_matrices(spec, PART, 2, PROBES[:3], StencilConfig())
+    labels = [lab for lab, _ in slices]
+    assert labels == [lab for lab, _ in independence_groups(PART, 2)]
     assert len(labels) == len(set(labels))
-    # n=2 dedup: each unordered second-derivative pair appears exactly once
-    total_cols = sum(g.shape[1] for _, g in m.groups)
-    assert m.whole.shape[1] == total_cols == m.column_count()
+    # n=2 dedup: each unordered second-derivative pair appears exactly once;
     # 4 first + 10 distinct unordered pairs + 2x4 within-block third order
-    assert total_cols == 4 + 10 + 8
+    assert stack.shape == (3, spec.out_dim, 4 + 10 + 8)
+    assert [cols.stop - cols.start for _, cols in slices] == [2 + 7, 2 + 3, 4, 4]
+    assert slices[-1][1].stop == stack.shape[2]
+
+
+def test_failing_rank_reports_are_plain_json():
+    # an n = 0 preset writes each slot to its own rows: too few of them to
+    # carry the order-1 columns, so rank additivity fails at every probe
+    spec = preset_generator(0, rng_seed=77)
+    rep = sufficient_independence_check(spec, PART, 1, PROBES)
+    assert not rep.passed and len(rep.witnesses) == len(PROBES)
+    assert json.loads(json.dumps(rep.to_json())) == rep.to_json()
+    w = rep.witnesses[0]["index"]
+    assert all(type(v) is int for v in w.values())
+    rep = sufficient_nonlinearity_check(lambda z: np.concatenate([z, z[::-1]]), PART, PROBES[:2])
+    assert not rep.passed
+    assert json.loads(json.dumps(rep.to_json())) == rep.to_json()
 
 
 def test_sufficient_independence_rejects_zero():

@@ -5,7 +5,6 @@ import pytest
 
 from asymlab.derivatives import (
     StencilConfig,
-    cross_partial,
     derivative_by_multiindex,
     jacobian,
     multiindex_to_axes,
@@ -48,7 +47,8 @@ def test_multiindex_to_axes():
 
 def test_jacobian_exact_on_linear():
     A = np.array([[1.0, -2.0], [0.5, 3.0], [2.0, 0.0]])
-    J = jacobian(lambda z: A @ z, [0.3, -0.7]).values
+    J = jacobian(lambda z: A @ z, [0.3, -0.7])
+    assert J.shape == (3, 2)
     assert np.allclose(J, A, atol=1e-12)
 
 
@@ -59,7 +59,7 @@ def test_polynomial_derivatives_all_orders():
         terms = random_poly(rng, 3, 2)
         f = poly_fn(terms)
         z = rng.uniform(-1, 1, size=3)
-        J = jacobian(f, z, cfg).values
+        J = jacobian(f, z, cfg)
         for i in range(3):
             e = tuple(int(i == j) for j in range(3))
             assert np.allclose(J[:, i], poly_derivative(terms, z, e), atol=1e-8)
@@ -77,29 +77,35 @@ def test_trig_third_derivative():
 
     z = np.array([0.2, 0.4])
     # D_001 sin(w.z) = -w0^2 w1 cos(w.z)
-    got = cross_partial(f, z, (0, 0, 1))
+    got = derivative_by_multiindex(f, z, (2, 1))
     want = -(w[0] ** 2) * w[1] * np.cos(w @ z)
     assert abs(got[0] - want) < 1e-5
 
 
-def test_cross_partial_symmetry():
+def test_mixed_partial_symmetry():
+    # D_0 D_2 f = D_2 D_0 f: the mixed stencil agrees with a central
+    # difference of either first partial along the other axis
     rng = np.random.default_rng(5)
     terms = random_poly(rng, 3, 1)
     f = poly_fn(terms)
     z = rng.uniform(-0.5, 0.5, size=3)
-    a = cross_partial(f, z, (0, 2))
-    b = cross_partial(f, z, (2, 0))
-    assert np.allclose(a, b, atol=1e-8)
+    mixed = derivative_by_multiindex(f, z, (1, 0, 1))
+    h = 1e-3
+    for outer, inner in ((0, (0, 0, 1)), (2, (1, 0, 0))):
+        e = h * np.eye(3)[outer]
+        nested = (derivative_by_multiindex(f, z + e, inner)
+                  - derivative_by_multiindex(f, z - e, inner)) / (2 * h)
+        assert np.allclose(mixed, nested, atol=1e-5)
 
 
 def test_bad_inputs():
     f = lambda z: np.array([z[0] ** 2])
     with pytest.raises(ValueError):
-        cross_partial(f, [0.0], (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        cross_partial(f, [0.0], (1, 0))
-    with pytest.raises(ValueError):
         derivative_by_multiindex(f, [0.0], (4,))
+    with pytest.raises(ValueError):
+        derivative_by_multiindex(f, [0.0], (1, 0))
+    with pytest.raises(ValueError):
+        derivative_by_multiindex(f, [0.0], (-1,))
 
 
 def test_nonfinite_rejected():

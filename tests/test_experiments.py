@@ -188,6 +188,12 @@ def test_cli_bad_inputs(tmp_path):
                    "--out", str(tmp_path / "o2")])
     assert rc == 2
     assert cli.main(["check"]) == 2  # missing required arguments
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
+    for order in ("-1", "3"):  # below 0, and beyond the engine's order-3 stencils
+        rc = cli.main(["check", "--generator", str(gen), "--order", order,
+                       "--out", str(tmp_path / f"order{order}"), "--probes", "2"])
+        assert rc == 2
     assert cli.main(["no-such-command"]) == 2
 
 
@@ -208,10 +214,19 @@ def test_cli_train_reports_divergence(tmp_path, capsys):
     for name, lr in (("loss", 100.0), ("logits", 1e200)):
         rc, err = run(name, {"lr": lr, "warmup": 1})
         assert rc == 1, name
-        # numpy's overflow warnings may come first; the CLI's own report is one line
-        ours = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(ours) == 1, err
-        assert re.match(r"error: training diverged: .* at iteration \d+$", ours[0]), err
+        # the CLI's one-line report is all of stderr: numpy does not warn first
+        assert re.fullmatch(r"error: training diverged: .* at iteration (\d+)\n", err), err
+        iteration = int(re.search(r"at iteration (\d+)", err).group(1))
+        # the output directory names the point of divergence and keeps the partial log
+        res = json.loads((tmp_path / name / "results.json").read_text())
+        assert res["passed"] is False
+        div = res["extras"]["divergence"]
+        assert div["iteration"] == iteration and div["cause"] in err
+        assert set(div) == {"iteration", "cause", "group"}
+        rows = (tmp_path / name / "log.csv").read_text().splitlines()
+        assert rows[0] == "iter,rec,kl,interact,total"
+        # on the loss route the failed step's losses were computed, so it is logged
+        assert len(rows) - 1 == iteration + (name == "loss")
     # a key the trainer no longer has is a configuration error
     rc, err = run("removed", {"optimizer": "sgd"})
     assert rc == 2 and "bad configuration" in err
@@ -257,3 +272,33 @@ def test_ablation_results_independent_of_pool_size(monkeypatch):
         obj.pop("wall_clock")
         runs.append(obj)
     assert runs[0] == runs[1]
+    assert runs[0]["extras"]["cells"]["a0.0_b0.0"]["images_scored"] == 4
+
+
+def test_ablation_scores_held_out_images_only(monkeypatch):
+    from asymlab import experiments
+    from asymlab.sprites import DataConfig, make_dataset
+
+    # the default data: 7 test images, fewer than the 8 eval_images asked for
+    cfg = experiments._default_ablation_config()
+    dataset = make_dataset(DataConfig.from_json(cfg["data"]))
+    flat = dataset.images.reshape(len(dataset.images), -1)
+    scored = []
+    encode = experiments.encode
+
+    def spy(model, images):  # the cell's own encode calls: scoring only
+        for image in images:
+            scored.extend(np.flatnonzero(np.all(flat == image.ravel(), axis=1)).tolist())
+        return encode(model, images)
+
+    monkeypatch.setattr(experiments, "encode", spy)
+    row = experiments._run_ablation_cell({
+        "alpha": 0.0, "beta": 0.0, "seed": 0, "data": cfg["data"], "model": cfg["model"],
+        "iterations": 2, "batch_size": 4, "lr": 1e-3, "warmup": 1,
+        "eval_images": cfg["eval_images"]})
+    splits = dataset.manifest["splits"]
+    assert set(scored) <= set(splits["test"])
+    assert not set(scored) & set(splits["train"])
+    assert len(scored) == row["images_scored"] == len(splits["test"]) == 7
+    with pytest.raises(ValueError, match="no held-out image"):
+        experiments._run_ablation_cell({"seed": 0, "data": cfg["data"], "eval_images": 0})

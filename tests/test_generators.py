@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,19 @@ def test_box_cpe_complement_is_empty():
     part = default_partition(2)
     with pytest.raises(RuntimeError):
         sample_cpe(Box(part.latent_dim), part, np.random.default_rng(0), 5)
+
+
+@pytest.mark.parametrize("blocks", [((0, 1), (2, 3)), ((0, 3), (1,), (2, 4)), ((0,), (1,), (2,))])
+def test_required_output_dim_closed_form(blocks):
+    part = SlotPartition(blocks=blocks, latent_dim=sum(len(b) for b in blocks))
+    d_z = part.latent_dim
+    for n in (0, 1, 2, 3):
+        want = (sum(math.comb(len(b) + n, n + 1) for b in blocks)
+                + sum(math.comb(d_z + m - 1, m) for m in range(1, n + 1)))
+        if n == 0:
+            want += sum(1 for b in blocks if len(b) >= 2)  # one spare row per multi-coordinate slot
+        assert required_output_dim(part, n) == want
+    assert required_output_dim(default_partition(3), 3) == 44
 
 
 def test_required_output_dim_monotone():

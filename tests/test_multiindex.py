@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asymlab.multiindex import (
     SlotPartition,
     all_multiindices,
+    independence_groups,
     interaction_indices,
     mi_add,
     mi_factorial,
@@ -173,3 +174,45 @@ def test_cross_indices_have_two_sided_support(d, k):
     for a in interaction_indices(p, k):
         sup = mi_support(a)
         assert any(i < d - 1 for i in sup) and (d - 1) in sup
+
+
+GROUP_PARTITIONS = {
+    "default": SlotPartition(blocks=((0, 1), (2, 3)), latent_dim=4),
+    "three_slots": SlotPartition(blocks=((0, 3), (1,), (2, 4)), latent_dim=5),
+    "singletons": singleton_partition(3),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(GROUP_PARTITIONS))
+def test_independence_groups_cover_each_index_once(name, n):
+    part = GROUP_PARTITIONS[name]
+    groups = independence_groups(part, n)
+    assert all(g for _, g in groups)
+    columns = [a for _, g in groups for a in g]
+    assert len(set(columns)) == len(columns)
+    # every index of order 1..n lies in exactly one group: its first slot's
+    lower = [a for m in range(1, n + 1) for a in all_multiindices(part.latent_dim, m)]
+    owner = {a: label for label, g in groups for a in g}
+    assert sorted(a for a in columns if sum(a) <= n) == sorted(lower)
+    for a in lower:
+        assert owner[a].startswith(f"block{part.blocks_touched(a)[0] + 1}_")
+    # the rest are the within-slot order-(n+1) indices, one group per slot
+    top = [label for label, g in groups if sum(g[0]) == n + 1]
+    assert top == [f"block{k + 1}_order{n + 1}" for k in range(part.K)]
+    for k in range(part.K):
+        assert owner.keys() >= set(multiindices_within_block(part, k, n + 1))
+    assert len(columns) == len(lower) + sum(
+        len(multiindices_within_block(part, k, n + 1)) for k in range(part.K))
+
+
+def test_independence_groups_at_order_one():
+    groups = dict(independence_groups(GROUP_PARTITIONS["default"], 1))
+    assert {k: set(v) for k, v in groups.items()} == {
+        "block1_order1": {(1, 0, 0, 0), (0, 1, 0, 0)},
+        "block2_order1": {(0, 0, 1, 0), (0, 0, 0, 1)},
+        "block1_order2": {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)},
+        "block2_order2": {(0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 2)},
+    }
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        independence_groups(GROUP_PARTITIONS["default"], -1)
