@@ -1,5 +1,9 @@
-"""Cross-attention decoder, its analytic per-slot Jacobian, and the
-attention-overlap regularizer.
+"""Softmax attention, the cross-attention decoder built on it, its analytic
+per-slot Jacobian, and the attention-overlap regularizer.
+
+attend/attend_backward are the one softmax-attention primitive (Vaswani et
+al. 2017) and its gradient; the encoder's slot-over-patch mixing and every
+decoder layer call them, with heads carried as an array axis.
 
 The decoder maps K slot vectors to pixels: keys and values come from the
 slots, queries from fixed per-pixel inputs (first layer) or the previous
@@ -29,6 +33,36 @@ def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
+    """Softmax attention of queries (..., n, d) over keys (..., m, d) mixing
+    values (..., m, e); leading axes broadcast.  Returns (out, A) with
+    A = softmax over the key axis of scale * Q K^T and out = A V."""
+    A = softmax_rows(scale * (Q @ np.swapaxes(K, -1, -2)))
+    return A @ V, A
+
+
+def attend_backward(g_out, A, Q, K, V, scale: float, g_A=None):
+    """Gradients (gQ, gK, gV) of attend from the gradient on its output and,
+    if given, g_A on the weights (broadcast against A).  Each has the
+    broadcast batch shape of the forward pass; a caller that broadcast an
+    input sums its gradient over the added axes."""
+    gA = g_out @ np.swapaxes(V, -1, -2)
+    if g_A is not None:
+        gA = gA + g_A
+    g_logits = scale * A * (gA - np.sum(gA * A, axis=-1, keepdims=True))
+    gQ = g_logits @ K
+    gK = np.swapaxes(g_logits, -1, -2) @ Q
+    return gQ, gK, np.swapaxes(A, -1, -2) @ g_out
+
+
+def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of a weight W in y = x @ W.T from g (..., T, out) and
+    x (..., T, in): g^T x per leading index, summed.  One product over all
+    rows at once would be large enough for a threaded BLAS to split, which
+    slows down training runs that share the cores with each other."""
+    return np.sum(np.swapaxes(g, -1, -2) @ x, axis=tuple(range(g.ndim - 2)))
 
 
 @dataclass
@@ -139,7 +173,10 @@ def positional_query_inputs(
 @dataclass
 class ForwardCache:
     """Intermediates of one decoder forward pass, consumed by the backward
-    pass.  Each layer's attention is one (n_heads, B, P, K) array."""
+    pass.  Per layer: the query inputs, and Q, K, V and the attention
+    weights with heads as an axis, (B, n_heads, tokens, head_dim) and
+    (B, n_heads, P, K); the first layer's queries, shared by the batch, have
+    no batch axis."""
 
     slots: np.ndarray
     per_layer: list = field(default_factory=list)
@@ -148,9 +185,19 @@ class ForwardCache:
     batched: bool = True
 
 
-def _head_slices(layer: CrossAttentionLayer):
-    d = layer.head_dim
-    return [slice(h * d, (h + 1) * d) for h in range(layer.n_heads)]
+def _split_heads(X: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, n_heads * d) -> (..., n_heads, T, d)."""
+    return np.swapaxes(X.reshape(X.shape[:-1] + (n_heads, -1)), -2, -3)
+
+
+def _merge_heads(X: np.ndarray) -> np.ndarray:
+    """(..., n_heads, T, d) -> (..., T, n_heads * d)."""
+    X = np.swapaxes(X, -2, -3)
+    return X.reshape(X.shape[:-2] + (-1,))
+
+
+def _scale(layer: CrossAttentionLayer) -> float:
+    return 1.0 / np.sqrt(layer.head_dim) if layer.scaling else 1.0
 
 
 def cross_attention_forward(
@@ -175,7 +222,7 @@ def cross_attention_forward(
     batched = z.ndim == 3
     if not batched:
         z = z[None]
-    B, K, slot_dim = z.shape
+    K, slot_dim = z.shape[1:]
     if K < 1:
         raise ValueError("need at least one slot")
     if layers[0].query_inputs is None:
@@ -185,34 +232,20 @@ def cross_attention_forward(
             raise ValueError("layer slot dimension does not match input")
 
     cache = ForwardCache(slots=z, batched=batched)
-    n_pix = layers[0].query_inputs.shape[0]
-    tokens = None
+    q_in = layers[0].query_inputs
     attn_all = []
-    for li, ly in enumerate(layers):
-        if li == 0:
-            q_in = np.broadcast_to(ly.query_inputs, (B, n_pix, ly.query_inputs.shape[1]))
-        else:
-            if ly.W_Q.shape[1] != tokens.shape[-1]:
-                raise ValueError("layer query projection does not match prior tokens")
-            q_in = tokens
-        Q = q_in @ ly.W_Q.T
-        Kk = z @ ly.W_K.T
-        V = z @ ly.W_V.T
-        per_head = []
-        out = np.empty((B, n_pix, ly.d_q))
-        for sl in _head_slices(ly):
-            logits = np.einsum("bpd,bkd->bpk", Q[..., sl], Kk[..., sl])
-            if ly.scaling:
-                logits = logits / np.sqrt(ly.head_dim)
-            A = softmax_rows(logits)
-            out[..., sl] = np.einsum("bpk,bkd->bpd", A, V[..., sl])
-            per_head.append(A)
-        A_layer = np.stack(per_head)
-        attn_all.append(A_layer if batched else A_layer[:, 0])
-        cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A_layer})
-        tokens = out
-    cache.token_final = tokens
-    cache.head_hidden = np.tanh(tokens @ head.W1.T + head.b1)
+    for ly in layers:
+        if ly.W_Q.shape[1] != q_in.shape[-1]:
+            raise ValueError("layer query projection does not match prior tokens")
+        Q, Kk, V = (_split_heads(X, ly.n_heads)
+                    for X in (q_in @ ly.W_Q.T, z @ ly.W_K.T, z @ ly.W_V.T))
+        out, A = attend(Q, Kk, V, _scale(ly))
+        A_heads = np.moveaxis(A, 1, 0)
+        attn_all.append(A_heads if batched else A_heads[:, 0])
+        cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A})
+        q_in = _merge_heads(out)
+    cache.token_final = q_in
+    cache.head_hidden = np.tanh(q_in @ head.W1.T + head.b1)
     pixels = cache.head_hidden @ head.W2.T + head.b2
     if not batched:
         pixels = pixels[0]
@@ -225,13 +258,9 @@ def aggregate_attention(attention) -> np.ndarray:
     """Elementwise sum of the attention matrices over layers and heads,
     deliberately not renormalized: a pixel splitting mass across slots in
     any head or layer keeps a visible overlap in the sum."""
-    flat = [A for layer in attention for A in layer]
-    if not flat:
+    if not len(attention):
         raise ValueError("no attention matrices to aggregate")
-    total = flat[0].copy()
-    for A in flat[1:]:
-        total += A
-    return total
+    return sum(np.sum(heads, axis=0) for heads in attention)
 
 
 def l_interact(A) -> float:
@@ -330,52 +359,33 @@ def decoder_backward(
     if g_out.ndim == 2:
         g_out = g_out[None]
     z = cache.slots
-    B = z.shape[0]
 
-    head_grads = {
-        "W2": np.einsum("bpo,bph->oh", g_out, cache.head_hidden),
-        "b2": np.sum(g_out, axis=(0, 1)),
-    }
-    g_hidden = g_out @ head.W2
-    g_pre = g_hidden * (1.0 - cache.head_hidden**2)
-    head_grads["W1"] = np.einsum("bph,bpd->hd", g_pre, cache.token_final)
+    head_grads = {"W2": weight_gradient(g_out, cache.head_hidden),
+                  "b2": np.sum(g_out, axis=(0, 1))}
+    g_pre = (g_out @ head.W2) * (1.0 - cache.head_hidden**2)
+    head_grads["W1"] = weight_gradient(g_pre, cache.token_final)
     head_grads["b1"] = np.sum(g_pre, axis=(0, 1))
     g_tok = g_pre @ head.W1
 
-    if grad_attention is not None:
-        g_attn = np.asarray(grad_attention, dtype=float)
-        if g_attn.ndim == 2:
-            g_attn = g_attn[None]
-    else:
-        g_attn = None
+    g_A = None
+    if grad_attention is not None:  # as (B, 1, P, K): the same for every head
+        g_A = np.asarray(grad_attention, dtype=float).reshape(
+            (-1, 1) + cache.per_layer[0]["A"].shape[2:])
 
     g_slots = np.zeros_like(z)
     layer_grads: list[dict[str, np.ndarray]] = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
-        ly = layers[li]
-        c = cache.per_layer[li]
-        gQ_full = np.zeros((B,) + c["Q"].shape[1:])
-        gK_full = np.zeros((B,) + c["K"].shape[1:])
-        gV_full = np.zeros((B,) + c["V"].shape[1:])
-        for hi, sl in enumerate(_head_slices(ly)):
-            A = c["A"][hi]
-            g_xbar = g_tok[..., sl]
-            gA = np.einsum("bpd,bkd->bpk", g_xbar, c["V"][..., sl])
-            if g_attn is not None:
-                gA = gA + g_attn
-            gV_full[..., sl] += np.einsum("bpk,bpd->bkd", A, g_xbar)
-            # softmax backward over the slot axis
-            g_logits = A * (gA - np.sum(gA * A, axis=-1, keepdims=True))
-            if ly.scaling:
-                g_logits = g_logits / np.sqrt(ly.head_dim)
-            gQ_full[..., sl] += np.einsum("bpk,bkd->bpd", g_logits, c["K"][..., sl])
-            gK_full[..., sl] += np.einsum("bpk,bpd->bkd", g_logits, c["Q"][..., sl])
-        gW_K = np.einsum("bkd,bks->ds", gK_full, z)
-        gW_V = np.einsum("bkd,bks->ds", gV_full, z)
-        g_slots += gK_full @ ly.W_K + gV_full @ ly.W_V
-        gW_Q = np.einsum("bpd,bpo->do", gQ_full, c["q_in"])
-        layer_grads[li] = {"W_K": gW_K, "W_V": gW_V, "W_Q": gW_Q}
-        g_tok = gQ_full @ ly.W_Q if li > 0 else None
+        ly, c = layers[li], cache.per_layer[li]
+        gQ, gK, gV = (_merge_heads(g) for g in attend_backward(
+            _split_heads(g_tok, ly.n_heads), c["A"], c["Q"], c["K"], c["V"],
+            _scale(ly), g_A))
+        # the first layer's queries are shared by the batch: sum it out first
+        gW_Q = (weight_gradient(gQ, c["q_in"]) if li else
+                np.sum(gQ, axis=0).T @ c["q_in"])
+        layer_grads[li] = {"W_K": weight_gradient(gK, z), "W_V": weight_gradient(gV, z),
+                           "W_Q": gW_Q}
+        g_slots += gK @ ly.W_K + gV @ ly.W_V
+        g_tok = gQ @ ly.W_Q if li else None
     return g_slots if cache.batched else g_slots[0], layer_grads, head_grads
 
 

@@ -2,11 +2,12 @@
 
 Encoder: a per-patch linear embedder, a stack of slot-query cross-attention
 mixing layers with per-slot feed-forward updates, then per-slot mean and
-log-variance heads.  Decoder: the cross-attention decoder from the attention
-module.  Loss: reconstruction + beta * KL to a unit Gaussian + alpha *
-attention overlap.  Everything is numpy with hand-written reverse-mode
-gradients so the gradient path is fully inspectable and testable against
-finite differences.
+log-variance heads.  Its slots attend over patches through the attention
+module's attend/attend_backward, the primitive the decoder's layers use too.
+Decoder: the cross-attention decoder from the attention module.  Loss:
+reconstruction + beta * KL to a unit Gaussian + alpha * attention overlap.
+Everything is numpy with hand-written reverse-mode gradients so the gradient
+path is fully inspectable and testable against finite differences.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .attention import (
     CrossAttentionLayer,
     PixelHead,
     aggregate_attention,
+    attend,
+    attend_backward,
     cross_attention_forward,
     decoder_backward,
     l_interact,
     l_interact_grad,
     positional_query_inputs,
-    softmax_rows,
+    weight_gradient,
 )
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
@@ -244,20 +247,14 @@ def encode(model: SlotAutoencoder, images: np.ndarray, with_cache: bool = False)
     scale = 1.0 / math.sqrt(c.d_embed)
     cache = {"patches": patches, "T": T, "layers": []}
     for ly in model.enc_layers:
-        Q = S @ ly.W_Q.T
-        Kt = T @ ly.W_K.T
-        Vt = T @ ly.W_V.T
-        logits = np.einsum("bke,bne->bkn", Q, Kt) * scale
-        A = softmax_rows(logits)
-        mix = np.einsum("bkn,bne->bke", A, Vt)
+        Q, Kt, Vt = S @ ly.W_Q.T, T @ ly.W_K.T, T @ ly.W_V.T
+        mix, A = attend(Q, Kt, Vt, scale)
         S1 = S + mix
-        Hpre = S1 @ ly.F1.T + ly.f1
-        H = np.tanh(Hpre)
-        S_out = S1 + H @ ly.F2.T + ly.f2
+        H = np.tanh(S1 @ ly.F1.T + ly.f1)
         cache["layers"].append(
             {"S_in": S, "Q": Q, "K": Kt, "V": Vt, "A": A, "S1": S1, "H": H}
         )
-        S = S_out
+        S = S1 + H @ ly.F2.T + ly.f2
     cache["S_final"] = S
     mu = S @ model.W_mu.T + model.b_mu
     lv_raw = S @ model.W_lv.T + model.b_lv
@@ -274,9 +271,9 @@ def _encoder_backward(model: SlotAutoencoder, cache: dict,
     grads: dict[str, np.ndarray] = {}
     S_final = cache["S_final"]
     g_lv = g_lv * cache["lv_inside"]
-    grads["W_mu"] = np.einsum("bks,bke->se", g_mu, S_final)
+    grads["W_mu"] = weight_gradient(g_mu, S_final)
     grads["b_mu"] = np.sum(g_mu, axis=(0, 1))
-    grads["W_lv"] = np.einsum("bks,bke->se", g_lv, S_final)
+    grads["W_lv"] = weight_gradient(g_lv, S_final)
     grads["b_lv"] = np.sum(g_lv, axis=(0, 1))
     gS = g_mu @ model.W_mu + g_lv @ model.W_lv
 
@@ -286,28 +283,20 @@ def _encoder_backward(model: SlotAutoencoder, cache: dict,
     for i in range(len(model.enc_layers) - 1, -1, -1):
         ly = model.enc_layers[i]
         lc = cache["layers"][i]
-        gH = gS @ ly.F2
-        gHpre = gH * (1.0 - lc["H"] ** 2)
-        grads[f"enc{i}_F2"] = np.einsum("bke,bkf->ef", gS, lc["H"])
+        gHpre = (gS @ ly.F2) * (1.0 - lc["H"] ** 2)
+        grads[f"enc{i}_F2"] = weight_gradient(gS, lc["H"])
         grads[f"enc{i}_f2"] = np.sum(gS, axis=(0, 1))
-        grads[f"enc{i}_F1"] = np.einsum("bkf,bke->fe", gHpre, lc["S1"])
+        grads[f"enc{i}_F1"] = weight_gradient(gHpre, lc["S1"])
         grads[f"enc{i}_f1"] = np.sum(gHpre, axis=(0, 1))
-        gS1 = gS + gHpre @ ly.F1
-        gmix = gS1
-        gA = np.einsum("bke,bne->bkn", gmix, lc["V"])
-        gV = np.einsum("bkn,bke->bne", lc["A"], gmix)
-        A = lc["A"]
-        g_logits = A * (gA - np.sum(gA * A, axis=-1, keepdims=True))
-        g_logits = g_logits * scale
-        gQ = np.einsum("bkn,bne->bke", g_logits, lc["K"])
-        gK = np.einsum("bkn,bke->bne", g_logits, lc["Q"])
-        grads[f"enc{i}_W_Q"] = np.einsum("bke,bkd->ed", gQ, lc["S_in"])
-        grads[f"enc{i}_W_K"] = np.einsum("bne,bnd->ed", gK, T)
-        grads[f"enc{i}_W_V"] = np.einsum("bne,bnd->ed", gV, T)
+        gS1 = gS + gHpre @ ly.F1  # the gradient on the attention's output too
+        gQ, gK, gV = attend_backward(gS1, lc["A"], lc["Q"], lc["K"], lc["V"], scale)
+        grads[f"enc{i}_W_Q"] = weight_gradient(gQ, lc["S_in"])
+        grads[f"enc{i}_W_K"] = weight_gradient(gK, T)
+        grads[f"enc{i}_W_V"] = weight_gradient(gV, T)
         gT += gK @ ly.W_K + gV @ ly.W_V
         gS = gS1 + gQ @ ly.W_Q
     grads["slot_queries"] = np.sum(gS, axis=0)
-    grads["embed_W"] = np.einsum("bne,bnl->el", gT, cache["patches"])
+    grads["embed_W"] = weight_gradient(gT, cache["patches"])
     grads["embed_b"] = np.sum(gT, axis=(0, 1))
     return grads
 

@@ -49,7 +49,8 @@ from .generators import (
     sample_cpe,
     top_order_cross_nonzero,
 )
-from .metrics import assignment_from_masks, j_ari, jis
+from .metrics import (assignment_from_masks, j_ari_from_norms, jis_from_norms,
+                      position_only_index, slot_jacobian_norms)
 from .multiindex import (
     SlotPartition,
     all_multiindices,
@@ -132,6 +133,27 @@ def _merge_defaults(config: dict | None, defaults: dict) -> dict:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(config)
     return merged
+
+
+_LOG_HEADER = ["iter", "rec", "kl", "interact", "total"]
+
+
+def _log_rows(log: list) -> list[tuple]:
+    return [(i,) + b.as_row() for i, b in enumerate(log)]
+
+
+def _record_divergence(result: ExperimentResult, out, t0: float, e: TrainingDiverged,
+                       header: list[str], log_rows: list, **where) -> None:
+    """Leave the partial log and a failed results.json naming the point of
+    divergence (plus where, e.g. the ablation cell) in out, if there is one."""
+    if out is None:
+        return
+    result.passed = False
+    result.extras["divergence"] = {**where, "iteration": e.iteration, "cause": e.args[0],
+                                   "group": e.group}
+    result.wall_clock = time.time() - t0
+    result.write(out)
+    tensorio.save_csv(Path(out) / "log.csv", header, log_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +396,28 @@ def _default_ablation_config() -> dict:
     }
 
 
+def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list]:
+    """Encode each held-out image and score it from one slot Jacobian.
+    Returns per-image J-ARI and JIS values, the J-ARI's excluded pixel
+    count summed over images, and the per-image (n_pixels, K) norms."""
+    decoder = (model.dec_layers, model.dec_head)
+    jari_vals, jis_vals, excluded, norms = [], [], 0, []
+    for idx in eval_idx:
+        scene = dataset.scenes[idx]
+        mu, _ = encode(model, scene.image[None])
+        gt = assignment_from_masks(scene.masks)
+        norms.append(slot_jacobian_norms(decoder, mu[0]))
+        r = j_ari_from_norms(norms[-1], gt)
+        jari_vals.append(r.value)
+        excluded += r.excluded_pixels
+        jis_vals.append(jis_from_norms(norms[-1], gt.foreground).value)
+    return jari_vals, jis_vals, excluded, norms
+
+
 def _run_ablation_cell(args: dict) -> dict:
-    """One (alpha, beta, seed) training run; self-contained for the pool."""
+    """One (alpha, beta, seed) training run; self-contained for the pool.  A
+    diverged run returns its TrainingDiverged under "diverged" and its
+    partial log, so the driver can name the cell."""
     data_cfg = DataConfig.from_json(args["data"])
     dataset = make_dataset(data_cfg)
     train_images = dataset.split("train")
@@ -388,38 +430,27 @@ def _run_ablation_cell(args: dict) -> dict:
     tc = TrainConfig(alpha=args["alpha"], beta=args["beta"], lr=args["lr"],
                      iterations=args["iterations"], batch_size=args["batch_size"],
                      warmup=args["warmup"], seed=args["seed"])
-    model = build_autoencoder(mc)
-    model, log = train(model, train_images, tc)
+    cell = {"alpha": args["alpha"], "beta": args["beta"], "seed": args["seed"]}
+    try:
+        model, log = train(build_autoencoder(mc), train_images, tc)
+    except TrainingDiverged as e:
+        return dict(cell, diverged=e, log_rows=_log_rows(e.log))
 
-    jari_vals, jis_vals, excl = [], [], 0
-    heatmaps = None
-    decoder = (model.dec_layers, model.dec_head)
-    for pos, idx in enumerate(eval_idx):
-        scene = dataset.scenes[idx]
-        mu, _ = encode(model, scene.image[None])
-        gt = assignment_from_masks(scene.masks)
-        r1 = j_ari(decoder, mu[0], gt)
-        r2 = jis(decoder, mu[0], foreground=gt.foreground)
-        jari_vals.append(r1.value)
-        jis_vals.append(r2.value)
-        excl += r1.excluded_pixels
-        if pos == 0:
-            from .metrics import slot_jacobian_norms
-
-            norms = slot_jacobian_norms(decoder, mu[0])
-            side = data_cfg.image_size
-            heatmaps = [norms[:, k].reshape(side, side) for k in range(mc.n_slots)]
+    jari_vals, jis_vals, excl, norms = _score_held_out(model, dataset, eval_idx)
+    side = data_cfg.image_size
+    heatmaps = [norms[0][:, k].reshape(side, side) for k in range(mc.n_slots)]
     # convergence-window mean smooths single-batch noise
     tail = log[-50:]
     return {
-        "alpha": args["alpha"], "beta": args["beta"], "seed": args["seed"],
+        **cell,
         "j_ari": float(np.mean(jari_vals)), "jis": float(np.mean(jis_vals)),
+        "position_only_index": position_only_index(norms),
         "excluded": excl,
         "images_scored": len(eval_idx),
         "final_interact": float(np.mean([b.interact for b in tail])),
         "final_rec": float(np.mean([b.rec for b in tail])),
         "initial_rec": log[0].rec,
-        "log_rows": [(i,) + b.as_row() for i, b in enumerate(log)],
+        "log_rows": _log_rows(log),
         "heatmaps": heatmaps,
     }
 
@@ -427,9 +458,10 @@ def _run_ablation_cell(args: dict) -> dict:
 def exp_train_ablation(config: dict | None = None,
                        out: str | os.PathLike | None = None) -> ExperimentResult:
     """Train the toy autoencoder over the (alpha, beta) grid for several
-    seeds each; report J-ARI and JIS per cell with mean and std, dump
+    seeds each; report J-ARI, JIS and the position-only index per cell, dump
     per-slot Jacobian heat maps, and compare the regularized corner against
-    the unregularized one."""
+    the unregularized one.  A diverged cell leaves log.csv and a failed
+    results.json naming it, then raises TrainingDiverged."""
     cfg = _merge_defaults(config, _default_ablation_config())
     # each cell sets these itself, from its seed and the image size
     reserved = sorted({"seed", "height", "width"} & set(cfg["model"]))
@@ -451,22 +483,29 @@ def exp_train_ablation(config: dict | None = None,
     else:
         rows = [_run_ablation_cell(j) for j in jobs]
 
-    log_rows = []
+    def run_id(row):
+        return f"a{row['alpha']}_b{row['beta']}_s{row['seed']}"
+
+    log_rows = [[run_id(row), *r] for row in rows for r in row["log_rows"]]
+    diverged = next((row for row in rows if "diverged" in row), None)
+    if diverged is not None:
+        e, cell = diverged["diverged"], {k: diverged[k] for k in ("alpha", "beta", "seed")}
+        _record_divergence(result, out, t0, e, ["run_id"] + _LOG_HEADER, log_rows, cell=cell)
+        raise TrainingDiverged(f"cell {run_id(diverged)}: {e.args[0]}", e.log,
+                               e.iteration, e.group) from e
+
     cells: dict[tuple[float, float], list[dict]] = {}
     for row in rows:
-        run_id = f"a{row['alpha']}_b{row['beta']}_s{row['seed']}"
         cells.setdefault((row["alpha"], row["beta"]), []).append(row)
-        for metric in ("j_ari", "jis", "final_interact", "final_rec"):
-            result.add_metric(run_id, metric, row[metric],
+        for metric in ("j_ari", "jis", "position_only_index", "final_interact", "final_rec"):
+            result.add_metric(run_id(row), metric, row[metric],
                               row["excluded"] if metric == "j_ari" else 0)
-        result.add_metric(run_id, "rec_improved",
+        result.add_metric(run_id(row), "rec_improved",
                           float(row["final_rec"] < row["initial_rec"]))
-        for r in row["log_rows"]:
-            log_rows.append([run_id, *r])
-        if out is not None and row["heatmaps"] is not None:
+        if out is not None:
             for k, hm in enumerate(row["heatmaps"]):
                 tensorio.save_ppm(
-                    Path(out) / "images" / f"{run_id}_slot{k + 1}_jacobian.ppm",
+                    Path(out) / "images" / f"{run_id(row)}_slot{k + 1}_jacobian.ppm",
                     tensorio.heatmap_rgb(hm),
                 )
 
@@ -477,6 +516,7 @@ def exp_train_ablation(config: dict | None = None,
             "j_ari_std": float(np.std([r["j_ari"] for r in rs])),
             "jis_mean": float(np.mean([r["jis"] for r in rs])),
             "jis_std": float(np.std([r["jis"] for r in rs])),
+            "position_only_index": float(np.mean([r["position_only_index"] for r in rs])),
             "interact_mean": float(np.mean([r["final_interact"] for r in rs])),
             "images_scored": rs[0]["images_scored"],
         }
@@ -495,15 +535,15 @@ def exp_train_ablation(config: dict | None = None,
         ok_int = reg["interact_mean"] < base["interact_mean"]
         result.add_metric("grid", "regularized_jis_gain",
                           reg["jis_mean"] - base["jis_mean"])
+        result.add_metric("grid", "regularized_jari_gain",
+                          reg["j_ari_mean"] - base["j_ari_mean"])
         result.add_metric("grid", "regularized_interact_drop",
                           base["interact_mean"] - reg["interact_mean"])
         result.passed = bool(ok_jis and ok_int)
     result.wall_clock = time.time() - t0
     if out is not None:
         result.write(out)
-        tensorio.save_csv(Path(out) / "log.csv",
-                          ["run_id", "iter", "rec", "kl", "interact", "total"],
-                          log_rows)
+        tensorio.save_csv(Path(out) / "log.csv", ["run_id"] + _LOG_HEADER, log_rows)
     return result
 
 
@@ -616,11 +656,6 @@ def exp_jacobian_check(config: dict | None = None,
 # single training run and dataset generation (CLI entry points)
 
 
-def _save_train_log(out: str | os.PathLike, log: list) -> None:
-    tensorio.save_csv(Path(out) / "log.csv", ["iter", "rec", "kl", "interact", "total"],
-                      [(i,) + b.as_row() for i, b in enumerate(log)])
-
-
 def exp_train(config: dict | None = None,
               out: str | os.PathLike | None = None) -> ExperimentResult:
     cfg = _merge_defaults(config, {
@@ -640,28 +675,15 @@ def exp_train(config: dict | None = None,
     try:
         model, log = train(model, dataset.split("train"), tc)
     except TrainingDiverged as e:
-        if out is not None:  # leave the partial log and the point of divergence
-            result.passed = False
-            result.extras["divergence"] = {"iteration": e.iteration, "cause": e.args[0],
-                                           "group": e.group}
-            result.wall_clock = time.time() - t0
-            result.write(out)
-            _save_train_log(out, e.log)
+        _record_divergence(result, out, t0, e, _LOG_HEADER, _log_rows(e.log))
         raise
     result.add_metric("train", "final_rec", log[-1].rec)
     result.add_metric("train", "final_kl", log[-1].kl)
     result.add_metric("train", "final_interact", log[-1].interact)
     result.add_metric("train", "rec_improved", float(log[-1].rec < log[0].rec))
 
-    decoder = (model.dec_layers, model.dec_head)
     eval_idx = dataset.manifest["splits"]["test"][: cfg["eval_images"]]
-    jari_vals, jis_vals = [], []
-    for idx in eval_idx:
-        scene = dataset.scenes[idx]
-        mu, _ = encode(model, scene.image[None])
-        gt = assignment_from_masks(scene.masks)
-        jari_vals.append(j_ari(decoder, mu[0], gt).value)
-        jis_vals.append(jis(decoder, mu[0], foreground=gt.foreground).value)
+    jari_vals, jis_vals, _, _ = _score_held_out(model, dataset, eval_idx)
     if jari_vals:
         result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
         result.add_metric("eval", "jis", float(np.mean(jis_vals)))
@@ -669,7 +691,7 @@ def exp_train(config: dict | None = None,
     result.wall_clock = time.time() - t0
     if out is not None:
         result.write(out)
-        _save_train_log(out, log)
+        tensorio.save_csv(Path(out) / "log.csv", _LOG_HEADER, _log_rows(log))
         tdir = Path(out) / "tensors"
         manifest = {"model_config": mc.to_json(), "train_config": tc.to_json(),
                     "parameters": {}}

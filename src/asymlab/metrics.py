@@ -2,10 +2,12 @@
 
 ARI compares pixel labelings through the contingency table; J-ARI labels
 pixels by the slot whose Jacobian block moves them most; JIS measures how
-concentrated each pixel's slot influence is.  Background pixels (from the
-ground-truth renderer masks) are excluded from all averages, as are pixels
-with an all-zero Jacobian row, and the exclusion counts travel with the
-result.  block_permutation_structure and the local disentanglement check
+concentrated each pixel's slot influence is; the position-only index
+measures how often a pixel keeps its slot from image to image.  J-ARI and
+JIS also take precomputed slot Jacobian norms, so a caller scoring both
+computes them once.  Background pixels (from the ground-truth renderer
+masks) are excluded from all averages, as are pixels with an all-zero
+Jacobian row, and the exclusion counts travel with the result.  block_permutation_structure and the local disentanglement check
 detect slot-respecting Jacobians of latent maps.
 """
 
@@ -137,10 +139,17 @@ def j_ari(
     cfg: StencilConfig | None = None,
     zero_tol: float = 1e-12,
 ) -> MetricResult:
+    """J-ARI of a decoder at z_hat: j_ari_from_norms on its slot Jacobian
+    norms."""
+    return j_ari_from_norms(slot_jacobian_norms(decoder, z_hat, cfg), gt, zero_tol)
+
+
+def j_ari_from_norms(norms: np.ndarray, gt: PixelAssignment,
+                     zero_tol: float = 1e-12) -> MetricResult:
     """Assign each foreground pixel to the slot with the largest Jacobian
-    L1 norm, then ARI against the ground-truth objects.  Pixels whose whole
-    Jacobian row is zero are excluded and counted."""
-    norms = slot_jacobian_norms(decoder, z_hat, cfg)
+    L1 norm in norms (n_pixels, K), then ARI against the ground-truth
+    objects.  Pixels whose whole Jacobian row is zero are excluded and
+    counted."""
     if norms.shape[0] != gt.labels.shape[0]:
         raise ValueError("pixel counts disagree")
     nonzero = np.sum(norms, axis=1) > zero_tol
@@ -158,10 +167,16 @@ def jis(
     cfg: StencilConfig | None = None,
     zero_tol: float = 1e-12,
 ) -> MetricResult:
+    """JIS of a decoder at z_hat: jis_from_norms on its slot Jacobian
+    norms."""
+    return jis_from_norms(slot_jacobian_norms(decoder, z_hat, cfg), foreground, zero_tol)
+
+
+def jis_from_norms(norms: np.ndarray, foreground: np.ndarray | None = None,
+                   zero_tol: float = 1e-12) -> MetricResult:
     """Mean over foreground pixels of the largest entry of the L1-normalized
-    slot-influence vector; 1 when every pixel belongs to one slot, 1/K when
-    influence is uniform."""
-    norms = slot_jacobian_norms(decoder, z_hat, cfg)
+    slot-influence vector, a row of norms (n_pixels, K); 1 when every pixel
+    belongs to one slot, 1/K when influence is uniform."""
     if foreground is None:
         foreground = np.ones(norms.shape[0], dtype=bool)
     foreground = np.asarray(foreground, dtype=bool)
@@ -176,6 +191,15 @@ def jis(
     shares = norms[use] / totals[use, None]
     return MetricResult(value=float(np.mean(np.max(shares, axis=1))),
                         excluded_pixels=excluded)
+
+
+def position_only_index(norms: np.ndarray) -> float:
+    """Fraction of pixels whose argmax slot is the same on every image of a
+    norm stack (n_images, n_pixels, K).  1 means the pixel-to-slot map is a
+    fixed spatial tessellation whatever the image shows; a decoder whose
+    slots follow the objects scores below 1."""
+    labels = np.argmax(np.asarray(norms), axis=-1)
+    return float(np.mean(np.all(labels == labels[0], axis=0)))
 
 
 def block_permutation_structure(

@@ -9,6 +9,8 @@ from asymlab.attention import (
     PixelHead,
     aggregate_attention,
     analytic_slot_jacobian,
+    attend,
+    attend_backward,
     cross_attention_forward,
     decoder_backward,
     l_interact,
@@ -54,6 +56,69 @@ def test_multilayer_multihead_runs():
     for per_layer in attn:
         for am in per_layer:
             assert np.allclose(am.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def _attend_fd_check(Q, K, V, scale, G, g_A=None):
+    """attend_backward against central differences of
+    sum(G * out) + sum(g_A * A) in every entry of Q, K and V."""
+    def objective():
+        out, A = attend(Q, K, V, scale)
+        return float(np.sum(G * out) + (0.0 if g_A is None else np.sum(g_A * A)))
+
+    _, A = attend(Q, K, V, scale)
+    grads = attend_backward(G, A, Q, K, V, scale, g_A)
+    h = 1e-6
+    for arr, grad in zip((Q, K, V), grads):
+        assert grad.shape == arr.shape
+        for idx in np.ndindex(arr.shape):
+            old = arr[idx]
+            arr[idx] = old + h
+            up = objective()
+            arr[idx] = old - h
+            dn = objective()
+            arr[idx] = old
+            assert abs((up - dn) / (2 * h) - grad[idx]) < 1e-8
+
+
+def test_attend_backward_encoder_shaped():
+    # one head: 3 slots attend over 5 patches, softmax over the patch axis
+    rng = np.random.default_rng(21)
+    B, n_slots, n_patches, d = 2, 3, 5, 4
+    Q = rng.normal(size=(B, n_slots, d))
+    K, V = rng.normal(size=(2, B, n_patches, d))
+    _attend_fd_check(Q, K, V, 0.5, rng.normal(size=(B, n_slots, d)))
+
+
+def test_attend_backward_decoder_shaped():
+    # two heads: 4 pixels attend over 3 slots; the overlap gradient on the
+    # weights is shared by the heads
+    rng = np.random.default_rng(22)
+    B, H, P, n_slots, d = 2, 2, 4, 3, 3
+    Q = rng.normal(size=(B, H, P, d))
+    K, V = rng.normal(size=(2, B, H, n_slots, d))
+    g_A = rng.normal(size=(B, 1, P, n_slots))
+    _attend_fd_check(Q, K, V, 1 / np.sqrt(d), rng.normal(size=(B, H, P, d)), g_A)
+
+
+def test_multilayer_multihead_matches_per_head_slices():
+    # the head axis against a reference that slices heads one at a time
+    layers, head = random_decoder(13, n_pixels=5, K=3, slot_dim=4, n_heads=2,
+                                  n_layers=2, d_q=6, scaling=True)
+    z = np.random.default_rng(14).normal(size=(2, 3, 4))
+    pixels, attn = cross_attention_forward(layers, head, z)
+
+    tokens = np.broadcast_to(layers[0].query_inputs, (2,) + layers[0].query_inputs.shape)
+    for ly, A_layer in zip(layers, attn):
+        Q, Kk, V = tokens @ ly.W_Q.T, z @ ly.W_K.T, z @ ly.W_V.T
+        out = np.empty(Q.shape)
+        for h in range(ly.n_heads):
+            sl = slice(h * ly.head_dim, (h + 1) * ly.head_dim)
+            A = softmax_rows(Q[..., sl] @ np.swapaxes(Kk[..., sl], 1, 2)
+                             / np.sqrt(ly.head_dim))
+            np.testing.assert_allclose(A_layer[h], A, rtol=1e-12, atol=1e-15)
+            out[..., sl] = A @ V[..., sl]
+        tokens = out
+    np.testing.assert_allclose(pixels, head(tokens), rtol=1e-12, atol=1e-15)
 
 
 def test_aggregate_attention_sums():

@@ -232,6 +232,69 @@ def test_cli_train_reports_divergence(tmp_path, capsys):
     assert rc == 2 and "bad configuration" in err
 
 
+def test_cli_ablate_reports_divergence(tmp_path, capsys):
+    cfg = tmp_path / "ablate.json"
+    cfg.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],
+                               "iterations": 5, "batch_size": 4, "warmup": 1, "lr": 1e200,
+                               "eval_images": 1, "data": {"count": 10, "seed": 4}}))
+    rc = cli.main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    # one line naming the cell and the iteration
+    m = re.fullmatch(r"error: training diverged: cell a0\.0_b0\.0_s0: .* at iteration (\d+)\n",
+                     err)
+    assert m, err
+    res = json.loads((tmp_path / "ab" / "results.json").read_text())
+    assert res["passed"] is False
+    div = res["extras"]["divergence"]
+    assert set(div) == {"cell", "iteration", "cause", "group"}
+    assert div["cell"] == {"alpha": 0.0, "beta": 0.0, "seed": 0}
+    assert div["iteration"] == int(m.group(1)) and div["cause"] in err
+    rows = (tmp_path / "ab" / "log.csv").read_text().splitlines()
+    assert rows[0] == "run_id,iter,rec,kl,interact,total"
+    assert len(rows) - 1 == div["iteration"]
+    assert all(r.startswith("a0.0_b0.0_s0,") for r in rows[1:])
+
+
+def test_exp_train_deterministic(tmp_path):
+    cfg = {"data": {"count": 20, "seed": 4}, "eval_images": 2,
+           "train": {"iterations": 20, "batch_size": 4, "warmup": 5, "seed": 3}}
+    runs = []
+    for name in ("first", "second"):
+        exp_train(cfg, out=tmp_path / name)
+        res = json.loads((tmp_path / name / "results.json").read_text())
+        res.pop("wall_clock")
+        runs.append((json.dumps(res), (tmp_path / name / "log.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_scoring_takes_one_slot_jacobian_per_image(monkeypatch):
+    from asymlab import experiments
+
+    calls = []
+    norms = experiments.slot_jacobian_norms
+
+    def counting(decoder, z):
+        calls.append(1)
+        return norms(decoder, z)
+
+    monkeypatch.setattr(experiments, "slot_jacobian_norms", counting)
+    # this data's test split holds three images
+    r = exp_train({"data": {"count": 30, "seed": 4}, "eval_images": 3,
+                   "train": {"iterations": 2, "batch_size": 4, "warmup": 1}})
+    assert len(calls) == 3
+    assert {m["metric"] for m in r.metrics} >= {"j_ari", "jis"}
+    calls.clear()
+    # the ablation cell also draws its heat maps from the first image's norms
+    cfg = experiments._default_ablation_config()
+    row = experiments._run_ablation_cell({
+        "alpha": 0.0, "beta": 0.0, "seed": 0, "data": cfg["data"], "model": cfg["model"],
+        "iterations": 2, "batch_size": 4, "lr": 1e-3, "warmup": 1, "eval_images": 3})
+    assert len(calls) == row["images_scored"] == 3
+    assert len(row["heatmaps"]) == 3
+    assert 0.0 < row["position_only_index"] <= 1.0
+
+
 def test_pool_size_rejects_non_integer(monkeypatch):
     from asymlab.experiments import pool_size
 

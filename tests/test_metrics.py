@@ -20,8 +20,11 @@ from asymlab.metrics import (
     assignment_from_masks,
     block_permutation_structure,
     j_ari,
+    j_ari_from_norms,
     jis,
+    jis_from_norms,
     local_disentanglement_check,
+    position_only_index,
     slot_jacobian_norms,
 )
 from asymlab.multiindex import SlotPartition
@@ -166,6 +169,31 @@ def test_j_ari_and_jis_on_planted_structure():
     assert r.excluded_pixels == 0
     assert jis(decoder, z).value == pytest.approx(1.0)
     assert float(r) == r.value
+
+
+def test_metrics_from_norms_equal_decoder_metrics():
+    layers, head = random_decoder(6, n_pixels=6, K=3, slot_dim=3)
+    z = np.random.default_rng(7).normal(size=(3, 3))
+    gt = labels([0, 0, 1, 1, 2, 2], [1, 1, 1, 0, 1, 1])
+    norms = slot_jacobian_norms((layers, head), z)
+    assert j_ari_from_norms(norms, gt) == j_ari((layers, head), z, gt)
+    assert jis_from_norms(norms, gt.foreground) == jis((layers, head), z, gt.foreground)
+
+
+def test_position_only_index_on_hand_built_norms():
+    rng = np.random.default_rng(8)
+    # every image gives each pixel the same argmax slot: a fixed tessellation
+    owner = np.array([0, 0, 1, 2, 2, 1])
+    fixed = rng.uniform(0.0, 0.5, size=(4, 6, 3))
+    fixed[:, np.arange(6), owner] += 1.0
+    assert position_only_index(fixed) == 1.0
+    # slots follow an object that moves: pixels 0-1 change owner on image 2
+    following = fixed.copy()
+    following[2, :2] = following[2, :2, ::-1]
+    assert np.array_equal(np.argmax(following[2, :2], axis=-1), [2, 2])
+    assert position_only_index(following) == pytest.approx(4 / 6)
+    # one image is trivially position-only
+    assert position_only_index(following[2:3]) == 1.0
 
 
 def test_j_ari_excludes_dead_pixels():
