@@ -15,10 +15,15 @@ rule generators.required_output_dim counts), stack them for every probe into
 one (N, d_x, columns) array and take each rank over the whole stack.  Orders
 the derivative engine cannot difference (above 3) raise ValueError.
 
-Tolerances: a derivative counts as nonzero when |value| exceeds
-tol_active = 1e-5 * (1 + max |Df(z)|), and numerical rank counts singular
-values above rank_tol * sigma_max (default rank_tol 1e-7, matching the
-finite-difference noise floor).
+Every check uses one tolerance and the engine's one stencil
+(derivatives.StencilConfig()).  The constants: a derivative counts as
+nonzero when |value| exceeds ACTIVE_TOL_FACTOR * (1 + max |Df(z)|) with
+ACTIVE_TOL_FACTOR = 1e-5, and numerical rank counts singular values above
+RANK_TOL * sigma_max with RANK_TOL = 1e-7, the finite-difference noise
+floor.  irreducibility_check enumerates every split of an output set of at
+most MAX_ENUMERATE = 12 outputs and otherwise samples SAMPLED_SPLITS = 200
+random splits; its samples and rank_factorization_property's null vectors
+are drawn from a generator seeded with 0.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivatives import StencilConfig, partials
+from .derivatives import partials
 from .derivatives import jacobian  # noqa: F401  (re-exported for existing callers)
 from .generators import apply_equivalence, random_equivalence
 from .multiindex import (
@@ -45,6 +50,8 @@ VectorFn = Callable[[np.ndarray], np.ndarray]
 
 ACTIVE_TOL_FACTOR = 1e-5
 RANK_TOL = 1e-7
+MAX_ENUMERATE = 12
+SAMPLED_SPLITS = 200
 
 
 @dataclass
@@ -95,24 +102,19 @@ def _as_probes(probes) -> np.ndarray:
     return p
 
 
-def active_tolerance(jac_values: np.ndarray, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return ACTIVE_TOL_FACTOR * (1.0 + float(np.max(np.abs(jac_values))))
+def active_tolerance(J: np.ndarray) -> np.ndarray:
+    """The activity threshold of a Jacobian (d_x, d_z), or of every Jacobian
+    of a stack (..., d_x, d_z): ACTIVE_TOL_FACTOR * (1 + max |J|)."""
+    return ACTIVE_TOL_FACTOR * (1.0 + np.max(np.abs(J), axis=(-2, -1)))
 
 
-def _tolerances(J: np.ndarray, tol: float | None) -> np.ndarray:
-    """active_tolerance at every probe of a Jacobian stack (N, d_x, d_z)."""
-    return np.array([active_tolerance(Jz, tol) for Jz in J])
-
-
-def _request(f: VectorFn, probes: np.ndarray, alphas: Sequence[MultiIndex],
-             cfg: StencilConfig) -> tuple[np.ndarray, np.ndarray, int]:
+def _request(f: VectorFn, probes: np.ndarray,
+             alphas: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray, int]:
     """One engine request for the Jacobian and the given partials at every
     probe: J (N, d_x, d_z), the partials (N, len(alphas), d_x), and the
     number of points evaluated."""
     d = probes.shape[1]
-    values, evaluations = partials(f, probes, unit_indices(d) + tuple(alphas), cfg)
+    values, evaluations = partials(f, probes, unit_indices(d) + tuple(alphas))
     return values[:, :d].transpose(0, 2, 1), values[:, d:], evaluations
 
 
@@ -131,14 +133,12 @@ def check_no_interaction(
     f: VectorFn,
     partition: SlotPartition,
     probes,
-    tol: float | None = None,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """No interaction across slots: D_i f (.) D_j f = 0 elementwise for every
     cross-block coordinate pair (Hadamard product of Jacobian columns)."""
     probes = _as_probes(probes)
-    J, _, evaluations = _request(f, probes, (), cfg)
-    tol_z = _tolerances(J, tol)
+    J, _, evaluations = _request(f, probes, ())
+    tol_z = active_tolerance(J)
     pairs = list(_cross_pairs(partition))
     # |D_i1 f * D_i2 f| per probe, flattened pair-major so argmax finds the
     # first pair (then the first output) reaching the maximum
@@ -167,8 +167,6 @@ def check_order_at_most_n(
     partition: SlotPartition,
     n: int,
     probes,
-    tol: float | None = None,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """At most n-th order interaction across slots: every order-(n+1)
     multi-index touching two or more blocks has D^alpha f = 0.  At n = 0 the
@@ -178,11 +176,11 @@ def check_order_at_most_n(
     if n < 0:
         raise ValueError(f"interaction order must be >= 0, got {n}")
     if n == 0:
-        return check_no_interaction(f, partition, probes, tol, cfg)
+        return check_no_interaction(f, partition, probes)
     probes = _as_probes(probes)
     alphas = interaction_indices(partition, n + 1)
-    J, D, evaluations = _request(f, probes, alphas, cfg)
-    tol_z = _tolerances(J, tol)
+    J, D, evaluations = _request(f, probes, alphas)
+    tol_z = active_tolerance(J)
     vals = np.concatenate([np.zeros((len(probes), 1)), np.max(np.abs(D), axis=2)], axis=1)
     worst = vals.max(axis=1)
     witnesses = [_witness(probes[p], list(alphas[vals[p].argmax() - 1]), worst[p])
@@ -199,19 +197,16 @@ def check_order_at_most_n(
     )
 
 
-def _slot_splits(block: tuple[int, ...]):
-    """2-part splits of a block, each once; a 1-d block interacts with itself."""
+def _slot_splits(block: Sequence[int]):
+    """2-part splits of a sorted index set, each once, as sorted lists, the
+    first half holding the first index; a 1-d block interacts with itself."""
     if len(block) == 1:
-        yield {block[0]}, {block[0]}
+        yield [block[0]], [block[0]]
         return
-    rest = block[1:]
-    anchor = block[0]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            A = {anchor, *extra}
-            B = set(block) - A
-            if B:
-                yield A, B
+    for r in range(len(block) - 1):
+        for extra in itertools.combinations(block[1:], r):
+            A = [block[0], *extra]
+            yield A, [i for i in block if i not in A]
 
 
 def check_within_slot_order(
@@ -219,8 +214,6 @@ def check_within_slot_order(
     partition: SlotPartition,
     n: int,
     probes,
-    tol: float | None = None,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """Within-slot richness: every 2-part split of every slot shows an active
     order-(n+1) derivative with mass on both sides.
@@ -240,8 +233,8 @@ def check_within_slot_order(
     candidates = [split_interaction_indices(partition, k, A, B, n + 1) if n else []
                   for k, A, B in splits]
     alphas = sorted({a for c in candidates for a in c})
-    J, D, evaluations = _request(f, probes, alphas, cfg)
-    tol_z = _tolerances(J, tol)
+    J, D, evaluations = _request(f, probes, alphas)
+    tol_z = active_tolerance(J)
     vals = np.max(np.abs(D), axis=2)
     column = {a: c for c, a in enumerate(alphas)}
     best = np.zeros((len(probes), len(splits)))
@@ -285,21 +278,19 @@ def check_interaction_asymmetry(
     n: int,
     probes,
     equiv_samples: int = 10,
-    tol: float | None = None,
     rng_seed: int = 0,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """Interaction asymmetry at order n: the cross-slot bound holds for f,
     and the within-slot richness holds for f and for a random sample of
     equivalent generators (slot-wise basis changes, probes mapped along)."""
     probes = _as_probes(probes)
-    sub = [("cross", check_order_at_most_n(f, partition, n, probes, tol, cfg)),
-           ("within", check_within_slot_order(f, partition, n, probes, tol, cfg))]
+    sub = [("cross", check_order_at_most_n(f, partition, n, probes)),
+           ("within", check_within_slot_order(f, partition, n, probes))]
     rng = np.random.default_rng(rng_seed)
     for s in range(equiv_samples):
         T = random_equivalence(partition, rng)
         fbar = apply_equivalence(f, T, partition)
-        rep = check_within_slot_order(fbar, partition, n, fbar.push_point(probes), tol, cfg)
+        rep = check_within_slot_order(fbar, partition, n, fbar.push_point(probes))
         sub.append((f"within_equiv_{s}", rep))
 
     witnesses = []
@@ -325,7 +316,7 @@ def check_interaction_asymmetry(
 # rank conditions
 
 
-def numerical_rank(M: np.ndarray, rank_tol: float = RANK_TOL):
+def numerical_rank(M: np.ndarray):
     """Numerical rank of a matrix (m, n) as an int, or of every matrix of a
     stack (..., m, n) as an int array, from one SVD call."""
     M = np.asarray(M, dtype=float)
@@ -333,7 +324,7 @@ def numerical_rank(M: np.ndarray, rank_tol: float = RANK_TOL):
         ranks = np.zeros(M.shape[:-2], dtype=int)
     else:
         s = np.linalg.svd(M, compute_uv=False)
-        ranks = np.sum(s > rank_tol * s[..., :1], axis=-1)
+        ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -342,14 +333,13 @@ def _independence_matrices(
     partition: SlotPartition,
     n: int,
     probes: np.ndarray,
-    cfg: StencilConfig,
 ) -> tuple[np.ndarray, list[tuple[str, slice]], int]:
     """The order-n matrix at every probe from one engine request, as one
     (N, d_x, columns) array with independence_groups' columns in order; the
     column slice of each group; and the number of points evaluated."""
     groups = independence_groups(partition, n)
     alphas = sorted({a for _, g in groups for a in g})
-    values, evaluations = partials(f, probes, alphas, cfg)
+    values, evaluations = partials(f, probes, alphas)
     column = {a: c for c, a in enumerate(alphas)}
     stack = values[:, [column[a] for _, g in groups for a in g]].transpose(0, 2, 1)
     ends = np.cumsum([len(g) for _, g in groups])
@@ -362,18 +352,16 @@ def sufficient_independence_check(
     partition: SlotPartition,
     n: int,
     probes,
-    rank_tol: float = RANK_TOL,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """Rank additivity of the order-n derivative groups at every probe:
     rank(whole) must equal the sum of per-group ranks, each rank taken over
     the probe stack in one SVD call."""
     probes = _as_probes(probes)
-    stack, slices, evaluations = _independence_matrices(f, partition, n, probes, cfg)
+    stack, slices, evaluations = _independence_matrices(f, partition, n, probes)
     if not np.all(np.any(stack, axis=(1, 2))):
         raise ValueError("degenerate all-zero derivative matrix")
-    r_whole = numerical_rank(stack, rank_tol)
-    r_sum = sum(numerical_rank(stack[:, :, cols], rank_tol) for _, cols in slices)
+    r_whole = numerical_rank(stack)
+    r_sum = sum(numerical_rank(stack[:, :, cols]) for _, cols in slices)
     gap = np.abs(r_whole - r_sum)
     witnesses = [_witness(probes[p], {"rank_whole": int(r_whole[p]), "rank_sum": int(r_sum[p])},
                           gap[p]) for p in np.nonzero(gap)[0]]
@@ -397,8 +385,6 @@ def rank_factorization_property(
     A: np.ndarray,
     column_blocks: Sequence[Sequence[int]],
     trials: int = 100,
-    rng_seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> CheckReport:
     """Empirical rank-factorization lemma: when rank(A) equals the sum of the
     per-block column ranks, every null vector z of A satisfies A_S z_S = 0
@@ -411,8 +397,8 @@ def rank_factorization_property(
     flat = sorted(i for b in blocks for i in b)
     if flat != list(range(A.shape[1])):
         raise ValueError("column blocks must partition the columns")
-    r_whole = numerical_rank(A, rank_tol)
-    r_sum = sum(numerical_rank(A[:, b], rank_tol) for b in blocks)
+    r_whole = numerical_rank(A)
+    r_sum = sum(numerical_rank(A[:, b]) for b in blocks)
     if r_whole != r_sum:
         return CheckReport(
             name="rank_factorization",
@@ -436,7 +422,7 @@ def rank_factorization_property(
             details={"applicable": True, "null_dim": 0},
         )
     basis = vt[-null_dim:].T
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     scale = 1e-8 * max(1.0, float(np.max(np.abs(A))))
     witnesses = []
     worst = 0.0
@@ -479,16 +465,14 @@ def compositionality_check(
     f: VectorFn,
     partition: SlotPartition,
     probes,
-    tol: float | None = None,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """Output-index sets I_k(z) (outputs with an active slot derivative) must
     be pairwise disjoint at every probe."""
     probes = _as_probes(probes)
-    Js, _, evaluations = _request(f, probes, (), cfg)
+    Js, _, evaluations = _request(f, probes, ())
     witnesses = []
     passed_probes = 0
-    for z, J, tol_z in zip(probes, Js, _tolerances(Js, tol)):
+    for z, J, tol_z in zip(probes, Js, active_tolerance(Js)):
         sets = [_active_outputs(J, partition, k, tol_z) for k in range(partition.K)]
         clash = None
         for k, j in itertools.combinations(range(partition.K), 2):
@@ -516,42 +500,29 @@ def irreducibility_check(
     f: VectorFn,
     partition: SlotPartition,
     probes,
-    rank_tol: float = RANK_TOL,
-    tol: float | None = None,
-    cfg: StencilConfig = StencilConfig(),
-    max_enumerate: int = 12,
-    sampled_splits: int = 200,
-    rng_seed: int = 0,
 ) -> CheckReport:
     """Every 2-part split S1 | S2 of each I_k(z) must satisfy
     rank(Df_S1) + rank(Df_S2) > rank(Df_{I_k}) (rows restricted, all
     columns).  Slots whose I_k has fewer than 2 outputs admit no split and
     pass vacuously."""
     probes = _as_probes(probes)
-    Js, _, evaluations = _request(f, probes, (), cfg)
-    rng = np.random.default_rng(rng_seed)
+    Js, _, evaluations = _request(f, probes, ())
+    rng = np.random.default_rng(0)
     witnesses = []
     margin = np.inf
     passed_probes = 0
-    for z, J, tol_z in zip(probes, Js, _tolerances(Js, tol)):
+    for z, J, tol_z in zip(probes, Js, active_tolerance(Js)):
         probe_ok = True
         for k in range(partition.K):
             I_k = sorted(_active_outputs(J, partition, k, tol_z))
             if len(I_k) < 2:
                 continue
-            r_total = numerical_rank(J[I_k, :], rank_tol)
-            if len(I_k) <= max_enumerate:
-                splits = []
-                anchor, rest = I_k[0], I_k[1:]
-                for r in range(len(rest)):
-                    for extra in itertools.combinations(rest, r):
-                        S1 = [anchor, *extra]
-                        S2 = [i for i in I_k if i not in S1]
-                        if S2:
-                            splits.append((S1, S2))
+            r_total = numerical_rank(J[I_k, :])
+            if len(I_k) <= MAX_ENUMERATE:
+                splits = list(_slot_splits(I_k))
             else:
                 splits = []
-                for _ in range(sampled_splits):
+                for _ in range(SAMPLED_SPLITS):
                     mask = rng.integers(0, 2, size=len(I_k)).astype(bool)
                     if mask.all() or not mask.any():
                         continue
@@ -559,12 +530,7 @@ def irreducibility_check(
                     S2 = [i for i, m in zip(I_k, mask) if not m]
                     splits.append((S1, S2))
             for S1, S2 in splits:
-                slack = (
-                    numerical_rank(J[S1, :], rank_tol)
-                    + numerical_rank(J[S2, :], rank_tol)
-                    - r_total
-                    - 1
-                )
+                slack = numerical_rank(J[S1, :]) + numerical_rank(J[S2, :]) - r_total - 1
                 margin = min(margin, float(slack))
                 if slack < 0:
                     probe_ok = False
@@ -590,12 +556,10 @@ def additivity_check(
     f: VectorFn,
     partition: SlotPartition,
     probes,
-    tol: float | None = None,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """Additivity across slots is exactly a block-diagonal Hessian, so this
     delegates to the order-1 cross bound."""
-    rep = check_order_at_most_n(f, partition, 1, probes, tol, cfg)
+    rep = check_order_at_most_n(f, partition, 1, probes)
     rep.name = "additivity"
     rep.details["delegates_to"] = "order_at_most_1"
     return rep
@@ -605,15 +569,13 @@ def sufficient_nonlinearity_check(
     f: VectorFn,
     partition: SlotPartition,
     probes,
-    rank_tol: float = RANK_TOL,
-    cfg: StencilConfig = StencilConfig(),
 ) -> CheckReport:
     """W(z) = [per-block first derivatives | per-block unordered within-block
     second derivatives] must have full column rank at every probe."""
     probes = _as_probes(probes)
     # W(z) is the order-1 sufficient-independence matrix taken whole
-    W, _, evaluations = _independence_matrices(f, partition, 1, probes, cfg)
-    r = numerical_rank(W, rank_tol)
+    W, _, evaluations = _independence_matrices(f, partition, 1, probes)
+    r = numerical_rank(W)
     gap = W.shape[2] - r
     witnesses = [_witness(probes[p], {"rank": int(r[p]), "columns": W.shape[2]}, gap[p])
                  for p in np.nonzero(gap)[0]]

@@ -24,15 +24,15 @@ from typing import Sequence
 import numpy as np
 
 
-def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with rowwise max subtraction so finite logits never overflow;
-    non-finite logits raise FloatingPointError."""
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with rowwise max subtraction so finite
+    logits never overflow; non-finite logits raise FloatingPointError."""
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("softmax input must be finite")
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
@@ -147,13 +147,12 @@ def positional_query_inputs(
     width: int,
     d_o: int,
     rng_seed: int = 0,
-    n_freq: int = 4,
 ) -> np.ndarray:
-    """Fixed per-pixel query vectors: 2-D sinusoidal encodings (frequencies
+    """Fixed per-pixel query vectors: 2-D sinusoidal encodings (4 frequencies
     geometric between 1 and half the pixel count) pushed through a seeded
     2-layer tanh map to d_o dimensions.  Constant per image size and seed."""
     n_pix = height * width
-    freqs = np.geomspace(1.0, max(n_pix / 2.0, 2.0), n_freq)
+    freqs = np.geomspace(1.0, max(n_pix / 2.0, 2.0), 4)
     ys, xs = np.divmod(np.arange(n_pix), width)
     coords = np.stack([xs / max(width - 1, 1), ys / max(height - 1, 1)], axis=1)
     feats = []
@@ -395,33 +394,31 @@ def random_decoder(
     K: int,
     slot_dim: int,
     d_q: int = 8,
-    d_o: int = 6,
-    hidden: int = 10,
     n_heads: int = 1,
     scaling: bool = False,
     n_layers: int = 1,
-    out_dim: int = 3,
-    weight_scale: float = 0.7,
 ) -> tuple[list[CrossAttentionLayer], PixelHead]:
-    """Seeded random decoder instance, sized for tests and toy training."""
+    """Seeded random decoder instance, sized for tests and toy training:
+    6-d query inputs, a 10-unit pixel head with RGB outputs, and normal
+    weights scaled by 0.7 / sqrt(fan-in)."""
     rng = np.random.default_rng(rng_seed)
     layers = []
     for li in range(n_layers):
-        in_dim = d_o if li == 0 else d_q
+        in_dim = 6 if li == 0 else d_q
         layers.append(
             CrossAttentionLayer(
-                W_K=weight_scale * rng.normal(size=(d_q, slot_dim)) / np.sqrt(slot_dim),
-                W_V=weight_scale * rng.normal(size=(d_q, slot_dim)) / np.sqrt(slot_dim),
-                W_Q=weight_scale * rng.normal(size=(d_q, in_dim)) / np.sqrt(in_dim),
-                query_inputs=rng.normal(size=(n_pixels, d_o)) if li == 0 else None,
+                W_K=0.7 * rng.normal(size=(d_q, slot_dim)) / np.sqrt(slot_dim),
+                W_V=0.7 * rng.normal(size=(d_q, slot_dim)) / np.sqrt(slot_dim),
+                W_Q=0.7 * rng.normal(size=(d_q, in_dim)) / np.sqrt(in_dim),
+                query_inputs=rng.normal(size=(n_pixels, 6)) if li == 0 else None,
                 scaling=scaling,
                 n_heads=n_heads,
             )
         )
     head = PixelHead(
-        W1=weight_scale * rng.normal(size=(hidden, d_q)) / np.sqrt(d_q),
-        b1=0.1 * rng.normal(size=hidden),
-        W2=weight_scale * rng.normal(size=(out_dim, hidden)) / np.sqrt(hidden),
-        b2=0.1 * rng.normal(size=out_dim),
+        W1=0.7 * rng.normal(size=(10, d_q)) / np.sqrt(d_q),
+        b1=0.1 * rng.normal(size=10),
+        W2=0.7 * rng.normal(size=(3, 10)) / np.sqrt(10),
+        b2=0.1 * rng.normal(size=3),
     )
     return layers, head

@@ -39,7 +39,7 @@ from .attention import (
 )
 from .autoencoder import (ModelConfig, TrainConfig, TrainingDiverged, build_autoencoder,
                           encode, train)
-from .derivatives import StencilConfig, jacobian
+from .derivatives import jacobian
 from .generators import (
     Box,
     GraphBand,
@@ -69,12 +69,15 @@ def config_hash(config: dict) -> str:
 
 def pool_size() -> int:
     env = os.environ.get("ASYMLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"ASYMLAB_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0  # reported below, like any count under 1
+    if n < 1:
+        raise ValueError(f"ASYMLAB_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 @dataclass
@@ -252,16 +255,15 @@ class FitModel:
         return monomials(np.atleast_2d(Z), self.features) @ self.coefficients
 
 
-def fit_linear(Z: np.ndarray, Y: np.ndarray, feats,
-               cond_limit: float = 1e12) -> FitModel:
+def fit_linear(Z: np.ndarray, Y: np.ndarray, feats) -> FitModel:
     """Least squares in the given feature basis.  Solves the normal
-    equations when they are well-conditioned and falls back to an
-    orthogonal-decomposition (SVD) solve otherwise, recording which path
+    equations when their condition number is below 1e12 and falls back to
+    an orthogonal-decomposition (SVD) solve otherwise, recording which path
     ran and the observed condition number."""
     X = monomials(Z, feats)
     gram = X.T @ X
     cond = float(np.linalg.cond(gram))
-    if np.isfinite(cond) and cond < cond_limit:
+    if np.isfinite(cond) and cond < 1e12:
         coef = np.linalg.solve(gram, X.T @ Y)
         solver = "cholesky"
     else:
@@ -594,7 +596,6 @@ def exp_jacobian_check(config: dict | None = None,
     t0 = time.time()
     result = ExperimentResult("jacobian_check", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
-    stencil = StencilConfig()
     worst = 0.0
     for t in range(cfg["trials"]):
         K = int(rng.integers(2, 5))
@@ -609,7 +610,7 @@ def exp_jacobian_check(config: dict | None = None,
         def flat(v, layers=layers, head=head, K=K, s=s):
             return cross_attention_forward(layers, head, v.reshape(K, s))[0].ravel()
 
-        fd = jacobian(flat, z.ravel(), stencil)
+        fd = jacobian(flat, z.ravel())
         fd_blocks = fd.reshape(P, 3, K, s).transpose(2, 0, 1, 3)
         scale = max(1.0, float(np.max(np.abs(fd_blocks))))
         worst = max(worst, float(np.max(np.abs(analytic - fd_blocks))) / scale)

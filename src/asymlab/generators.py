@@ -89,13 +89,13 @@ class Feature:
         return cls(kind=obj["kind"], weights=tuple(obj["weights"]), bias=float(obj["bias"]))
 
 
-def monomial_features(slot_dim: int, max_degree: int = 3, min_degree: int = 1) -> list[Feature]:
-    """All slot monomials with total degree in [min_degree, max_degree], by
-    degree and, within a degree, in reverse lexicographic order of the
-    exponents ((1, 0) before (0, 1)).  Preset coefficients are drawn per
-    feature in this order."""
+def monomial_features(slot_dim: int, max_degree: int = 3) -> list[Feature]:
+    """All slot monomials with total degree in [1, max_degree], by degree
+    and, within a degree, in reverse lexicographic order of the exponents
+    ((1, 0) before (0, 1)).  Preset coefficients are drawn per feature in
+    this order."""
     return [Feature(kind="mon", exponents=e)
-            for deg in range(min_degree, max_degree + 1)
+            for deg in range(1, max_degree + 1)
             for e in reversed(all_multiindices(slot_dim, deg))]
 
 
@@ -276,21 +276,16 @@ def identity_transform(partition: SlotPartition) -> EquivalenceTransform:
     return EquivalenceTransform(tuple(np.eye(len(b)) for b in partition.blocks))
 
 
-def random_equivalence(
-    partition: SlotPartition,
-    rng: np.random.Generator,
-    spread: float = 0.5,
-    max_cond: float = 50.0,
-) -> EquivalenceTransform:
-    """M_k = I + spread * G with G uniform in [-1, 1], resampled until the
-    condition number stays below max_cond (keeps the family well-behaved and
-    every draw reproducible from the generator state)."""
+def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> EquivalenceTransform:
+    """M_k = I + 0.5 * G with G uniform in [-1, 1], resampled until the
+    condition number is at most 50 (keeps the family well-behaved and every
+    draw reproducible from the generator state)."""
     mats = []
     for b in partition.blocks:
         d = len(b)
         while True:
-            m = np.eye(d) + spread * rng.uniform(-1, 1, size=(d, d))
-            if np.linalg.cond(m) <= max_cond:
+            m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(d, d))
+            if np.linalg.cond(m) <= 50.0:
                 mats.append(m)
                 break
     return EquivalenceTransform(tuple(mats))
@@ -586,14 +581,13 @@ def preset_generator(
     partition: SlotPartition | None = None,
     d_x: int | None = None,
     include_trig: bool = True,
-    cross_scale: float = 0.8,
-    max_resample: int = 20,
 ) -> GeneratorSpec:
     """Random generator of declared cross-interaction order n in {0, 1, 2}.
 
     Construction guarantees the cross bound exactly; the within-slot richness
     (every slot split interacts at order n+1) holds generically and is
-    verified on a few probes, resampling coefficients on the rare failure.
+    verified on a few probes, resampling coefficients (up to 20 draws) on
+    the rare failure.  Cross coefficients are normal with scale 0.8.
     """
     if n not in (0, 1, 2):
         raise ValueError("preset order must be 0, 1 or 2")
@@ -619,7 +613,7 @@ def preset_generator(
 
     from .asymmetry import check_within_slot_order  # deferred: avoids module cycle
 
-    for _ in range(max_resample):
+    for _ in range(20):
         slot_fns = []
         for k, b in enumerate(partition.blocks):
             feats = _slot_features(len(b), include_trig, rng)
@@ -631,7 +625,7 @@ def preset_generator(
         terms = ()
         if n >= 2:
             terms = tuple(
-                (a, rng.normal(scale=cross_scale, size=d_x))
+                (a, rng.normal(scale=0.8, size=d_x))
                 for a in interaction_indices(partition, n, upto=True)
             )
         spec = GeneratorSpec(

@@ -7,8 +7,16 @@ measures how often a pixel keeps its slot from image to image.  J-ARI and
 JIS also take precomputed slot Jacobian norms, so a caller scoring both
 computes them once.  Background pixels (from the ground-truth renderer
 masks) are excluded from all averages, as are pixels with an all-zero
-Jacobian row, and the exclusion counts travel with the result.  block_permutation_structure and the local disentanglement check
-detect slot-respecting Jacobians of latent maps.
+Jacobian row, and the exclusion counts travel with the result.
+block_permutation_structure and the local disentanglement check detect
+slot-respecting Jacobians of latent maps.
+
+Finite-difference Jacobians use the engine's one stencil
+(derivatives.StencilConfig()).  The constants: a pixel's Jacobian row
+counts as zero when its norms sum to at most ZERO_TOL = 1e-12; a Jacobian
+block is active when its largest entry exceeds BLOCK_TOL = 1e-4 times the
+matrix's largest entry; and local disentanglement needs one permutation on
+at least AGREEMENT = 0.99 of the samples.
 """
 
 from __future__ import annotations
@@ -20,8 +28,12 @@ import numpy as np
 
 from .asymmetry import CheckReport
 from .attention import analytic_slot_jacobian, cross_attention_forward
-from .derivatives import StencilConfig, partials
+from .derivatives import partials
 from .multiindex import SlotPartition, unit_indices
+
+ZERO_TOL = 1e-12
+BLOCK_TOL = 1e-4
+AGREEMENT = 0.99
 
 
 @dataclass
@@ -92,11 +104,7 @@ def ari(a: PixelAssignment, b: PixelAssignment) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
-def slot_jacobian_norms(
-    decoder,
-    z_hat: np.ndarray,
-    cfg: StencilConfig | None = None,
-) -> np.ndarray:
+def slot_jacobian_norms(decoder, z_hat: np.ndarray) -> np.ndarray:
     """Per-pixel L1 norms of each slot's Jacobian block, shape (n_pixels, K);
     the norm runs over the slot's coordinates and all pixel channels.
 
@@ -127,32 +135,25 @@ def slot_jacobian_norms(
         def f(flat):
             return decoder(flat.reshape(K, s))
 
-    jac, _ = partials(f, z.reshape(1, -1), unit_indices(K * s), cfg or StencilConfig())
+    jac, _ = partials(f, z.reshape(1, -1), unit_indices(K * s))
     # row k * s + r of jac[0] is d pixels / d z[k, r], flat over (pixel, channel)
     return np.sum(np.abs(jac.reshape(K, s, -1, channels)), axis=(1, 3)).T
 
 
-def j_ari(
-    decoder,
-    z_hat: np.ndarray,
-    gt: PixelAssignment,
-    cfg: StencilConfig | None = None,
-    zero_tol: float = 1e-12,
-) -> MetricResult:
+def j_ari(decoder, z_hat: np.ndarray, gt: PixelAssignment) -> MetricResult:
     """J-ARI of a decoder at z_hat: j_ari_from_norms on its slot Jacobian
     norms."""
-    return j_ari_from_norms(slot_jacobian_norms(decoder, z_hat, cfg), gt, zero_tol)
+    return j_ari_from_norms(slot_jacobian_norms(decoder, z_hat), gt)
 
 
-def j_ari_from_norms(norms: np.ndarray, gt: PixelAssignment,
-                     zero_tol: float = 1e-12) -> MetricResult:
+def j_ari_from_norms(norms: np.ndarray, gt: PixelAssignment) -> MetricResult:
     """Assign each foreground pixel to the slot with the largest Jacobian
     L1 norm in norms (n_pixels, K), then ARI against the ground-truth
     objects.  Pixels whose whole Jacobian row is zero are excluded and
     counted."""
     if norms.shape[0] != gt.labels.shape[0]:
         raise ValueError("pixel counts disagree")
-    nonzero = np.sum(norms, axis=1) > zero_tol
+    nonzero = np.sum(norms, axis=1) > ZERO_TOL
     fg = gt.foreground & nonzero
     excluded = int(np.sum(gt.foreground & ~nonzero))
     pred = PixelAssignment(labels=np.argmax(norms, axis=1), foreground=fg)
@@ -160,20 +161,13 @@ def j_ari_from_norms(norms: np.ndarray, gt: PixelAssignment,
     return MetricResult(value=value, excluded_pixels=excluded)
 
 
-def jis(
-    decoder,
-    z_hat: np.ndarray,
-    foreground: np.ndarray | None = None,
-    cfg: StencilConfig | None = None,
-    zero_tol: float = 1e-12,
-) -> MetricResult:
+def jis(decoder, z_hat: np.ndarray, foreground: np.ndarray | None = None) -> MetricResult:
     """JIS of a decoder at z_hat: jis_from_norms on its slot Jacobian
     norms."""
-    return jis_from_norms(slot_jacobian_norms(decoder, z_hat, cfg), foreground, zero_tol)
+    return jis_from_norms(slot_jacobian_norms(decoder, z_hat), foreground)
 
 
-def jis_from_norms(norms: np.ndarray, foreground: np.ndarray | None = None,
-                   zero_tol: float = 1e-12) -> MetricResult:
+def jis_from_norms(norms: np.ndarray, foreground: np.ndarray | None = None) -> MetricResult:
     """Mean over foreground pixels of the largest entry of the L1-normalized
     slot-influence vector, a row of norms (n_pixels, K); 1 when every pixel
     belongs to one slot, 1/K when influence is uniform."""
@@ -183,7 +177,7 @@ def jis_from_norms(norms: np.ndarray, foreground: np.ndarray | None = None,
     if foreground.shape != norms.shape[:1]:
         raise ValueError("pixel counts disagree")
     totals = np.sum(norms, axis=1)
-    nonzero = totals > zero_tol
+    nonzero = totals > ZERO_TOL
     use = foreground & nonzero
     excluded = int(np.sum(foreground & ~nonzero))
     if not np.any(use):
@@ -202,15 +196,11 @@ def position_only_index(norms: np.ndarray) -> float:
     return float(np.mean(np.all(labels == labels[0], axis=0)))
 
 
-def block_permutation_structure(
-    J: np.ndarray,
-    partition: SlotPartition,
-    tol: float = 1e-4,
-) -> tuple[int, ...] | None:
+def block_permutation_structure(J: np.ndarray, partition: SlotPartition) -> tuple[int, ...] | None:
     """Slot permutation read off a square Jacobian's block pattern, or None.
 
-    A block (r, c) is active when its largest entry exceeds tol times the
-    matrix's largest entry.  Returns pi with pi[c] = the single active row
+    A block (r, c) is active when its largest entry exceeds BLOCK_TOL times
+    the matrix's largest entry.  Returns pi with pi[c] = the single active row
     block of column block c, provided every row and column block has exactly
     one active partner and the matched blocks have equal sizes; the Jacobian
     of an inverse map yields the inverse permutation.
@@ -228,7 +218,7 @@ def block_permutation_structure(
         rows = list(partition.blocks[r])
         for c in range(K):
             cols = list(partition.blocks[c])
-            active[r, c] = np.max(np.abs(J[np.ix_(rows, cols)])) > tol * scale
+            active[r, c] = np.max(np.abs(J[np.ix_(rows, cols)])) > BLOCK_TOL * scale
     if not (np.all(active.sum(axis=0) == 1) and np.all(active.sum(axis=1) == 1)):
         return None
     pi = tuple(int(np.argmax(active[:, c])) for c in range(K))
@@ -238,21 +228,14 @@ def block_permutation_structure(
     return pi
 
 
-def local_disentanglement_check(
-    f,
-    model_pair,
-    support_samples,
-    tol: float = 1e-4,
-    cfg: StencilConfig | None = None,
-    agreement: float = 0.99,
-) -> CheckReport:
+def local_disentanglement_check(f, model_pair, support_samples) -> CheckReport:
     """Local disentanglement of a model against the ground truth.
 
     model_pair supplies the latent map h = (model inverse) o f, either
     directly as a callable or as an object with a latent_map attribute and a
     partition.  The map's finite-difference Jacobian must carry a block-
     permutation structure at every sample, with one permutation holding on
-    at least the agreement fraction of samples; the winning permutation is
+    at least the AGREEMENT fraction of samples; the winning permutation is
     reported in details["permutation"].
     """
     if callable(model_pair) and not hasattr(model_pair, "latent_map"):
@@ -266,12 +249,11 @@ def local_disentanglement_check(
     samples = np.asarray(support_samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[None]
-    jacobians, _ = partials(latent_map, samples, unit_indices(samples.shape[1]),
-                            cfg or StencilConfig())
+    jacobians, _ = partials(latent_map, samples, unit_indices(samples.shape[1]))
     perms = []
     witnesses = []
     for z, J in zip(samples, jacobians):
-        pi = block_permutation_structure(J.T, partition, tol)
+        pi = block_permutation_structure(J.T, partition)
         perms.append(pi)
         if pi is None:
             witnesses.append({"point": [float(v) for v in z],
@@ -294,11 +276,11 @@ def local_disentanglement_check(
                               "index": {"permutation": [p + 1 for p in pi]},
                               "value": 0.0})
     frac = agree / len(samples)
-    passed = all(p is not None for p in perms) and frac >= agreement
+    passed = all(p is not None for p in perms) and frac >= AGREEMENT
     return CheckReport(
         name="local_disentanglement",
         passed=passed,
-        margin=float(frac - agreement) if passed else float(frac - 1.0),
+        margin=float(frac - AGREEMENT) if passed else float(frac - 1.0),
         witnesses=witnesses,
         probes_used=len(samples),
         probes_passed=agree,

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -19,7 +20,6 @@ from asymlab.asymmetry import (
     sufficient_independence_check,
     sufficient_nonlinearity_check,
 )
-from asymlab.derivatives import StencilConfig
 from asymlab.generators import preset_generator
 from asymlab.multiindex import SlotPartition, independence_groups
 
@@ -64,10 +64,17 @@ def test_report_json_shape():
 
 
 def test_active_tolerance_scales():
-    small = active_tolerance(np.ones((2, 2)), None)
-    big = active_tolerance(1e4 * np.ones((2, 2)), None)
+    small = active_tolerance(np.ones((2, 2)))
+    big = active_tolerance(1e4 * np.ones((2, 2)))
     assert big > small
-    assert active_tolerance(np.ones((2, 2)), 0.5) == 0.5
+
+
+def test_active_tolerance_of_a_stack_equals_each_matrix():
+    J = np.random.default_rng(5).normal(scale=30.0, size=(7, 6, 4))
+    stacked = active_tolerance(J)
+    assert stacked.shape == (7,)
+    assert stacked.tolist() == [float(active_tolerance(Jz)) for Jz in J]
+    assert stacked.tolist() == [1e-5 * (1.0 + float(np.max(np.abs(Jz)))) for Jz in J]
 
 
 def test_no_interaction_verdicts():
@@ -166,7 +173,7 @@ def test_sufficient_independence_on_presets():
 
 def test_independence_matrix_groups():
     spec = preset_generator(2, rng_seed=8)
-    stack, slices, _ = _independence_matrices(spec, PART, 2, PROBES[:3], StencilConfig())
+    stack, slices, _ = _independence_matrices(spec, PART, 2, PROBES[:3])
     labels = [lab for lab, _ in slices]
     assert labels == [lab for lab, _ in independence_groups(PART, 2)]
     assert len(labels) == len(set(labels))
@@ -235,6 +242,30 @@ def test_irreducibility_on_preset():
                          np.exp(0.4 * (z[2] + z[3])), z[2] * z[3], z[2] ** 2])
 
     assert not irreducibility_check(reducible, PART, PROBES).passed
+
+
+def test_irreducibility_enumerates_every_split_once():
+    # a dense invertible linear map: each slot moves all 4 outputs and every
+    # split has rank(S1) + rank(S2) = rank(all), so every split fails and
+    # the witnesses list the enumerated splits in order
+    def dense(z):
+        return (np.eye(4) + np.ones((4, 4))) @ z
+
+    I_k = [0, 1, 2, 3]
+    expected = []  # the enumeration irreducibility_check used to spell out
+    anchor, rest = I_k[0], I_k[1:]
+    for r in range(len(rest)):
+        for extra in itertools.combinations(rest, r):
+            S1 = [anchor, *extra]
+            S2 = [i for i in I_k if i not in S1]
+            if S2:
+                expected.append([[i + 1 for i in S1], [i + 1 for i in S2]])
+    assert len(expected) == 7
+
+    rep = irreducibility_check(dense, PART, PROBES[:1])
+    for slot in (1, 2):
+        got = [w["index"]["split"] for w in rep.witnesses if w["index"]["slot"] == slot]
+        assert got == expected
 
 
 def test_additivity_delegates():

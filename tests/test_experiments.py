@@ -298,20 +298,22 @@ def test_scoring_takes_one_slot_jacobian_per_image(monkeypatch):
 def test_pool_size_rejects_non_integer(monkeypatch):
     from asymlab.experiments import pool_size
 
-    monkeypatch.setenv("ASYMLAB_THREADS", "two")
-    with pytest.raises(ValueError, match="ASYMLAB_THREADS.*'two'"):
-        pool_size()
+    for bad in ("two", "0", "-1"):
+        monkeypatch.setenv("ASYMLAB_THREADS", bad)
+        with pytest.raises(ValueError, match=f"ASYMLAB_THREADS.*'{bad}'"):
+            pool_size()
     monkeypatch.setenv("ASYMLAB_THREADS", "3")
     assert pool_size() == 3
 
 
 def test_cli_names_bad_thread_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ASYMLAB_THREADS", "2.5")
-    rc = cli.main(["ablate", "--out", str(tmp_path / "ab")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "ASYMLAB_THREADS" in err and "'2.5'" in err
-    assert "bad configuration" not in err
+    for bad in ("2.5", "0", "-1"):
+        monkeypatch.setenv("ASYMLAB_THREADS", bad)
+        rc = cli.main(["ablate", "--out", str(tmp_path / "ab")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "ASYMLAB_THREADS" in err and f"'{bad}'" in err
+        assert "bad configuration" not in err
 
 
 def test_ablation_rejects_reserved_model_keys():

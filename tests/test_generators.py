@@ -97,7 +97,7 @@ def test_random_equivalence_condition_cap():
     part = default_partition(2)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        tr = random_equivalence(part, rng, max_cond=50.0)
+        tr = random_equivalence(part, rng)
         for M in tr.matrices:
             assert np.linalg.cond(M) <= 50.0 + 1e-9
 
