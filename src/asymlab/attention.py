@@ -136,10 +136,10 @@ class PixelHead:
         return np.tanh(token @ self.W1.T + self.b1) @ self.W2.T + self.b2
 
     def jacobian(self, token: np.ndarray) -> np.ndarray:
-        """d psi / d token, shape (..., out_dim, d_q)."""
-        dact = 1.0 - np.tanh(token @ self.W1.T + self.b1) ** 2
-        # (..., out, hidden) * (..., hidden) -> contract with W1
-        return np.einsum("oh,...h,hd->...od", self.W2, dact, self.W1)
+        """d psi / d token = W2 diag(tanh') W1, shape (..., out_dim, d_q);
+        one product with W1 over the rows of every token and channel."""
+        G = self.W2 * (1.0 - np.tanh(token @ self.W1.T + self.b1) ** 2)[..., None, :]
+        return (G.reshape(-1, G.shape[-1]) @ self.W1).reshape(G.shape[:-1] + (-1,))
 
 
 def positional_query_inputs(
@@ -312,21 +312,18 @@ def analytic_slot_jacobian(
     if z.ndim != 2:
         raise ValueError("expected an unbatched (K, slot_dim) slot array")
     Q = layer.query_inputs @ layer.W_Q.T
-    M = Q @ layer.W_K
-    if layer.scaling:
-        M = M / np.sqrt(layer.d_q)
-    logits = np.einsum("pd,kd->pk", Q, z @ layer.W_K.T)
-    if layer.scaling:
-        logits = logits / np.sqrt(layer.d_q)
-    A = softmax_rows(logits)
+    root = np.sqrt(layer.d_q) if layer.scaling else 1.0
+    M = Q @ layer.W_K / root
+    A = softmax_rows(Q @ (z @ layer.W_K.T).T / root)
     V = z @ layer.W_V.T
-    token = A @ V
-    dpsi = head.jacobian(token)
+    dpsi = head.jacobian(A @ V)
 
-    # dpsi composed with W_V, and with each slot's value vector
-    dpsi_WV = np.einsum("pod,dr->por", dpsi, layer.W_V)
-    dpsi_V = np.einsum("pod,kd->pok", dpsi, V)
-    mix = np.einsum("pok,pk->po", dpsi_V, A)
+    # dpsi composed with W_V, and with each slot's value vector, as products
+    # over the flat stack of (pixel, channel) rows
+    rows = dpsi.reshape(-1, dpsi.shape[-1])
+    dpsi_WV = (rows @ layer.W_V).reshape(dpsi.shape[:2] + (-1,))
+    dpsi_V = (rows @ V.T).reshape(dpsi.shape[:2] + (-1,))
+    mix = np.sum(dpsi_V * A[:, None, :], axis=-1)
 
     # axes (slot m, pixel, channel, slot coordinate); contiguous slot-major
     # operands and an in-place subtraction keep this as fast as a slot loop

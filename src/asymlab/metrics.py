@@ -82,17 +82,20 @@ def _comb2(x: np.ndarray) -> np.ndarray:
 
 def ari(a: PixelAssignment, b: PixelAssignment) -> float:
     """Adjusted Rand index between two labelings on their shared foreground;
-    1 for identical partitions (up to relabeling), about 0 for independent
-    ones."""
+    1 for identical partitions (up to relabeling) and for fewer than two
+    shared pixels, about 0 for independent ones."""
     fg = a.foreground & b.foreground
     if not np.any(fg):
         raise ValueError("empty shared foreground")
-    la, lb = a.labels[fg], b.labels[fg]
-    ua, inv_a = np.unique(la, return_inverse=True)
-    ub, inv_b = np.unique(lb, return_inverse=True)
-    table = np.zeros((ua.size, ub.size))
-    np.add.at(table, (inv_a, inv_b), 1)
+    la, lb = a.labels[fg].astype(np.int64), b.labels[fg].astype(np.int64)
     n = la.size
+    if n < 2:  # no pair of pixels to disagree on
+        return 1.0
+    # one bincount over the combined label codes, empty rows and columns dropped
+    la, lb = la - la.min(), lb - lb.min()
+    width = int(lb.max()) + 1
+    table = np.bincount(la * width + lb, minlength=(int(la.max()) + 1) * width).reshape(-1, width)
+    table = table[table.any(axis=1)][:, table.any(axis=0)]
     sum_cells = float(np.sum(_comb2(table)))
     sum_rows = float(np.sum(_comb2(table.sum(axis=1))))
     sum_cols = float(np.sum(_comb2(table.sum(axis=0))))

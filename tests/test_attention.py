@@ -201,12 +201,13 @@ def test_analytic_jacobian_equals_per_slot_loop():
     z = np.random.default_rng(6).normal(size=(3, 4))
     Q = layer.query_inputs @ layer.W_Q.T
     M = Q @ layer.W_K / np.sqrt(layer.d_q)
-    A = softmax_rows(np.einsum("pd,kd->pk", Q, z @ layer.W_K.T) / np.sqrt(layer.d_q))
+    A = softmax_rows(Q @ (z @ layer.W_K.T).T / np.sqrt(layer.d_q))
     V = z @ layer.W_V.T
     dpsi = head.jacobian(A @ V)
-    dpsi_WV = np.einsum("pod,dr->por", dpsi, layer.W_V)
-    dpsi_V = np.einsum("pod,kd->pok", dpsi, V)
-    mix = np.einsum("pok,pk->po", dpsi_V, A)
+    rows = dpsi.reshape(-1, dpsi.shape[-1])
+    dpsi_WV = (rows @ layer.W_V).reshape(5, 3, 4)
+    dpsi_V = (rows @ V.T).reshape(5, 3, 3)
+    mix = np.sum(dpsi_V * A[:, None, :], axis=-1)
     loop = np.stack([
         A[:, m][:, None, None] * (dpsi_WV + dpsi_V[:, :, m][:, :, None] * M[:, None, :])
         - A[:, m][:, None, None] * mix[:, :, None] * M[:, None, :]
@@ -276,12 +277,18 @@ def test_pixel_head_jacobian():
     rng = np.random.default_rng(4)
     head = PixelHead(W1=rng.normal(size=(5, 3)), b1=rng.normal(size=5),
                      W2=rng.normal(size=(2, 5)), b2=rng.normal(size=2))
-    x = rng.normal(size=3)
-    J = head.jacobian(x)
+    X = rng.normal(size=(7, 3))
+    J = head.jacobian(X)
+    assert J.shape == (7, 2, 3)
     h = 1e-6
-    for i in range(3):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (head(xp) - head(xm)) / (2 * h)
-        assert np.allclose(J[:, i], fd, atol=1e-7)
+    for x, J_x in zip(X, J):
+        # a row of the batch equals the single-token result, up to the
+        # round-off by which a matrix-vector product may differ from a row
+        # of the matrix-matrix one
+        assert np.allclose(J_x, head.jacobian(x), rtol=0, atol=1e-14)
+        for i in range(3):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h
+            xm[i] -= h
+            fd = (head(xp) - head(xm)) / (2 * h)
+            assert np.allclose(J_x[:, i], fd, atol=1e-7)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,56 @@ def test_ari_foreground_intersection():
     # only the shared foreground pixels {1, 2} enter the contingency table
     got = ari(labels(x, fgx), labels(y, fgy))
     assert got == pytest.approx(brute_force_ari(x[1:3], y[1:3]))
+
+
+def np_unique_ari(a, b):
+    """ARI with the contingency table built from np.unique and np.add.at,
+    the construction ari's single bincount replaced."""
+    fg = a.foreground & b.foreground
+    la, lb = a.labels[fg], b.labels[fg]
+    ua, inv_a = np.unique(la, return_inverse=True)
+    ub, inv_b = np.unique(lb, return_inverse=True)
+    table = np.zeros((ua.size, ub.size))
+    np.add.at(table, (inv_a, inv_b), 1)
+
+    def comb2(x):
+        return x * (x - 1) / 2.0
+
+    sum_cells = float(np.sum(comb2(table)))
+    sum_rows = float(np.sum(comb2(table.sum(axis=1))))
+    sum_cols = float(np.sum(comb2(table.sum(axis=0))))
+    expected = sum_rows * sum_cols / comb2(np.array(la.size))
+    max_index = 0.5 * (sum_rows + sum_cols)
+    if max_index == expected:
+        return 1.0
+    return float((sum_cells - expected) / (max_index - expected))
+
+
+def test_ari_bincount_table_equals_unique_table():
+    rng = np.random.default_rng(3)
+    # label pools with background -1, gaps, large values and a single label
+    pools = [np.array([-1, 0, 1, 2]), np.array([0, 3, 7, 40]),
+             np.array([5]), np.array([-1, 2]), np.arange(6) * 100 - 250]
+    for trial in range(600):
+        n = int(rng.integers(2, 80))
+        x = rng.choice(pools[trial % 5], size=n)
+        y = rng.choice(pools[(trial // 5) % 5], size=n)
+        fgx = rng.random(n) < (1.0 if trial % 3 == 0 else 0.8)
+        fgy = rng.random(n) < (1.0 if trial % 4 == 0 else 0.8)
+        fgx[:2] = fgy[:2] = True  # at least two shared pixels
+        a, b = labels(x, fgx), labels(y, fgy)
+        assert ari(a, b) == np_unique_ari(a, b)
+
+
+def test_ari_one_shared_pixel_is_perfect():
+    a = PixelAssignment(labels=[0, 1], foreground=[True, False])
+    b = PixelAssignment(labels=[2, 2], foreground=[True, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ari(a, b) == 1.0
+        norms = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]])
+        gt = PixelAssignment(labels=[0, 1, 1], foreground=[True, False, False])
+        assert j_ari_from_norms(norms, gt).value == 1.0
 
 
 @settings(max_examples=50)
