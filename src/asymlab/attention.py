@@ -30,9 +30,17 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("softmax input must be finite")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # the max as one pass per slot over the transposed rows, as _sum_last explains
+    rows = logits.reshape(-1, logits.shape[-1]).T.copy()
+    e = np.exp(logits - rows.max(axis=0).reshape(logits.shape[:-1] + (1,)))
+    e /= _sum_last(e)[..., None]
+    return e
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """np.sum over the last axis as a product: numpy reduces a short last
+    axis (K = 3 slots) row by row, about 20x slower."""
+    return x @ np.ones(x.shape[-1])
 
 
 def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
@@ -44,16 +52,20 @@ def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
 
 
 def attend_backward(g_out, A, Q, K, V, scale: float, g_A=None):
-    """Gradients (gQ, gK, gV) of attend from the gradient on its output and,
-    if given, g_A on the weights (broadcast against A).  Each has the
-    broadcast batch shape of the forward pass; a caller that broadcast an
-    input sums its gradient over the added axes."""
+    """Gradients (gQ, gK, gV) of attend, each in its input's shape, from the
+    gradient on its output and, if given, g_A on the weights (broadcast
+    against A).  Queries with fewer batch axes than the keys (the decoder's
+    first layer, shared by the batch) get their gradient summed over them."""
     gA = g_out @ np.swapaxes(V, -1, -2)
     if g_A is not None:
-        gA = gA + g_A
-    g_logits = scale * A * (gA - np.sum(gA * A, axis=-1, keepdims=True))
-    gQ = g_logits @ K
+        gA += g_A
+    g_logits = scale * A * (gA - _sum_last(gA * A)[..., None])
     gK = np.swapaxes(g_logits, -1, -2) @ Q
+    # the n batch axes Q lacks flattened into the key axis: (..., P, N*K) @ (..., N*K, d)
+    n = g_logits.ndim - Q.ndim
+    rows = np.moveaxis(g_logits.reshape((-1,) + g_logits.shape[n:]), 0, -2)
+    keys = np.moveaxis(K.reshape((-1,) + K.shape[n:]), 0, -3)
+    gQ = rows.reshape(rows.shape[:-2] + (-1,)) @ keys.reshape(keys.shape[:-3] + (-1, K.shape[-1]))
     return gQ, gK, np.swapaxes(A, -1, -2) @ g_out
 
 
@@ -175,7 +187,8 @@ class ForwardCache:
     pass.  Per layer: the query inputs, and Q, K, V and the attention
     weights with heads as an axis, (B, n_heads, tokens, head_dim) and
     (B, n_heads, P, K); the first layer's queries, shared by the batch, have
-    no batch axis."""
+    no batch axis.  decoder_backward consumes the cache, overwriting the
+    pixel head's activations head_hidden with their gradient."""
 
     slots: np.ndarray
     per_layer: list = field(default_factory=list)
@@ -244,8 +257,11 @@ def cross_attention_forward(
         cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A})
         q_in = _merge_heads(out)
     cache.token_final = q_in
-    cache.head_hidden = np.tanh(q_in @ head.W1.T + head.b1)
-    pixels = cache.head_hidden @ head.W2.T + head.b2
+    # in place: each (B, P, hidden) array live at once is faulted in anew every step
+    hidden = q_in @ head.W1.T
+    hidden += head.b1
+    cache.head_hidden = np.tanh(hidden, out=hidden)
+    pixels = hidden @ head.W2.T + head.b2
     if not batched:
         pixels = pixels[0]
     if with_cache:
@@ -273,8 +289,8 @@ def l_interact(A) -> float:
         raise ValueError("attention weights must be non-negative")
     if v.ndim == 2:
         v = v[None]
-    row_sum = np.sum(v, axis=-1)
-    pair = 0.5 * (row_sum**2 - np.sum(v**2, axis=-1))
+    row_sum = _sum_last(v)
+    pair = 0.5 * (row_sum**2 - _sum_last(v**2))
     return float(np.mean(np.sum(pair, axis=-1)))
 
 
@@ -284,7 +300,7 @@ def l_interact_grad(A_sum: np.ndarray) -> np.ndarray:
     single = v.ndim == 2
     if single:
         v = v[None]
-    g = (np.sum(v, axis=-1, keepdims=True) - v) / v.shape[0]
+    g = (_sum_last(v)[..., None] - v) / v.shape[0]
     return g[0] if single else g
 
 
@@ -355,10 +371,12 @@ def decoder_backward(
     if g_out.ndim == 2:
         g_out = g_out[None]
     z = cache.slots
-
-    head_grads = {"W2": weight_gradient(g_out, cache.head_hidden),
-                  "b2": np.sum(g_out, axis=(0, 1))}
-    g_pre = (g_out @ head.W2) * (1.0 - cache.head_hidden**2)
+    hh, cache.head_hidden = cache.head_hidden, None
+    if hh is None:
+        raise ValueError("this forward cache was consumed by an earlier backward pass")
+    head_grads = {"W2": weight_gradient(g_out, hh), "b2": np.sum(g_out, axis=(0, 1))}
+    g_pre = np.subtract(1.0, np.square(hh, out=hh), out=hh)  # (1 - hh^2) (g_out W2), into hh
+    g_pre *= g_out @ head.W2
     head_grads["W1"] = weight_gradient(g_pre, cache.token_final)
     head_grads["b1"] = np.sum(g_pre, axis=(0, 1))
     g_tok = g_pre @ head.W1
@@ -375,11 +393,8 @@ def decoder_backward(
         gQ, gK, gV = (_merge_heads(g) for g in attend_backward(
             _split_heads(g_tok, ly.n_heads), c["A"], c["Q"], c["K"], c["V"],
             _scale(ly), g_A))
-        # the first layer's queries are shared by the batch: sum it out first
-        gW_Q = (weight_gradient(gQ, c["q_in"]) if li else
-                np.sum(gQ, axis=0).T @ c["q_in"])
         layer_grads[li] = {"W_K": weight_gradient(gK, z), "W_V": weight_gradient(gV, z),
-                           "W_Q": gW_Q}
+                           "W_Q": weight_gradient(gQ, c["q_in"])}
         g_slots += gK @ ly.W_K + gV @ ly.W_V
         g_tok = gQ @ ly.W_Q if li else None
     return g_slots if cache.batched else g_slots[0], layer_grads, head_grads

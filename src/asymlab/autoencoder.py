@@ -98,8 +98,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN too
             raise ValueError("loss weights must be non-negative")
+        for name, low in (("batch_size", 1), ("iterations", 0), ("warmup", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr!r}")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -100,6 +100,39 @@ def test_attend_backward_decoder_shaped():
     _attend_fd_check(Q, K, V, 1 / np.sqrt(d), rng.normal(size=(B, H, P, d)), g_A)
 
 
+def test_attend_backward_shared_queries():
+    # the decoder's first layer: one set of queries for the whole batch, so
+    # their gradient is summed over the batch and has the queries' shape
+    rng = np.random.default_rng(23)
+    B, H, P, n_slots, d = 3, 2, 4, 3, 3
+    Q = rng.normal(size=(H, P, d))
+    K, V = rng.normal(size=(2, B, H, n_slots, d))
+    G = rng.normal(size=(B, H, P, d))
+    _attend_fd_check(Q, K, V, 1 / np.sqrt(d), G)
+    _attend_fd_check(Q, K, V, 1 / np.sqrt(d), G, rng.normal(size=(B, 1, P, n_slots)))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 7])
+@pytest.mark.parametrize("lead", [(), (5,), (4, 2, 5)])
+def test_slot_axis_reductions_match_numpy(K, lead):
+    # softmax_rows, l_interact and l_interact_grad against their definitions
+    # with np.max and np.sum over the slot axis
+    rng = np.random.default_rng(K)
+    logits = rng.normal(scale=5.0, size=lead + (6, K))
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    np.testing.assert_allclose(softmax_rows(logits), e / np.sum(e, axis=-1, keepdims=True),
+                               rtol=1e-14, atol=0)
+    if K == 1:
+        assert np.array_equal(softmax_rows(logits), np.ones(logits.shape))
+    A = rng.uniform(0, 2, size=lead[-1:] + (6, K))
+    v = A if A.ndim == 3 else A[None]
+    pair = 0.5 * (np.sum(v, axis=-1) ** 2 - np.sum(v**2, axis=-1))
+    assert l_interact(A) == pytest.approx(np.mean(np.sum(pair, axis=-1)), rel=1e-14, abs=0)
+    grad = (np.sum(v, axis=-1, keepdims=True) - v) / v.shape[0]
+    np.testing.assert_allclose(l_interact_grad(A), grad if A.ndim == 3 else grad[0],
+                               rtol=1e-14, atol=0)
+
+
 def test_multilayer_multihead_matches_per_head_slices():
     # the head axis against a reference that slices heads one at a time
     layers, head = random_decoder(13, n_pixels=5, K=3, slot_dim=4, n_heads=2,
@@ -227,8 +260,8 @@ def test_decoder_backward_weight_gradients():
     layers, head = random_decoder(9, n_pixels=4, K=2, slot_dim=3,
                                   n_heads=2, n_layers=2, d_q=6)
     rng = np.random.default_rng(11)
-    z = rng.normal(scale=0.5, size=(1, 2, 3))
-    G = rng.normal(size=(1, 4, 3))
+    z = rng.normal(scale=0.5, size=(2, 2, 3))
+    G = rng.normal(size=(2, 4, 3))
 
     def objective():
         pixels, _ = cross_attention_forward(layers, head, z)
@@ -237,10 +270,15 @@ def test_decoder_backward_weight_gradients():
     _, _, cache = cross_attention_forward(layers, head, z, with_cache=True)
     g_slots, layer_grads, head_grads = decoder_backward(layers, head, cache, G)
     h = 1e-6
-    # spot-check one matrix per parameter family
+    # spot-check one matrix per parameter family, the first layer's queries
+    # (shared by the batch), and the head weights read before backward
+    # overwrites the cache
     for arr, grad in [(layers[0].W_K, layer_grads[0]["W_K"]),
+                      (layers[0].W_Q, layer_grads[0]["W_Q"]),
                       (layers[1].W_Q, layer_grads[1]["W_Q"]),
                       (head.W1, head_grads["W1"]),
+                      (head.W2, head_grads["W2"]),
+                      (head.b1, head_grads["b1"]),
                       (z, g_slots)]:
         it = np.nditer(arr, flags=["multi_index"])
         for _ in range(min(arr.size, 5)):
@@ -254,6 +292,15 @@ def test_decoder_backward_weight_gradients():
             fd = (up - dn) / (2 * h)
             assert abs(fd - grad[idx]) < 1e-5 * max(1.0, abs(fd))
             next(it, None)
+
+
+def test_decoder_backward_consumes_its_cache():
+    layers, head = random_decoder(9, n_pixels=4, K=2, slot_dim=3)
+    z = np.random.default_rng(12).normal(size=(2, 2, 3))
+    pixels, _, cache = cross_attention_forward(layers, head, z, with_cache=True)
+    decoder_backward(layers, head, cache, np.ones_like(pixels))
+    with pytest.raises(ValueError, match="consumed"):
+        decoder_backward(layers, head, cache, np.ones_like(pixels))
 
 
 def test_positional_query_inputs_deterministic():

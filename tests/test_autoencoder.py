@@ -30,8 +30,22 @@ def test_config_validation():
         ModelConfig(height=10, width=8, patch=4)
     with pytest.raises(ValueError):
         ModelConfig(dec_d_q=9, dec_heads=2)
-    with pytest.raises(ValueError):
-        TrainConfig(alpha=-0.1)
+    for weights in ({"alpha": -0.1}, {"beta": float("nan")}):
+        with pytest.raises(ValueError, match="loss weights"):
+            TrainConfig(**weights)
+
+
+@pytest.mark.parametrize("field, bad", [("batch_size", 0), ("iterations", -1),
+                                        ("warmup", -5), ("lr", -1e-3), ("lr", 0.0)])
+def test_train_config_rejects_out_of_range(field, bad):
+    # each names the field and the value
+    with pytest.raises(ValueError, match=rf"{field} .*{bad!r}"):
+        TrainConfig(**{field: bad})
+
+
+def test_train_config_accepts_boundaries():
+    cfg = TrainConfig(batch_size=1, iterations=0, warmup=0, lr=1e-12)
+    assert (cfg.batch_size, cfg.iterations, cfg.warmup) == (1, 0, 0)
 
 
 def test_config_roundtrip():

@@ -232,6 +232,23 @@ def test_cli_train_reports_divergence(tmp_path, capsys):
     assert rc == 2 and "bad configuration" in err
 
 
+def test_cli_names_bad_train_config(tmp_path, capsys):
+    # rejected with the field and its value, before anything trains
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"data": {"count": 10, "seed": 4}, "eval_images": 1,
+                                 "train": {"batch_size": 0, "iterations": 5}}))
+    ablate = tmp_path / "ablate.json"
+    ablate.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],
+                                  "iterations": 5, "batch_size": 4, "warmup": -5,
+                                  "eval_images": 1, "data": {"count": 10, "seed": 4}}))
+    for cmd, cfg, named in (("train", train, "batch_size must be at least 1, got 0"),
+                            ("ablate", ablate, "warmup must be at least 0, got -5")):
+        rc = cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "bad configuration" in err and named in err, err
+        assert not (tmp_path / cmd / "log.csv").exists()
+
+
 def test_cli_ablate_reports_divergence(tmp_path, capsys):
     cfg = tmp_path / "ablate.json"
     cfg.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],
