@@ -198,15 +198,15 @@ def check_order_at_most_n(
 
 
 def _slot_splits(block: Sequence[int]):
-    """2-part splits of a sorted index set, each once, as sorted lists, the
+    """2-part splits of a sorted index set, each once, as sorted tuples, the
     first half holding the first index; a 1-d block interacts with itself."""
     if len(block) == 1:
-        yield [block[0]], [block[0]]
+        yield (block[0],), (block[0],)
         return
     for r in range(len(block) - 1):
         for extra in itertools.combinations(block[1:], r):
-            A = [block[0], *extra]
-            yield A, [i for i in block if i not in A]
+            A = (block[0], *extra)
+            yield A, tuple(i for i in block if i not in A)
 
 
 def check_within_slot_order(
@@ -279,13 +279,16 @@ def check_interaction_asymmetry(
     probes,
     equiv_samples: int = 10,
     rng_seed: int = 0,
+    cross: CheckReport | None = None,
+    within: CheckReport | None = None,
 ) -> CheckReport:
     """Interaction asymmetry at order n: the cross-slot bound holds for f,
     and the within-slot richness holds for f and for a random sample of
-    equivalent generators (slot-wise basis changes, probes mapped along)."""
+    equivalent generators (slot-wise basis changes, probes mapped along).
+    Sub-check reports already made for f at these probes come in as cross and within."""
     probes = _as_probes(probes)
-    sub = [("cross", check_order_at_most_n(f, partition, n, probes)),
-           ("within", check_within_slot_order(f, partition, n, probes))]
+    sub = [("cross", cross or check_order_at_most_n(f, partition, n, probes)),
+           ("within", within or check_within_slot_order(f, partition, n, probes))]
     rng = np.random.default_rng(rng_seed)
     for s in range(equiv_samples):
         T = random_equivalence(partition, rng)

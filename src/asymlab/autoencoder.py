@@ -100,9 +100,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0):  # NaN too
             raise ValueError("loss weights must be non-negative")
-        for name, low in (("batch_size", 1), ("iterations", 0), ("warmup", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        for name, low in (("batch_size", 1), ("iterations", 0), ("warmup", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
 

@@ -74,8 +74,8 @@ def _cmd_check(args) -> int:
         }
         if args.equiv > 0:
             reports["asymmetry"] = check_interaction_asymmetry(
-                spec, part, args.order, probes,
-                equiv_samples=args.equiv, rng_seed=args.seed)
+                spec, part, args.order, probes, equiv_samples=args.equiv, rng_seed=args.seed,
+                cross=reports["cross_order"], within=reports["within_slot"])
     except ValueError as e:  # an order the engine cannot difference, or an all-zero matrix
         raise UsageError(f"cannot certify at order {args.order}: {e}") from e
 

@@ -201,7 +201,7 @@ def exp_characterization(config: dict | None = None,
 
             asym = check_interaction_asymmetry(
                 spec, part, n, probes, equiv_samples=cfg["equiv_samples"],
-                rng_seed=cfg["seed"] + i,
+                rng_seed=cfg["seed"] + i, cross=rep,
             )
             result.add_report(run_id, asym)
             result.add_metric(run_id, "asymmetry_margin", asym.margin)

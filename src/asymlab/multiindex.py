@@ -18,10 +18,11 @@ Indices are 0-based internally and 1-based in serialized/user-facing form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +37,17 @@ def validate_multiindex(alpha: Sequence[int], d: int | None = None) -> MultiInde
     if d is not None and len(a) != d:
         raise ValueError(f"multi-index length {len(a)} != declared dimension {d}")
     return a
+
+
+def _cached(copy=list):
+    """Cache a function of hashable arguments (SlotPartition is frozen) and
+    give every call its own copy of the result, so callers may mutate it."""
+    def wrap(fn):
+        cached = functools.lru_cache(maxsize=256)(fn)
+        fresh = functools.wraps(fn)(lambda *args, **kw: copy(cached(*args, **kw)))
+        fresh.cache_clear = cached.cache_clear
+        return fresh
+    return wrap
 
 
 def mi_norm(alpha: Sequence[int]) -> int:
@@ -54,9 +66,10 @@ def monomials(Z, exponents) -> np.ndarray:
     """Every monomial z^alpha at every point: (N, F) for points Z (N, d) and
     exponent rows (F, d); a single point (d,) gives (F,).
 
-    Powers come from one table of z_i^k built by repeated multiplication up
-    to the largest exponent, so the cost is one gather and one product per
-    coordinate instead of a Python loop per point and per term.
+    Powers come from one table of z_i^k, a contiguous row over the points
+    per (i, k), built by repeated multiplication up to the largest exponent,
+    so the cost is one gather and one product per coordinate instead of a
+    Python loop per point and per term.
     """
     Z = np.asarray(Z, dtype=float)
     one = Z.ndim == 1
@@ -64,13 +77,14 @@ def monomials(Z, exponents) -> np.ndarray:
     E = np.asarray(exponents, dtype=int).reshape(-1, Z.shape[1])
     if E.size and E.min() < 0:
         raise ValueError("monomial exponents must be >= 0")
-    powers = np.ones((len(Z), Z.shape[1], int(E.max(initial=0)) + 1))
-    for k in range(1, powers.shape[2]):
-        powers[:, :, k] = powers[:, :, k - 1] * Z
-    out = powers[:, 0, E[:, 0]]
+    powers = np.empty((Z.shape[1], int(E.max(initial=0)) + 1, len(Z)))
+    powers[:, 0] = 1.0
+    for k in range(1, powers.shape[1]):
+        np.multiply(powers[:, k - 1], Z.T, out=powers[:, k])
+    out = powers[0][E[:, 0]]
     for i in range(1, Z.shape[1]):
-        out = out * powers[:, i, E[:, i]]
-    return out[0] if one else out
+        out *= powers[i][E[:, i]]
+    return out[:, 0] if one else out.T
 
 
 def mi_power(z: Sequence[float], alpha: Sequence[int]) -> float:
@@ -121,6 +135,7 @@ def mi_support(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(a) if x > 0)
 
 
+@_cached()
 def all_multiindices(d: int, order: int) -> list[MultiIndex]:
     """All multi-indices of length d with |alpha| = order, lexicographic order.
 
@@ -195,6 +210,7 @@ def singleton_partition(d: int) -> SlotPartition:
     return SlotPartition(blocks=tuple((i,) for i in range(d)), latent_dim=d)
 
 
+@_cached()
 def interaction_indices(partition: SlotPartition, n: int, upto: bool = False) -> list[MultiIndex]:
     """I_n (or I_{<=n} when `upto`): order-n multi-indices touching >= 2 slots.
 
@@ -213,6 +229,7 @@ def interaction_indices(partition: SlotPartition, n: int, upto: bool = False) ->
     return out
 
 
+@_cached()
 def multiindices_within_block(partition: SlotPartition, k: int, order: int) -> list[MultiIndex]:
     """Order-`order` multi-indices supported entirely on slot k, in
     lexicographic order."""
@@ -221,6 +238,7 @@ def multiindices_within_block(partition: SlotPartition, k: int, order: int) -> l
             if not any(a[i] for i in outside)]
 
 
+@_cached(lambda groups: [(name, list(g)) for name, g in groups])
 def independence_groups(partition: SlotPartition, n: int) -> list[tuple[str, list[MultiIndex]]]:
     """The column groups of the order-n sufficient-independence matrix.
 
@@ -241,18 +259,19 @@ def independence_groups(partition: SlotPartition, n: int) -> list[tuple[str, lis
                      for k in range(partition.K)]
 
 
+@_cached()
 def split_interaction_indices(
     partition: SlotPartition,
     k: int,
-    part_a: Iterable[int],
-    part_b: Iterable[int],
+    part_a: tuple[int, ...],
+    part_b: tuple[int, ...],
     order: int,
 ) -> list[MultiIndex]:
     """Order-`order` indices within slot k with mass on both halves of a split.
 
-    part_a / part_b must partition the slot's coordinates; the special case
-    part_a == part_b == {i} admits the pure power alpha = order * e_i (a
-    coordinate's interaction with itself).
+    part_a / part_b, sorted tuples (they key the cache), must partition the
+    slot's coordinates; the special case part_a == part_b == (i,) admits the
+    pure power alpha = order * e_i (a coordinate's interaction with itself).
     """
     A, B = set(part_a), set(part_b)
     block = set(partition.blocks[k])

@@ -43,6 +43,13 @@ def test_train_config_rejects_out_of_range(field, bad):
         TrainConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [("iterations", 2.5), ("batch_size", 2.5),
+                                        ("warmup", True), ("seed", 1.0)])
+def test_train_config_rejects_non_integers(field, bad):
+    with pytest.raises(ValueError, match=rf"{field} must be an integer, got {bad!r}"):
+        TrainConfig(**{field: bad})
+
+
 def test_train_config_accepts_boundaries():
     cfg = TrainConfig(batch_size=1, iterations=0, warmup=0, lr=1e-12)
     assert (cfg.batch_size, cfg.iterations, cfg.warmup) == (1, 0, 0)

@@ -249,6 +249,23 @@ def test_cli_names_bad_train_config(tmp_path, capsys):
         assert not (tmp_path / cmd / "log.csv").exists()
 
 
+def test_cli_names_non_integer_train_fields(tmp_path, capsys):
+    # a float count is a configuration error naming the field, not a TypeError from numpy
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"data": {"count": 10, "seed": 4}, "eval_images": 1,
+                                 "train": {"iterations": 2.5, "batch_size": 4}}))
+    ablate = tmp_path / "ablate.json"
+    ablate.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],
+                                  "iterations": 5, "batch_size": 2.5, "warmup": 1,
+                                  "eval_images": 1, "data": {"count": 10, "seed": 4}}))
+    for cmd, cfg, named in (("train", train, "iterations must be an integer, got 2.5"),
+                            ("ablate", ablate, "batch_size must be an integer, got 2.5")):
+        rc = cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "bad configuration" in err and named in err, err
+        assert not (tmp_path / cmd / "log.csv").exists()
+
+
 def test_cli_ablate_reports_divergence(tmp_path, capsys):
     cfg = tmp_path / "ablate.json"
     cfg.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],
@@ -384,3 +401,55 @@ def test_ablation_scores_held_out_images_only(monkeypatch):
     assert len(scored) == row["images_scored"] == len(splits["test"]) == 7
     with pytest.raises(ValueError, match="no held-out image"):
         experiments._run_ablation_cell({"seed": 0, "data": cfg["data"], "eval_images": 0})
+
+
+def _count_engine_requests(monkeypatch) -> list:
+    from asymlab import asymmetry
+
+    calls = []
+    partials = asymmetry.partials
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return partials(*args, **kwargs)
+
+    monkeypatch.setattr(asymmetry, "partials", counting)
+    return calls
+
+
+def test_characterization_runs_no_check_twice(monkeypatch):
+    calls = _count_engine_requests(monkeypatch)
+    exp_characterization()
+    # per preset: one to draw it, its cross-order check, the check one order
+    # below (n >= 1 only), the bundle's within-slot check and 3 equivalent
+    # generators, and sufficient independence; the bundle reuses the
+    # cross-order report
+    assert len(calls) == 7 * 7 + 14 * 8
+
+
+@pytest.mark.parametrize("equiv", [1, 3])
+def test_cli_check_runs_no_check_twice(tmp_path, monkeypatch, equiv):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(preset_generator(2, rng_seed=0).to_json()))
+    calls = _count_engine_requests(monkeypatch)
+    rc = cli.main(["check", "--generator", str(gen), "--order", "2", "--equiv", str(equiv),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    # cross order, within slot, sufficient independence, then one per
+    # equivalent generator: the bundle reuses the first two
+    assert len(calls) == 3 + equiv
+
+
+def test_characterization_same_with_cold_and_warm_caches():
+    from asymlab import multiindex
+
+    def run():
+        res = exp_characterization({"seed": 0}).to_json()
+        res.pop("wall_clock")
+        return json.dumps(res)
+
+    for name in ("all_multiindices", "interaction_indices", "multiindices_within_block",
+                 "independence_groups", "split_interaction_indices"):
+        getattr(multiindex, name).cache_clear()
+    cold = run()
+    assert run() == cold

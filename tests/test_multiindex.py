@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymlab.generators import Feature
 from asymlab.multiindex import (
     SlotPartition,
     all_multiindices,
@@ -17,6 +19,7 @@ from asymlab.multiindex import (
     mi_poly_derivative,
     mi_power,
     mi_support,
+    monomials,
     multiindices_within_block,
     singleton_partition,
     slot_vector,
@@ -216,3 +219,77 @@ def test_independence_groups_at_order_one():
     }
     with pytest.raises(ValueError, match="order must be >= 0"):
         independence_groups(GROUP_PARTITIONS["default"], -1)
+
+
+def row_major_monomials(Z, exponents):
+    """The kernel as first written: an (N, d, k) power table, gathered per
+    coordinate from a strided view; the reference for bitwise equality."""
+    Z = np.asarray(Z, dtype=float)
+    one = Z.ndim == 1
+    Z = Z.reshape(-1, Z.shape[-1])
+    E = np.asarray(exponents, dtype=int).reshape(-1, Z.shape[1])
+    powers = np.ones((len(Z), Z.shape[1], int(E.max(initial=0)) + 1))
+    for k in range(1, powers.shape[2]):
+        powers[:, :, k] = powers[:, :, k - 1] * Z
+    out = powers[:, 0, E[:, 0]]
+    for i in range(1, Z.shape[1]):
+        out = out * powers[:, i, E[:, i]]
+    return out[0] if one else out
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+EXPONENT_TABLES = {
+    "degree_4_with_zero_row": [a for m in range(5) for a in all_multiindices(4, m)],
+    "degree_0_only": [(0, 0, 0, 0)],
+    "no_rows": np.zeros((0, 4), dtype=int),
+}
+
+
+@pytest.mark.parametrize("table", sorted(EXPONENT_TABLES))
+@pytest.mark.parametrize("n_points", [None, 1, 16, 2192])
+def test_monomials_bitwise_equal_to_row_major_kernel(n_points, table):
+    rng = np.random.default_rng(3)
+    Z = rng.uniform(-1.7, 1.7, size=(4,) if n_points is None else (n_points, 4))
+    E = EXPONENT_TABLES[table]
+    assert _bitwise_equal(monomials(Z, E), row_major_monomials(Z, E))
+
+
+def test_point_monomials_bitwise_equal_to_row_major_kernel():
+    rng = np.random.default_rng(4)
+    for a in all_multiindices(3, 3) + [(0, 0, 0), (4, 0, 0)]:
+        z = rng.uniform(-1.5, 1.5, size=3)
+        assert _bitwise_equal(mi_power(z, a), float(row_major_monomials(z, [a])[0]))
+    feat = Feature(kind="mon", exponents=(2, 1))
+    U = rng.uniform(-1.5, 1.5, size=(16, 2))
+    assert _bitwise_equal(feat(U), row_major_monomials(U, [(2, 1)])[..., 0])
+    assert _bitwise_equal(feat(U[0]), float(row_major_monomials(U[0], [(2, 1)])[0]))
+
+
+CACHED_ENUMERATORS = {
+    "all_multiindices": (all_multiindices, (4, 2)),
+    "interaction_indices": (interaction_indices, (GROUP_PARTITIONS["default"], 3)),
+    "interaction_indices_upto": (interaction_indices, (GROUP_PARTITIONS["default"], 3, True)),
+    "multiindices_within_block": (multiindices_within_block, (GROUP_PARTITIONS["default"], 1, 3)),
+    "independence_groups": (independence_groups, (GROUP_PARTITIONS["three_slots"], 2)),
+    "split_interaction_indices": (split_interaction_indices,
+                                  (GROUP_PARTITIONS["three_slots"], 0, (0,), (3,), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_ENUMERATORS))
+def test_cached_enumerators_hand_out_new_lists(name):
+    fn, args = CACHED_ENUMERATORS[name]
+    fn.cache_clear()
+    got = fn(*args)
+    want = copy.deepcopy(got)
+    assert isinstance(got, list) and got
+    for item in got:  # independence_groups' groups are lists too
+        if isinstance(item[-1], list):
+            item[-1].clear()
+    got.append(got[0])
+    assert fn(*args) == want
+    assert fn(*args) is not fn(*args)
