@@ -195,6 +195,7 @@ class ForwardCache:
     token_final: np.ndarray | None = None
     head_hidden: np.ndarray | None = None
     batched: bool = True
+    buffers: dict | None = None
 
 
 def _split_heads(X: np.ndarray, n_heads: int) -> np.ndarray:
@@ -212,11 +213,20 @@ def _scale(layer: CrossAttentionLayer) -> float:
     return 1.0 / np.sqrt(layer.head_dim) if layer.scaling else 1.0
 
 
+def _scratch(buffers: dict | None, name: str, shape: tuple) -> np.ndarray | None:
+    """out= for a product: the caller's kept array `name`, so a training loop
+    does not fault its (B, P, d) arrays in anew every step; None without."""
+    if buffers is not None and (name not in buffers or buffers[name].shape != shape):
+        buffers[name] = np.empty(shape)
+    return None if buffers is None else buffers[name]
+
+
 def cross_attention_forward(
     layers: Sequence[CrossAttentionLayer],
     head: PixelHead,
     z_hat: np.ndarray,
     with_cache: bool = False,
+    buffers: dict | None = None,
 ):
     """Run the decoder on slot vectors.
 
@@ -224,7 +234,9 @@ def cross_attention_forward(
     (n_heads, [B,] P, K) arrays of softmax weights; with_cache=True returns
     a third ForwardCache element.  First layer queries come from its
     query_inputs; each deeper layer queries the previous layer's tokens, and
-    the pixel head applies only after the last layer.
+    the pixel head applies only after the last layer.  A buffers dict lends
+    its arrays to this pass and its backward pass until the next pass with
+    the same dict; pixels are always new.
     """
     if not layers:
         raise ValueError("need at least one layer")
@@ -243,7 +255,7 @@ def cross_attention_forward(
         if ly.slot_dim != slot_dim:
             raise ValueError("layer slot dimension does not match input")
 
-    cache = ForwardCache(slots=z, batched=batched)
+    cache = ForwardCache(slots=z, batched=batched, buffers=buffers)
     q_in = layers[0].query_inputs
     attn_all = []
     for ly in layers:
@@ -257,8 +269,9 @@ def cross_attention_forward(
         cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A})
         q_in = _merge_heads(out)
     cache.token_final = q_in
-    # in place: each (B, P, hidden) array live at once is faulted in anew every step
-    hidden = q_in @ head.W1.T
+    # in place: one (B, P, hidden) array serves the whole head
+    hidden = np.matmul(q_in, head.W1.T,
+                       out=_scratch(buffers, "hidden", q_in.shape[:-1] + head.b1.shape))
     hidden += head.b1
     cache.head_hidden = np.tanh(hidden, out=hidden)
     pixels = hidden @ head.W2.T + head.b2
@@ -376,10 +389,11 @@ def decoder_backward(
         raise ValueError("this forward cache was consumed by an earlier backward pass")
     head_grads = {"W2": weight_gradient(g_out, hh), "b2": np.sum(g_out, axis=(0, 1))}
     g_pre = np.subtract(1.0, np.square(hh, out=hh), out=hh)  # (1 - hh^2) (g_out W2), into hh
-    g_pre *= g_out @ head.W2
+    g_pre *= np.matmul(g_out, head.W2, out=_scratch(cache.buffers, "g_hidden", hh.shape))
     head_grads["W1"] = weight_gradient(g_pre, cache.token_final)
     head_grads["b1"] = np.sum(g_pre, axis=(0, 1))
-    g_tok = g_pre @ head.W1
+    g_tok = np.matmul(g_pre, head.W1,
+                      out=_scratch(cache.buffers, "g_tok", cache.token_final.shape))
 
     g_A = None
     if grad_attention is not None:  # as (B, 1, P, K): the same for every head

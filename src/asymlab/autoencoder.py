@@ -30,6 +30,7 @@ from .attention import (
     positional_query_inputs,
     weight_gradient,
 )
+from .sprites import check_integers
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 DIVERGENCE_LIMIT = 1e6
@@ -70,6 +71,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, {k: 0 if k in ("enc_layers", "seed") else 1
+                              for k in self.__dataclass_fields__ if k != "scaling"})
         if self.height % self.patch or self.width % self.patch:
             raise ValueError("patch size must tile the image")
         if self.dec_d_q % self.dec_heads:
@@ -100,12 +103,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0):  # NaN too
             raise ValueError("loss weights must be non-negative")
-        for name, low in (("batch_size", 1), ("iterations", 0), ("warmup", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value!r}")
+        check_integers(self, {"batch_size": 1, "iterations": 0, "warmup": 0, "seed": 0})
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
 
@@ -318,12 +316,12 @@ def kl_to_unit_gaussian(mu: np.ndarray, logvar: np.ndarray) -> float:
 
 
 def _loss_forward(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
-                  noise: np.ndarray, alpha_scale: float):
+                  noise: np.ndarray, alpha_scale: float, buffers: dict | None = None):
     mu, lv, enc_cache = encode(model, batch, with_cache=True)
     sigma = np.exp(0.5 * lv)
     z = mu + sigma * noise
     pixels, attn, dec_cache = cross_attention_forward(
-        model.dec_layers, model.dec_head, z, with_cache=True
+        model.dec_layers, model.dec_head, z, with_cache=True, buffers=buffers
     )
     B = batch.shape[0]
     target = batch.reshape(B, -1, model.config.channels)
@@ -366,9 +364,10 @@ def loss_disent(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
 def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
                        rng: np.random.Generator | None = None,
                        noise: np.ndarray | None = None,
-                       alpha_scale: float = 1.0):
+                       alpha_scale: float = 1.0, buffers: dict | None = None):
     """Loss plus exact reverse-mode gradients for every trainable parameter,
-    under the same fixed noise draw as the loss."""
+    under the same fixed noise draw as the loss.  buffers: as in
+    cross_attention_forward, kept by a training loop from step to step."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim == 3:
         batch = batch[None]
@@ -376,7 +375,7 @@ def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainC
         if rng is None:
             raise ValueError("need an rng when noise is not supplied")
         noise = _draw_noise(model, batch.shape[0], rng)
-    breakdown, st = _loss_forward(model, batch, config, noise, alpha_scale)
+    breakdown, st = _loss_forward(model, batch, config, noise, alpha_scale, buffers)
     B = batch.shape[0]
     g_pixels = 2.0 * st["resid"] / st["resid"].size
     g_attn = st["alpha_eff"] * l_interact_grad(st["A_sum"]) if st["alpha_eff"] != 0 else None
@@ -411,8 +410,12 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
         raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    m1 = {k: np.zeros_like(v) for k, v in params.items()}
-    m2 = {k: np.zeros_like(v) for k, v in params.items()}
+    ends = np.cumsum([p.size for p in params.values()])
+    m1, m2, flat = np.zeros(ends[-1]), np.zeros(ends[-1]), np.empty(ends[-1])
+    # Adam is elementwise, so one update over flat vectors is one per group;
+    # each group's window on flat takes its gradient in and its step out
+    views = {k: flat[e - p.size:e].reshape(p.shape) for (k, p), e in zip(params.items(), ends)}
+    buffers: dict = {}
     log: list[LossBreakdown] = []
     b1, b2, eps = 0.9, 0.999, 1e-8
     # overflow is caught below as TrainingDiverged; numpy need not warn first
@@ -424,23 +427,26 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
             noise = _draw_noise(model, batch.shape[0], rng)
             try:
                 breakdown, grads = loss_and_gradients(model, batch, config, noise=noise,
-                                                      alpha_scale=alpha_scale)
+                                                      alpha_scale=alpha_scale, buffers=buffers)
             except FloatingPointError as e:
                 raise TrainingDiverged(str(e), log, it, _first_nonfinite(params)) from e
             log.append(breakdown)
             if breakdown.total > DIVERGENCE_LIMIT:
                 raise TrainingDiverged(f"loss {breakdown.total:.3e}", log, it,
                                        _first_nonfinite(params))
-            bad = _first_nonfinite(grads)
-            if bad is not None:
+            for k, v in views.items():
+                v[...] = grads[k]
+            if not np.isfinite(flat).all():
+                bad = _first_nonfinite(grads)
                 raise TrainingDiverged(f"non-finite gradient of {bad}", log, it, bad)
             t = it + 1
+            m1 = b1 * m1 + (1 - b1) * flat
+            m2 = b2 * m2 + (1 - b2) * flat**2
+            mhat = m1 / (1 - b1**t)
+            vhat = m2 / (1 - b2**t)
+            np.divide(config.lr * mhat, np.sqrt(vhat) + eps, out=flat)
             for k, p in params.items():
-                m1[k] = b1 * m1[k] + (1 - b1) * grads[k]
-                m2[k] = b2 * m2[k] + (1 - b2) * grads[k] ** 2
-                mhat = m1[k] / (1 - b1**t)
-                vhat = m2[k] / (1 - b2**t)
-                p -= config.lr * mhat / (np.sqrt(vhat) + eps)
+                p -= views[k]
     return model, log
 
 

@@ -105,19 +105,24 @@ def _unit_stencil(axes: tuple[int, ...], d: int) -> dict[tuple[int, ...], float]
 
 
 @lru_cache(maxsize=256)
-def _weight_table(alphas: tuple[MultiIndex, ...],
+def _weight_table(alphas: tuple[tuple, ...], d: int,
                   cfg: StencilConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct offsets (M, d) of a request and its weights (n_alphas, M)."""
-    d = len(alphas[0])
+    """Distinct offsets (M, d) of a request and its weights (n_alphas, M).
+    The multi-indices are checked here, so once per distinct request."""
+    request = tuple(validate_multiindex(a, d=d) for a in alphas)
+    if not request:
+        raise ValueError("no multi-indices requested")
     column: dict[tuple[float, ...], int] = {}
     entries = []
-    for a, alpha in enumerate(alphas):
+    for a, alpha in enumerate(request):
         axes = multiindex_to_axes(alpha)
+        if len(axes) > 3:
+            raise ValueError(f"unsupported derivative order |alpha| = {len(axes)}")
         h = cfg.step(len(axes)) if axes else 1.0
         for units, w in _unit_stencil(axes, d).items():
             m = column.setdefault(tuple(u * h for u in units), len(column))
             entries.append((a, m, w / h ** len(axes)))
-    weights = np.zeros((len(alphas), len(column)))
+    weights = np.zeros((len(request), len(column)))
     for a, m, w in entries:
         weights[a, m] += w
     offsets = np.array(list(column), dtype=float).reshape(len(column), d)
@@ -141,19 +146,12 @@ def partials(
     if Z.ndim != 2 or Z.size == 0:
         raise ValueError(f"probes must be a non-empty (N, d) array, got shape {Z.shape}")
     N, d = Z.shape
-    request = tuple(validate_multiindex(a, d=d) for a in alphas)
-    if not request:
-        raise ValueError("no multi-indices requested")
-    for a in request:
-        if sum(a) > 3:
-            raise ValueError(f"unsupported derivative order |alpha| = {sum(a)}")
-    offsets, weights = _weight_table(request, cfg)
+    offsets, weights = _weight_table(tuple(tuple(a) for a in alphas), d, cfg)
     points = (Z[:, None, :] + offsets[None]).reshape(-1, d)
     values = evaluate(f, points)
-    finite = np.all(np.isfinite(values), axis=1)
-    if not finite.all():
-        raise FloatingPointError(
-            f"non-finite function value at stencil point {points[np.argmin(finite)]}")
+    if not np.isfinite(values).all():
+        bad = np.argmin(np.all(np.isfinite(values), axis=1))
+        raise FloatingPointError(f"non-finite function value at stencil point {points[bad]}")
     return weights @ values.reshape(N, len(offsets), -1), len(points)
 
 

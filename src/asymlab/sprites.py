@@ -80,6 +80,16 @@ def render_scene(latents, image_size: int) -> SpriteScene:
     return SpriteScene(image=image, masks=masks, latents=latents)
 
 
+def check_integers(config, minimums: dict[str, int]) -> None:
+    """ValueError naming a config field, and its value, that is not an int at least its minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DataConfig:
     count: int = 64
@@ -93,6 +103,8 @@ class DataConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        check_integers(self, {"count": 1, "image_size": 1, "min_objects": 1, "max_objects": 1,
+                              "min_size": 1, "max_size": 1, "seed": 0})
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("object count range malformed")
         if self.min_size > self.max_size or self.max_size > self.image_size:

@@ -339,3 +339,43 @@ def test_pixel_head_jacobian():
             xm[i] -= h
             fd = (head(xp) - head(xm)) / (2 * h)
             assert np.allclose(J_x[:, i], fd, atol=1e-7)
+
+
+def _gradients(layers, head, cache, G, g_attn):
+    g_slots, layer_grads, head_grads = decoder_backward(layers, head, cache, G, g_attn)
+    return [g_slots] + [g for d in layer_grads for g in d.values()] + list(head_grads.values())
+
+
+def test_decoder_caches_do_not_share_arrays():
+    # a second forward pass leaves the first pass's cache as it was
+    layers, head = random_decoder(9, n_pixels=4, K=2, slot_dim=3, n_layers=2, d_q=6)
+    rng = np.random.default_rng(13)
+    z1, z2 = rng.normal(size=(2, 2, 2, 3))
+    G, g_attn = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 2))
+    lone = _gradients(layers, head, cross_attention_forward(layers, head, z1, True)[2],
+                      G, g_attn)
+    _, _, first = cross_attention_forward(layers, head, z1, with_cache=True)
+    cross_attention_forward(layers, head, z2, with_cache=True)
+    for a, b in zip(_gradients(layers, head, first, G, g_attn), lone):
+        assert np.array_equal(a, b)
+
+
+def test_kept_buffers_change_no_result():
+    # a training loop's buffers: each step's pixels stay the caller's, and
+    # every gradient is bitwise the one computed without buffers
+    layers, head = random_decoder(9, n_pixels=4, K=2, slot_dim=3, n_heads=2, d_q=6)
+    rng = np.random.default_rng(14)
+    buffers: dict = {}
+    earlier = []
+    for z in rng.normal(size=(3, 2, 2, 3)):
+        G = rng.normal(size=(2, 4, 3))
+        pixels, _, cache = cross_attention_forward(layers, head, z, True, buffers=buffers)
+        fresh, _, plain = cross_attention_forward(layers, head, z, with_cache=True)
+        assert np.array_equal(pixels, fresh)
+        for a, b in zip(_gradients(layers, head, cache, G, None),
+                        _gradients(layers, head, plain, G, None)):
+            assert np.array_equal(a, b)
+        earlier.append((pixels, pixels.copy()))
+        for kept, copy in earlier:
+            assert np.array_equal(kept, copy)
+    assert set(buffers) == {"hidden", "g_hidden", "g_tok"}

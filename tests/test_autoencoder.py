@@ -193,3 +193,66 @@ def test_reconstruct_shape():
     assert z.shape == (2, 2, 4)
     assert np.all(np.isfinite(out))
 
+
+
+@pytest.mark.parametrize("field, bad, named", [
+    ("slot_dim", 0, "slot_dim must be at least 1, got 0"),
+    ("n_slots", 2.0, "n_slots must be an integer, got 2.0"),
+    ("patch", True, "patch must be an integer, got True"),
+    ("dec_layers", 0, "dec_layers must be at least 1, got 0"),
+    ("enc_layers", -1, "enc_layers must be at least 0, got -1"),
+    ("seed", -2, "seed must be at least 0, got -2"),
+])
+def test_model_config_names_bad_counts(field, bad, named):
+    with pytest.raises(ValueError, match=named):
+        ModelConfig(**{field: bad})
+
+
+def test_loss_and_gradients_same_with_kept_buffers():
+    model = build_autoencoder(TINY)
+    cfg = TrainConfig(alpha=0.05, beta=0.05, seed=0)
+    rng = np.random.default_rng(4)
+    buffers: dict = {}
+    for step in range(3):
+        batch, noise = tiny_batch(step, n=3), rng.normal(size=(3, 2, 4))
+        br, grads = loss_and_gradients(model, batch, cfg, noise=noise, buffers=buffers)
+        br0, grads0 = loss_and_gradients(model, batch, cfg, noise=noise)
+        assert br == br0
+        assert all(np.array_equal(grads[k], grads0[k]) for k in grads0)
+
+
+def _train_per_group(model, dataset, config):
+    """Adam as one update per parameter group, the loop train ran before it
+    moved to flat vectors: the reference for bitwise equality."""
+    rng = np.random.default_rng(config.seed)
+    params = model.parameters()
+    m1 = {k: np.zeros_like(v) for k, v in params.items()}
+    m2 = {k: np.zeros_like(v) for k, v in params.items()}
+    log = []
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for it in range(config.iterations):
+        idx = rng.integers(0, dataset.shape[0], size=min(config.batch_size, dataset.shape[0]))
+        alpha_scale = min(1.0, (it + 1) / config.warmup) if config.warmup > 0 else 1.0
+        noise = rng.standard_normal((len(idx), model.config.n_slots, model.config.slot_dim))
+        breakdown, grads = loss_and_gradients(model, dataset[idx], config, noise=noise,
+                                              alpha_scale=alpha_scale)
+        log.append(breakdown)
+        t = it + 1
+        for k, p in params.items():
+            m1[k] = b1 * m1[k] + (1 - b1) * grads[k]
+            m2[k] = b2 * m2[k] + (1 - b2) * grads[k] ** 2
+            mhat = m1[k] / (1 - b1**t)
+            vhat = m2[k] / (1 - b2**t)
+            p -= config.lr * mhat / (np.sqrt(vhat) + eps)
+    return model, log
+
+
+def test_flat_adam_matches_per_group_loop():
+    data = tiny_batch(10, n=6)
+    cfg = TrainConfig(alpha=0.1, beta=0.07, iterations=20, batch_size=4, warmup=5,
+                      lr=2e-3, seed=2)
+    model, log = train(build_autoencoder(TINY), data, cfg)
+    ref, ref_log = _train_per_group(build_autoencoder(TINY), data, cfg)
+    assert [b.as_row() for b in log] == [b.as_row() for b in ref_log]
+    for k, v in ref.parameters().items():
+        assert np.array_equal(model.parameters()[k], v), k

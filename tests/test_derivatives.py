@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from asymlab import derivatives
 from asymlab.derivatives import (
     StencilConfig,
     derivative_by_multiindex,
@@ -211,3 +212,26 @@ def test_engine_matches_closed_form_on_presets(n):
         for a, got, want in zip(alphas, row, exact):
             h = cfg.step(sum(a))
             assert np.max(np.abs(got - want)) <= h * h * (1.0 + M), a
+
+
+def test_request_is_validated_once(monkeypatch):
+    # the multi-indices of a request are checked when its table is built,
+    # and a bad request is refused every time
+    derivatives._weight_table.cache_clear()
+    calls = []
+    real = derivatives.validate_multiindex
+    monkeypatch.setattr(derivatives, "validate_multiindex",
+                        lambda a, d=None: calls.append(a) or real(a, d=d))
+    f = lambda z: np.array([z[0] * z[1] + z[2]])
+    Z = np.zeros((2, 3))
+    alphas = [(1, 0, 0), (1, 1, 0), (0, 1, 2)]
+    first, _ = partials(f, Z, alphas)
+    n = len(calls)
+    again, _ = partials(f, Z, [np.array(a) for a in alphas])
+    assert n == len(alphas) and len(calls) == n
+    assert np.array_equal(first, again)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unsupported derivative order"):
+            partials(f, Z, [(1, 0, 0), (2, 2, 0)])
+        with pytest.raises(ValueError, match="multi-index entries must be >= 0"):
+            partials(f, Z, [(1, 0, -1)])

@@ -266,6 +266,21 @@ def test_cli_names_non_integer_train_fields(tmp_path, capsys):
         assert not (tmp_path / cmd / "log.csv").exists()
 
 
+def test_cli_names_bad_model_and_data_fields(tmp_path, capsys):
+    # a zero slot width is named, not a ZeroDivisionError traceback
+    base = {"data": {"count": 10, "seed": 4}, "eval_images": 1,
+            "train": {"iterations": 2, "batch_size": 2}}
+    for name, cfg, named in (
+            ("model", dict(base, model={"slot_dim": 0}), "slot_dim must be at least 1, got 0"),
+            ("data", dict(base, data={"count": 10.0}), "count must be an integer, got 10.0")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / name)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "bad configuration" in err and named in err, err
+        assert not (tmp_path / name / "log.csv").exists()
+
+
 def test_cli_ablate_reports_divergence(tmp_path, capsys):
     cfg = tmp_path / "ablate.json"
     cfg.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],

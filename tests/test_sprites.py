@@ -118,3 +118,15 @@ def test_data_config_validation_and_roundtrip():
         DataConfig(train_fraction=0.9, val_fraction=0.3)
     cfg = DataConfig(count=7, image_size=8, min_size=2, max_size=4, seed=2)
     assert DataConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("field, bad, named", [
+    ("count", 2.0, "count must be an integer, got 2.0"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("count", 0, "count must be at least 1, got 0"),
+    ("min_size", 0, "min_size must be at least 1, got 0"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+])
+def test_data_config_names_bad_counts(field, bad, named):
+    with pytest.raises(ValueError, match=named):
+        DataConfig(**{field: bad})
