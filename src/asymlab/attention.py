@@ -317,6 +317,20 @@ def l_interact_grad(A_sum: np.ndarray) -> np.ndarray:
     return g[0] if single else g
 
 
+def _closed_form_terms(layer: CrossAttentionLayer, z_hat: np.ndarray):
+    """Checks and (M, A, V) for the closed forms: queries through W_K, weights, values."""
+    if layer.n_heads != 1:
+        raise ValueError("closed form covers single-head layers only")
+    if layer.query_inputs is None:
+        raise ValueError("layer must carry query inputs")
+    z = np.asarray(z_hat, dtype=float)
+    if z.ndim != 2:
+        raise ValueError("expected an unbatched (K, slot_dim) slot array")
+    Q = layer.query_inputs @ layer.W_Q.T
+    root = np.sqrt(layer.d_q) if layer.scaling else 1.0
+    return Q @ layer.W_K / root, softmax_rows(Q @ (z @ layer.W_K.T).T / root), z @ layer.W_V.T
+
+
 def analytic_slot_jacobian(
     layer: CrossAttentionLayer,
     head: PixelHead,
@@ -333,18 +347,7 @@ def analytic_slot_jacobian(
     so a slot with A_dm = 0 contributes an exactly zero block.  When scaling
     is on, M_d carries the same 1/sqrt(d_q) factor as the logits.
     """
-    if layer.n_heads != 1:
-        raise ValueError("closed form covers single-head layers only")
-    if layer.query_inputs is None:
-        raise ValueError("layer must carry query inputs")
-    z = np.asarray(z_hat, dtype=float)
-    if z.ndim != 2:
-        raise ValueError("expected an unbatched (K, slot_dim) slot array")
-    Q = layer.query_inputs @ layer.W_Q.T
-    root = np.sqrt(layer.d_q) if layer.scaling else 1.0
-    M = Q @ layer.W_K / root
-    A = softmax_rows(Q @ (z @ layer.W_K.T).T / root)
-    V = z @ layer.W_V.T
+    M, A, V = _closed_form_terms(layer, z_hat)
     dpsi = head.jacobian(A @ V)
 
     # dpsi composed with W_V, and with each slot's value vector, as products
@@ -362,6 +365,25 @@ def analytic_slot_jacobian(
     term1 = A_m * (dpsi_WV + V_m * M_m)
     term1 -= A_m * mix[:, :, None] * M_m  # term2
     return term1
+
+
+def analytic_slot_jacobian_norms(layer: CrossAttentionLayer, head: PixelHead,
+                                 z_hat: np.ndarray) -> np.ndarray:
+    """(n_pixels, K) L1 norms of analytic_slot_jacobian's blocks, not formed: block (m, d) is
+    A_dm (dpsi_d W_V + u_md M_d), u_md = dpsi_d (V_m - token_d), and A_dm >= 0 factors out."""
+    M, A, V = _closed_form_terms(layer, z_hat)
+    s, K, P = M.shape[1], V.shape[0], M.shape[0]
+    h = head.W1 @ (A @ V).T
+    dtanh = 1.0 - np.tanh(h + head.b1[:, None]) ** 2
+    mix = head.W2 @ (dtanh * h)  # dpsi_d token_d, (C, P)
+    rows = (head.W1 @ np.hstack([layer.W_V, V.T])).T  # times W2 and tanh': dpsi [W_V | V^T]
+    F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
+    MT, buf, acc = np.ascontiguousarray(M.T)[:, None], np.empty((s, K, P)), np.zeros(K * P)
+    for c in range(F.shape[0]):
+        np.multiply(F[c, s:] - mix[c], MT, out=buf)  # u_md M_d
+        buf += F[c, :s, None]
+        acc += np.ones(s) @ np.abs(buf, out=buf).reshape(s, -1)
+    return (acc.reshape(K, P) * A.T).T
 
 
 def decoder_backward(

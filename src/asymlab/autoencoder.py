@@ -30,7 +30,7 @@ from .attention import (
     positional_query_inputs,
     weight_gradient,
 )
-from .sprites import check_integers
+from .sprites import check_integers, check_numbers
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 DIVERGENCE_LIMIT = 1e6
@@ -73,6 +73,8 @@ class ModelConfig:
     def __post_init__(self):
         check_integers(self, {k: 0 if k in ("enc_layers", "seed") else 1
                               for k in self.__dataclass_fields__ if k != "scaling"})
+        if not isinstance(self.scaling, bool):
+            raise ValueError(f"scaling must be a bool, got {self.scaling!r}")
         if self.height % self.patch or self.width % self.patch:
             raise ValueError("patch size must tile the image")
         if self.dec_d_q % self.dec_heads:
@@ -101,6 +103,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, ("alpha", "beta", "lr"))
         if not (self.alpha >= 0 and self.beta >= 0):  # NaN too
             raise ValueError("loss weights must be non-negative")
         check_integers(self, {"batch_size": 1, "iterations": 0, "warmup": 0, "seed": 0})

@@ -50,7 +50,7 @@ from .generators import (
     top_order_cross_nonzero,
 )
 from .metrics import (assignment_from_masks, j_ari_from_norms, jis_from_norms,
-                      position_only_index, slot_jacobian_norms)
+                      position_only_index, slot_jacobian_norms, slot_shares)
 from .multiindex import (
     SlotPartition,
     all_multiindices,
@@ -398,12 +398,11 @@ def _default_ablation_config() -> dict:
     }
 
 
-def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list]:
-    """Encode each held-out image and score it from one slot Jacobian.
-    Returns per-image J-ARI and JIS values, the J-ARI's excluded pixel
-    count summed over images, and the per-image (n_pixels, K) norms."""
+def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list, list]:
+    """Encode and score each held-out image from one slot Jacobian.  Returns per-image
+    J-ARI, JIS, the summed J-ARI exclusions, per-image (n_pixels, K) norms and foregrounds."""
     decoder = (model.dec_layers, model.dec_head)
-    jari_vals, jis_vals, excluded, norms = [], [], 0, []
+    jari_vals, jis_vals, excluded, norms, fg = [], [], 0, [], []
     for idx in eval_idx:
         scene = dataset.scenes[idx]
         mu, _ = encode(model, scene.image[None])
@@ -413,7 +412,8 @@ def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list]:
         jari_vals.append(r.value)
         excluded += r.excluded_pixels
         jis_vals.append(jis_from_norms(norms[-1], gt.foreground).value)
-    return jari_vals, jis_vals, excluded, norms
+        fg.append(gt.foreground)
+    return jari_vals, jis_vals, excluded, norms, fg
 
 
 def _run_ablation_cell(args: dict) -> dict:
@@ -438,7 +438,7 @@ def _run_ablation_cell(args: dict) -> dict:
     except TrainingDiverged as e:
         return dict(cell, diverged=e, log_rows=_log_rows(e.log))
 
-    jari_vals, jis_vals, excl, norms = _score_held_out(model, dataset, eval_idx)
+    jari_vals, jis_vals, excl, norms, fg = _score_held_out(model, dataset, eval_idx)
     side = data_cfg.image_size
     heatmaps = [norms[0][:, k].reshape(side, side) for k in range(mc.n_slots)]
     # convergence-window mean smooths single-batch noise
@@ -447,6 +447,7 @@ def _run_ablation_cell(args: dict) -> dict:
         **cell,
         "j_ari": float(np.mean(jari_vals)), "jis": float(np.mean(jis_vals)),
         "position_only_index": position_only_index(norms),
+        "slot_shares": slot_shares(norms, fg),
         "excluded": excl,
         "images_scored": len(eval_idx),
         "final_interact": float(np.mean([b.interact for b in tail])),
@@ -460,10 +461,10 @@ def _run_ablation_cell(args: dict) -> dict:
 def exp_train_ablation(config: dict | None = None,
                        out: str | os.PathLike | None = None) -> ExperimentResult:
     """Train the toy autoencoder over the (alpha, beta) grid for several
-    seeds each; report J-ARI, JIS and the position-only index per cell, dump
-    per-slot Jacobian heat maps, and compare the regularized corner against
-    the unregularized one.  A diverged cell leaves log.csv and a failed
-    results.json naming it, then raises TrainingDiverged."""
+    seeds each; report J-ARI, JIS, the position-only index and the sorted
+    slot shares per cell, dump per-slot Jacobian heat maps, and compare the
+    regularized corner against the unregularized one.  A diverged cell leaves
+    log.csv and a failed results.json naming it, then raises TrainingDiverged."""
     cfg = _merge_defaults(config, _default_ablation_config())
     # each cell sets these itself, from its seed and the image size
     reserved = sorted({"seed", "height", "width"} & set(cfg["model"]))
@@ -519,6 +520,7 @@ def exp_train_ablation(config: dict | None = None,
             "jis_mean": float(np.mean([r["jis"] for r in rs])),
             "jis_std": float(np.std([r["jis"] for r in rs])),
             "position_only_index": float(np.mean([r["position_only_index"] for r in rs])),
+            "slot_shares": np.mean([r["slot_shares"] for r in rs], axis=0).tolist(),
             "interact_mean": float(np.mean([r["final_interact"] for r in rs])),
             "images_scored": rs[0]["images_scored"],
         }
@@ -684,7 +686,7 @@ def exp_train(config: dict | None = None,
     result.add_metric("train", "rec_improved", float(log[-1].rec < log[0].rec))
 
     eval_idx = dataset.manifest["splits"]["test"][: cfg["eval_images"]]
-    jari_vals, jis_vals, _, _ = _score_held_out(model, dataset, eval_idx)
+    jari_vals, jis_vals, *_ = _score_held_out(model, dataset, eval_idx)
     if jari_vals:
         result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
         result.add_metric("eval", "jis", float(np.mean(jis_vals)))

@@ -3,13 +3,13 @@
 ARI compares pixel labelings through the contingency table; J-ARI labels
 pixels by the slot whose Jacobian block moves them most; JIS measures how
 concentrated each pixel's slot influence is; the position-only index
-measures how often a pixel keeps its slot from image to image.  J-ARI and
-JIS also take precomputed slot Jacobian norms, so a caller scoring both
-computes them once.  Background pixels (from the ground-truth renderer
-masks) are excluded from all averages, as are pixels with an all-zero
-Jacobian row, and the exclusion counts travel with the result.
-block_permutation_structure and the local disentanglement check detect
-slot-respecting Jacobians of latent maps.
+measures how often a pixel keeps its slot from image to image, and the slot
+shares how the foreground splits between slots.  J-ARI and JIS also take
+precomputed Jacobian norms, so a caller scoring both computes them once.
+Background pixels (from the ground-truth renderer masks) are excluded from
+all averages, as are pixels with an all-zero Jacobian row, and the exclusion
+counts travel with the result.  block_permutation_structure and the local
+disentanglement check detect slot-respecting Jacobians of latent maps.
 
 Finite-difference Jacobians use the engine's one stencil
 (derivatives.StencilConfig()).  The constants: a pixel's Jacobian row
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymmetry import CheckReport
-from .attention import analytic_slot_jacobian, cross_attention_forward
+from .attention import analytic_slot_jacobian_norms, cross_attention_forward
 from .derivatives import partials
 from .multiindex import SlotPartition, unit_indices
 
@@ -124,8 +124,7 @@ def slot_jacobian_norms(decoder, z_hat: np.ndarray) -> np.ndarray:
     if isinstance(decoder, tuple) and len(decoder) == 2 and not callable(decoder):
         layers, head = decoder
         if len(layers) == 1 and layers[0].n_heads == 1:
-            jac = analytic_slot_jacobian(layers[0], head, z)
-            return np.sum(np.abs(jac), axis=(2, 3)).T
+            return analytic_slot_jacobian_norms(layers[0], head, z)
 
         channels = head.W2.shape[0]
 
@@ -197,6 +196,17 @@ def position_only_index(norms: np.ndarray) -> float:
     slots follow the objects scores below 1."""
     labels = np.argmax(np.asarray(norms), axis=-1)
     return float(np.mean(np.all(labels == labels[0], axis=0)))
+
+
+def slot_shares(norms: np.ndarray, foreground: np.ndarray) -> np.ndarray:
+    """Share of the foreground pixels of a norm stack (..., n_pixels, K) won
+    by each argmax slot, descending; a pixel with an all-zero row wins none.
+    (1, 0, 0) is one slot for every pixel, a K-way tessellation about 1/K each."""
+    use = np.asarray(foreground, dtype=bool) & (np.sum(norms, axis=-1) > ZERO_TOL)
+    if not np.any(use):
+        raise ValueError("no usable foreground pixels")
+    wins = np.bincount(np.argmax(norms, axis=-1)[use], minlength=np.shape(norms)[-1])
+    return np.sort(wins / wins.sum())[::-1]
 
 
 def block_permutation_structure(J: np.ndarray, partition: SlotPartition) -> tuple[int, ...] | None:

@@ -90,6 +90,13 @@ def check_integers(config, minimums: dict[str, int]) -> None:
             raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
+def check_numbers(config, names: tuple[str, ...]) -> None:
+    """ValueError naming a config field, and its value, that is not a real number."""
+    for name, value in ((n, getattr(config, n)) for n in names):
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DataConfig:
     count: int = 64
@@ -105,6 +112,7 @@ class DataConfig:
     def __post_init__(self):
         check_integers(self, {"count": 1, "image_size": 1, "min_objects": 1, "max_objects": 1,
                               "min_size": 1, "max_size": 1, "seed": 0})
+        check_numbers(self, ("train_fraction", "val_fraction"))
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("object count range malformed")
         if self.min_size > self.max_size or self.max_size > self.image_size:

@@ -9,6 +9,7 @@ from asymlab.attention import (
     PixelHead,
     aggregate_attention,
     analytic_slot_jacobian,
+    analytic_slot_jacobian_norms,
     attend,
     attend_backward,
     cross_attention_forward,
@@ -254,6 +255,51 @@ def test_analytic_jacobian_rejects_multihead():
     z = np.zeros((2, 4))
     with pytest.raises(ValueError):
         analytic_slot_jacobian(layers[0], head, z)
+
+
+def _norms_of_full_jacobian(layer, head, z):
+    return np.sum(np.abs(analytic_slot_jacobian(layer, head, z)), axis=(2, 3)).T
+
+
+@pytest.mark.parametrize("scaling", [False, True])
+@pytest.mark.parametrize("K", [1, 3, 5])
+def test_analytic_jacobian_norms_match_full_jacobian(scaling, K):
+    # slot_dim 5 against d_q 8, so no product can confuse the two widths
+    layers, head = random_decoder(K, n_pixels=7, K=K, slot_dim=5, scaling=scaling)
+    z = np.random.default_rng(K).normal(size=(K, 5))
+    norms = analytic_slot_jacobian_norms(layers[0], head, z)
+    assert norms.shape == (7, K)
+    np.testing.assert_allclose(norms, _norms_of_full_jacobian(layers[0], head, z),
+                               rtol=1e-12, atol=0)
+
+
+def test_analytic_jacobian_norms_saturated_decoder():
+    # keys this large push some softmax weights below exp(-745): exactly 0
+    layers, head = random_decoder(4, n_pixels=12, K=3, slot_dim=5, scaling=True)
+    layers[0].W_K *= 300.0
+    z = np.random.default_rng(3).normal(size=(3, 5))
+    A = softmax_rows(layers[0].query_inputs @ layers[0].W_Q.T
+                     @ (z @ layers[0].W_K.T).T / np.sqrt(layers[0].d_q))
+    assert np.any(A == 0)
+    norms = analytic_slot_jacobian_norms(layers[0], head, z)
+    assert np.all(norms[A == 0] == 0.0)
+    # subnormal weights keep too few bits for a relative comparison
+    normal = A >= np.finfo(float).tiny
+    np.testing.assert_allclose(norms[normal],
+                               _norms_of_full_jacobian(layers[0], head, z)[normal],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("closed_form", [analytic_slot_jacobian, analytic_slot_jacobian_norms])
+def test_closed_forms_reject_what_they_do_not_cover(closed_form):
+    multihead, head2 = random_decoder(8, n_pixels=3, K=2, slot_dim=4, n_heads=2, d_q=4)
+    deep, head = random_decoder(8, n_pixels=3, K=2, slot_dim=4, n_layers=2)
+    with pytest.raises(ValueError, match="single-head"):
+        closed_form(multihead[0], head2, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="query inputs"):
+        closed_form(deep[1], head, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="unbatched"):
+        closed_form(deep[0], head, np.zeros((1, 2, 4)))
 
 
 def test_decoder_backward_weight_gradients():

@@ -50,6 +50,13 @@ def test_train_config_rejects_non_integers(field, bad):
         TrainConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [("alpha", "0.1"), ("beta", None), ("lr", True),
+                                        ("lr", "5e-4")])
+def test_train_config_rejects_non_numbers(field, bad):
+    with pytest.raises(ValueError, match=rf"{field} must be a number, got {bad!r}"):
+        TrainConfig(**{field: bad})
+
+
 def test_train_config_accepts_boundaries():
     cfg = TrainConfig(batch_size=1, iterations=0, warmup=0, lr=1e-12)
     assert (cfg.batch_size, cfg.iterations, cfg.warmup) == (1, 0, 0)
@@ -206,6 +213,14 @@ def test_reconstruct_shape():
 def test_model_config_names_bad_counts(field, bad, named):
     with pytest.raises(ValueError, match=named):
         ModelConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", ["false", 0, 1, None])
+def test_model_config_scaling_must_be_a_bool(bad):
+    # a truthy string would otherwise turn logit scaling on
+    with pytest.raises(ValueError, match=rf"scaling must be a bool, got {bad!r}"):
+        ModelConfig(scaling=bad)
+    assert build_autoencoder(ModelConfig(scaling=False)).dec_layers[0].scaling is False
 
 
 def test_loss_and_gradients_same_with_kept_buffers():

@@ -281,6 +281,18 @@ def test_cli_names_bad_model_and_data_fields(tmp_path, capsys):
         assert not (tmp_path / name / "log.csv").exists()
 
 
+def test_cli_names_non_bool_scaling(tmp_path, capsys):
+    # "false" is truthy: without the check it would train a scaled decoder
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({"data": {"count": 10, "seed": 4}, "eval_images": 1,
+                                "model": {"scaling": "false"},
+                                "train": {"iterations": 2, "batch_size": 2}}))
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "bad configuration" in err and "scaling must be a bool, got 'false'" in err
+    assert not (tmp_path / "out" / "log.csv").exists()
+
+
 def test_cli_ablate_reports_divergence(tmp_path, capsys):
     cfg = tmp_path / "ablate.json"
     cfg.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0],
@@ -342,6 +354,7 @@ def test_scoring_takes_one_slot_jacobian_per_image(monkeypatch):
     assert len(calls) == row["images_scored"] == 3
     assert len(row["heatmaps"]) == 3
     assert 0.0 < row["position_only_index"] <= 1.0
+    assert len(row["slot_shares"]) == 3 and sum(row["slot_shares"]) == pytest.approx(1.0)
 
 
 def test_pool_size_rejects_non_integer(monkeypatch):
@@ -387,6 +400,7 @@ def test_ablation_results_independent_of_pool_size(monkeypatch):
         runs.append(obj)
     assert runs[0] == runs[1]
     assert runs[0]["extras"]["cells"]["a0.0_b0.0"]["images_scored"] == 4
+    assert len(runs[0]["extras"]["cells"]["a0.0_b0.0"]["slot_shares"]) == 3
 
 
 def test_ablation_scores_held_out_images_only(monkeypatch):

@@ -27,6 +27,7 @@ from asymlab.metrics import (
     local_disentanglement_check,
     position_only_index,
     slot_jacobian_norms,
+    slot_shares,
 )
 from asymlab.multiindex import SlotPartition
 
@@ -245,6 +246,28 @@ def test_position_only_index_on_hand_built_norms():
     assert position_only_index(following) == pytest.approx(4 / 6)
     # one image is trivially position-only
     assert position_only_index(following[2:3]) == 1.0
+
+
+def test_slot_shares_on_hand_built_norms():
+    rng = np.random.default_rng(9)
+    fg = np.ones((2, 9), dtype=bool)
+    fg[:, 4] = False
+    # a collapsed cell: slot 2 wins every pixel on every image
+    collapsed = rng.uniform(0.0, 0.5, size=(2, 9, 3))
+    collapsed[..., 2] += 1.0
+    assert slot_shares(collapsed, fg).tolist() == [1.0, 0.0, 0.0]
+    # a 3-way tessellation: three pixels per slot, pixel 4 in the background
+    owner = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
+    tessellated = rng.uniform(0.0, 0.5, size=(2, 9, 3))
+    tessellated[:, np.arange(9), owner] += 1.0
+    shares = slot_shares(tessellated, fg)
+    assert shares.tolist() == [3 / 8, 3 / 8, 1 / 4]
+    assert np.all(np.diff(shares) <= 0)
+    # a pixel whose Jacobian row is zero wins no slot
+    tessellated[:, 0] = 0.0
+    assert slot_shares(tessellated, fg).tolist() == [3 / 7, 2 / 7, 2 / 7]
+    with pytest.raises(ValueError):
+        slot_shares(tessellated, np.zeros((2, 9), dtype=bool))
 
 
 def test_j_ari_excludes_dead_pixels():

@@ -130,3 +130,10 @@ def test_data_config_validation_and_roundtrip():
 def test_data_config_names_bad_counts(field, bad, named):
     with pytest.raises(ValueError, match=named):
         DataConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [("train_fraction", "0.8"), ("val_fraction", None),
+                                        ("train_fraction", True)])
+def test_data_config_rejects_non_number_fractions(field, bad):
+    with pytest.raises(ValueError, match=rf"{field} must be a number, got {bad!r}"):
+        DataConfig(**{field: bad})
