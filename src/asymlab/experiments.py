@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .multiindex import (
     monomials,
     multiindices_within_block,
 )
-from .sprites import DataConfig, make_dataset
+from .sprites import DataConfig, check_integers, check_numbers, make_dataset
 
 IN_SUPPORT_FLOOR = 1e-14
 
@@ -251,16 +252,12 @@ class FitModel:
     solver: str = "cholesky"
     condition: float = 0.0
 
-    def __call__(self, Z: np.ndarray) -> np.ndarray:
-        return monomials(np.atleast_2d(Z), self.features) @ self.coefficients
 
-
-def fit_linear(Z: np.ndarray, Y: np.ndarray, feats) -> FitModel:
-    """Least squares in the given feature basis.  Solves the normal
-    equations when their condition number is below 1e12 and falls back to
-    an orthogonal-decomposition (SVD) solve otherwise, recording which path
-    ran and the observed condition number."""
-    X = monomials(Z, feats)
+def fit_linear(X: np.ndarray, Y: np.ndarray, feats) -> FitModel:
+    """Least squares on the design table X (N, F) of the monomials `feats`.
+    Solves the normal equations when their condition number is below 1e12
+    and falls back to an orthogonal-decomposition (SVD) solve otherwise,
+    recording which path ran and the observed condition number."""
     gram = X.T @ X
     cond = float(np.linalg.cond(gram))
     if np.isfinite(cond) and cond < 1e12:
@@ -271,6 +268,23 @@ def fit_linear(Z: np.ndarray, Y: np.ndarray, feats) -> FitModel:
         solver = "svd"
     return FitModel(features=list(feats), coefficients=coef,
                     solver=solver, condition=cond)
+
+
+def design_tables(feature_sets):
+    """Z -> [monomials(Z, feats) per feature set], from one table over their union.  Each
+    is rows of the (F, N) table, transposed: a table's own layout, so equal bit for bit."""
+    column = {a: i for i, a in enumerate(dict.fromkeys(a for fs in feature_sets for a in fs))}
+    union = np.array(list(column), dtype=int)
+    rows = [np.array([column[a] for a in feats], dtype=int) for feats in feature_sets]
+    def tables(Z: np.ndarray) -> list[np.ndarray]:
+        table = monomials(Z, union).T
+        return [table[r].T for r in rows]
+    return tables
+
+
+def _mse(tables, models, Y: np.ndarray) -> list[float]:
+    """Mean squared error of each model's prediction from its design table."""
+    return [float(np.mean((X @ m.coefficients - Y) ** 2)) for X, m in zip(tables, models)]
 
 
 def exp_compgen(config: dict | None = None,
@@ -297,6 +311,15 @@ def exp_compgen(config: dict | None = None,
         "cpe_mse_limit": 1e-8,
         "pair_tol": 1e-8,
     })
+    seeds = cfg["seeds"]
+    if not isinstance(seeds, (list, tuple)) or not seeds or any(
+            isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0 for s in seeds):
+        raise ValueError(f"seeds must be a non-empty list of integers at least 0, got {seeds!r}")
+    fields = SimpleNamespace(**cfg)
+    check_integers(fields, {"n_train": 1, "n_eval_cpe": 1, "n_eval_support": 1, "degree": 1})
+    check_numbers(fields, ("band_width", "ratio_required", "cpe_mse_limit", "pair_tol"))
+    if not cfg["band_width"] >= 0:
+        raise ValueError(f"band_width must be at least 0, got {cfg['band_width']!r}")
     if cfg["support_kind"] not in ("band", "box"):
         raise ValueError(f"support_kind must be 'band' or 'box', got {cfg['support_kind']!r}")
     t0 = time.time()
@@ -306,6 +329,7 @@ def exp_compgen(config: dict | None = None,
                else Box(part.latent_dim))
     feats_c = constrained_features(part, cfg["order"], cfg["degree"])
     feats_b = full_poly_features(part.latent_dim, cfg["degree"])
+    design = design_tables((feats_c, feats_b))
     all_ok = True
     for seed in cfg["seeds"]:
         run_id = f"seed{seed}"
@@ -315,13 +339,12 @@ def exp_compgen(config: dict | None = None,
 
         Z_train = support.sample(rng, cfg["n_train"])
         Y_train = gt(Z_train)
-        model_c = fit_linear(Z_train, Y_train, feats_c)
-        model_b = fit_linear(Z_train, Y_train, feats_b)
+        model_c, model_b = (fit_linear(X, Y_train, feats)
+                            for X, feats in zip(design(Z_train), (feats_c, feats_b)))
 
         Z_in = support.sample(rng, cfg["n_eval_support"])
         Y_in = gt(Z_in)
-        in_c = float(np.mean((model_c(Z_in) - Y_in) ** 2))
-        in_b = float(np.mean((model_b(Z_in) - Y_in) ** 2))
+        in_c, in_b = _mse(design(Z_in), (model_c, model_b), Y_in)
         result.add_metric(run_id, "in_support_mse_constrained", in_c)
         result.add_metric(run_id, "in_support_mse_baseline", in_b)
         if cfg["support_kind"] == "box":
@@ -331,8 +354,7 @@ def exp_compgen(config: dict | None = None,
 
         Z_cpe = sample_cpe(support, part, rng, cfg["n_eval_cpe"])
         Y_cpe = gt(Z_cpe)
-        cpe_c = float(np.mean((model_c(Z_cpe) - Y_cpe) ** 2))
-        cpe_b = float(np.mean((model_b(Z_cpe) - Y_cpe) ** 2))
+        cpe_c, cpe_b = _mse(design(Z_cpe), (model_c, model_b), Y_cpe)
 
         ok_c = cpe_c <= cfg["cpe_mse_limit"]
         ok_ratio = cpe_b >= cfg["ratio_required"] * max(cpe_c, IN_SUPPORT_FLOOR)
@@ -352,9 +374,9 @@ def exp_compgen(config: dict | None = None,
         }
         all_ok &= ok_c and ok_ratio and ok_in
 
-        # constructed pair f o h: evaluated at its own latents h^{-1}(z) it
-        # must reproduce f(z), on the band and off it; exercises the
-        # iterative slot-map inversion at extension points
+        # constructed pair f o h: at its own latents h^{-1}(z) it must reproduce
+        # f(z) on the band and off it (one evaluation on both sets' rows); this
+        # exercises the iterative slot-map inversion at extension points
         from .generators import SlotMap, SlotwiseDiffeoSpec, compose_slotwise
 
         maps = tuple(
@@ -364,9 +386,9 @@ def exp_compgen(config: dict | None = None,
             for b in part.blocks
         )
         pair = compose_slotwise(gt, SlotwiseDiffeoSpec(maps=maps, permutation=(1, 0)))
-        agree_sup, agree_cpe = (
-            float(np.max(np.abs(pair.model(pair.latent_map(Z[:32])) - Y[:32])))
-            for Z, Y in ((Z_in, Y_in), (Z_cpe, Y_cpe)))
+        gap = np.max(np.abs(pair.model(pair.latent_map(np.concatenate([Z_in[:32], Z_cpe[:32]])))
+                            - np.concatenate([Y_in[:32], Y_cpe[:32]])), axis=1)
+        agree_sup, agree_cpe = (float(np.max(g)) for g in np.split(gap, [len(Z_in[:32])]))
         ok_pair = agree_sup <= cfg["pair_tol"] and agree_cpe <= cfg["pair_tol"]
         result.add_metric(run_id, "constructed_pair_support_agreement", agree_sup)
         result.add_metric(run_id, "constructed_pair_cpe_agreement", agree_cpe)

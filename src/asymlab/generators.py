@@ -31,6 +31,7 @@ from .derivatives import evaluate, is_batched
 from .multiindex import (
     MultiIndex,
     SlotPartition,
+    _cached,
     all_multiindices,
     independence_groups,
     interaction_indices,
@@ -89,11 +90,12 @@ class Feature:
         return cls(kind=obj["kind"], weights=tuple(obj["weights"]), bias=float(obj["bias"]))
 
 
+@_cached()
 def monomial_features(slot_dim: int, max_degree: int = 3) -> list[Feature]:
     """All slot monomials with total degree in [1, max_degree], by degree
     and, within a degree, in reverse lexicographic order of the exponents
-    ((1, 0) before (0, 1)).  Preset coefficients are drawn per feature in
-    this order."""
+    ((1, 0) before (0, 1)), built once and given out as a new list.  Preset
+    coefficients are drawn per feature in this order."""
     return [Feature(kind="mon", exponents=e)
             for deg in range(1, max_degree + 1)
             for e in reversed(all_multiindices(slot_dim, deg))]
@@ -202,13 +204,13 @@ class GeneratorSpec:
         affine: dict[str, tuple[list, list, list]] = {}
         for sf, block in zip(self.slot_functions, self.partition.blocks):
             for feat, row in zip(sf.features, sf.coefficients.T):
-                embedded = np.zeros(d)
+                at = dict(zip(block, feat.exponents if feat.kind == "mon" else feat.weights,
+                              strict=True))
+                embedded = [at.get(i, 0) for i in range(d)]
                 if feat.kind == "mon":
-                    embedded[list(block)] = feat.exponents
                     exps.append(embedded)
                     mon_rows.append(row)
                 else:
-                    embedded[list(block)] = feat.weights
                     W, b, C = affine.setdefault(feat.kind, ([], [], []))
                     W.append(embedded)
                     b.append(feat.bias)
@@ -218,7 +220,7 @@ class GeneratorSpec:
             mon_rows.append(c)
         return (np.array(exps, dtype=int).reshape(-1, d),
                 np.array(mon_rows).reshape(-1, self.out_dim),
-                [(_AFFINE_FNS[kind], np.array(W).T, np.array(b), np.array(C))
+                [(_AFFINE_FNS[kind], np.array(W, dtype=float).T, np.array(b), np.array(C))
                  for kind, (W, b, C) in affine.items()])
 
     def __call__(self, z: Sequence[float]) -> np.ndarray:
@@ -386,14 +388,19 @@ class SlotMap:
         v = np.asarray(v, dtype=float)
         if self.kind == "affine":
             return np.linalg.solve(self.matrix, (v - self.offset).T).T
-        # strictly monotone scalar equations; Newton from v/linear converges
-        u = v / self.linear
-        for _ in range(80):
-            r = self.linear * u + self.cubic * u**3 - v
-            u = u - r / (self.linear + 3 * self.cubic * u**2)
-            if np.max(np.abs(r)) < 1e-13:
-                break
-        return u
+        return _invert_cubic(v, self.linear, self.cubic)
+
+
+def _invert_cubic(v: np.ndarray, linear: np.ndarray, cubic: np.ndarray) -> np.ndarray:
+    """u with linear*u + cubic*u^3 = v per coordinate; monotone, so Newton from v/linear converges."""
+    u = v / linear
+    for _ in range(80):
+        u2 = u * u
+        r = linear * u + cubic * (u2 * u) - v
+        u = u - r / (linear + 3 * cubic * u2)
+        if np.max(np.abs(r)) < 1e-13:
+            break
+    return u
 
 
 @dataclass(frozen=True)
@@ -453,10 +460,18 @@ class ComposedPair:
         return out
 
     def h_inverse(self, y: np.ndarray) -> np.ndarray:
+        """h^{-1}: a linear solve per affine slot, one Newton iteration for all cubic ones."""
         y = np.asarray(y, dtype=float)
         out = np.empty_like(y)
+        cubic = ([], [], [], [])  # source, destination, linear and cubic coefficients
         for src, dst, m in self._slot_pairs():
-            out[..., src] = m.invert(y[..., dst])
+            if m.kind == "affine":
+                out[..., src] = m.invert(y[..., dst])
+            else:
+                for acc, part in zip(cubic, (src, dst, m.linear, m.cubic)):
+                    acc.extend(part)
+        if cubic[0]:
+            out[..., cubic[0]] = _invert_cubic(y[..., cubic[1]], *map(np.array, cubic[2:]))
         return out
 
     def model(self, z: np.ndarray) -> np.ndarray:

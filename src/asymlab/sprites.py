@@ -113,6 +113,9 @@ class DataConfig:
         check_integers(self, {"count": 1, "image_size": 1, "min_objects": 1, "max_objects": 1,
                               "min_size": 1, "max_size": 1, "seed": 0})
         check_numbers(self, ("train_fraction", "val_fraction"))
+        for name in ("train_fraction", "val_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("object count range malformed")
         if self.min_size > self.max_size or self.max_size > self.image_size:

@@ -9,6 +9,8 @@ from asymlab.experiments import (
     ExperimentResult,
     _merge_defaults,
     config_hash,
+    constrained_features,
+    design_tables,
     exp_characterization,
     exp_compgen,
     exp_gen_data,
@@ -17,8 +19,8 @@ from asymlab.experiments import (
     fit_linear,
     full_poly_features,
 )
-from asymlab.generators import GraphBand, preset_generator, sample_cpe
-from asymlab.multiindex import SlotPartition
+from asymlab.generators import GraphBand, default_partition, preset_generator, sample_cpe
+from asymlab.multiindex import SlotPartition, monomials
 from asymlab.tensorio import load_json, load_tensor
 
 
@@ -74,13 +76,61 @@ def test_fit_linear_solver_switch():
     Z = rng.uniform(-1, 1, size=(200, 2))
     feats = full_poly_features(2, degree=2)
     Y = Z[:, :1] * Z[:, 1:]
-    fit = fit_linear(Z, Y, feats)
+    fit = fit_linear(monomials(Z, feats), Y, feats)
     assert fit.solver == "cholesky"
     # duplicated feature makes the gram matrix exactly singular
     dup = feats + [feats[-1]]
-    fit2 = fit_linear(Z, Y, dup)
+    fit2 = fit_linear(monomials(Z, dup), Y, dup)
     assert fit2.solver == "svd"
     assert fit2.condition > 1e12
+
+
+@pytest.mark.parametrize("order, degree", [(2, 3), (2, 1)])
+def test_shared_design_table_fits_bit_for_bit(order, degree):
+    # at degree 1 the constrained cross monomials are not in the baseline set
+    part = default_partition(order)
+    feats_c = constrained_features(part, order, degree)
+    feats_b = full_poly_features(part.latent_dim, degree)
+    assert (set(feats_c) <= set(feats_b)) == (degree >= order)
+    Z = GraphBand(0.0).sample(np.random.default_rng(3), 400)
+    Y = preset_generator(order, rng_seed=3, partition=part, include_trig=False)(Z)
+    for feats, X in zip((feats_c, feats_b), design_tables((feats_c, feats_b))(Z)):
+        own = monomials(Z, feats)
+        assert np.array_equal(X, own)
+        shared, alone = fit_linear(X, Y, feats), fit_linear(own, Y, feats)
+        assert np.array_equal(shared.coefficients, alone.coefficients)
+        assert (shared.solver, shared.condition) == (alone.solver, alone.condition)
+        assert np.array_equal(X @ shared.coefficients, own @ alone.coefficients)
+
+
+def test_exp_compgen_repeats_in_one_process():
+    # the cached preset features and index sets carry no state from call to call
+    cfg = {"seeds": [0, 1], "n_train": 200, "n_eval_cpe": 100, "n_eval_support": 80}
+    a, b = exp_compgen(cfg).to_json(), exp_compgen(cfg).to_json()
+    a.pop("wall_clock"), b.pop("wall_clock")
+    assert a == b
+
+
+@pytest.mark.parametrize("field, bad, named", [
+    ("seeds", [], "seeds must be a non-empty list of integers at least 0, got []"),
+    ("seeds", [0, 1.5], "seeds must be a non-empty list of integers at least 0, got [0, 1.5]"),
+    ("n_eval_cpe", 0, "n_eval_cpe must be at least 1, got 0"),
+    ("n_train", 2.5, "n_train must be an integer, got 2.5"),
+    ("n_eval_support", 0, "n_eval_support must be at least 1, got 0"),
+    ("degree", 0, "degree must be at least 1, got 0"),
+    ("band_width", -1, "band_width must be at least 0, got -1"),
+    ("band_width", "0.1", "band_width must be a number, got '0.1'"),
+    ("pair_tol", None, "pair_tol must be a number, got None"),
+])
+def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        exp_compgen({field: bad})
+    path = tmp_path / "compgen.json"
+    path.write_text(json.dumps({field: bad}))
+    rc = cli.main(["compgen", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "bad configuration" in err and named in err, err
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 def test_exp_compgen_single_seed(tmp_path):

@@ -140,6 +140,40 @@ def test_composed_pair_roundtrip_and_permutation():
     assert pair.permutation == (1, 0)
 
 
+def _cubic_maps(rng, part):
+    return tuple(SlotMap(kind="cubic", linear=rng.uniform(0.7, 1.3, size=len(b)),
+                         cubic=rng.uniform(0.0, 0.3, size=len(b)))
+                 for b in part.blocks)
+
+
+def test_h_inverse_one_solve_matches_per_slot_invert():
+    spec = preset_generator(2, rng_seed=5, include_trig=False)
+    part = spec.partition
+    rng = np.random.default_rng(8)
+    maps = _cubic_maps(rng, part)
+    pair = compose_slotwise(spec, SlotwiseDiffeoSpec(maps=maps, permutation=(1, 0)))
+    Y = rng.uniform(-1.5, 1.5, size=(64, part.latent_dim))
+    per_slot = np.empty_like(Y)
+    for k, m in enumerate(maps):
+        per_slot[:, list(part.blocks[pair.permutation[k]])] = m.invert(Y[:, list(part.blocks[k])])
+    assert np.max(np.abs(pair.h_inverse(Y) - per_slot)) <= 1e-13
+    for y in (Y[0], Y):
+        assert np.max(np.abs(pair.h(pair.h_inverse(y)) - y)) <= 1e-12
+
+
+def test_h_inverse_mixes_affine_and_cubic_slots():
+    spec = preset_generator(2, rng_seed=6, include_trig=False)
+    part = spec.partition
+    rng = np.random.default_rng(9)
+    affine = SlotMap(kind="affine", matrix=rng.normal(size=(2, 2)) + 2 * np.eye(2),
+                     offset=rng.normal(scale=0.2, size=2))
+    pair = compose_slotwise(spec, SlotwiseDiffeoSpec(
+        maps=(affine, _cubic_maps(rng, part)[1]), permutation=(1, 0)))
+    Y = rng.uniform(-1.5, 1.5, size=(64, part.latent_dim))
+    for y in (Y[0], Y):
+        assert np.max(np.abs(pair.h(pair.h_inverse(y)) - y)) <= 1e-12
+
+
 def test_diffeo_size_mismatch():
     part = SlotPartition(blocks=((0,), (1, 2)), latent_dim=3)
     maps = (SlotMap(kind="affine", matrix=np.eye(2), offset=np.zeros(2)),

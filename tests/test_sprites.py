@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,3 +138,14 @@ def test_data_config_names_bad_counts(field, bad, named):
 def test_data_config_rejects_non_number_fractions(field, bad):
     with pytest.raises(ValueError, match=rf"{field} must be a number, got {bad!r}"):
         DataConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("fractions, named", [
+    ({"train_fraction": -0.5, "val_fraction": 1.2}, "train_fraction must lie in [0, 1], got -0.5"),
+    ({"train_fraction": 1.5, "val_fraction": -0.6}, "train_fraction must lie in [0, 1], got 1.5"),
+    ({"train_fraction": 0.5, "val_fraction": -0.1}, "val_fraction must lie in [0, 1], got -0.1"),
+])
+def test_data_config_fractions_lie_in_unit_interval(fractions, named):
+    # each sum lies in (0, 1], so only the per-field check catches these
+    with pytest.raises(ValueError, match=re.escape(named)):
+        DataConfig(count=10, **fractions)
