@@ -2,15 +2,17 @@
 per-slot Jacobian, and the attention-overlap regularizer.
 
 attend/attend_backward are the one softmax-attention primitive (Vaswani et
-al. 2017) and its gradient; the encoder's slot-over-patch mixing and every
-decoder layer call them, with heads carried as an array axis.
+al. 2017) and its gradient, with heads carried as an array axis; the
+encoder and every decoder layer share its gradient core.
 
 The decoder maps K slot vectors to pixels: keys and values come from the
 slots, queries from fixed per-pixel inputs (first layer) or the previous
 layer's tokens, each pixel's token is the attention-weighted value mix, and
-a small smooth head turns the final token into RGB.  Attention over slots is
-the only place pixel values can mix information across slots, which is what
-the regularizer measures and the Jacobian analysis exploits.
+a small smooth head turns the final token into RGB (the last layer's tokens
+are never formed: their value mixes go through the head's first layer).
+Attention over slots is the only place pixel values can mix information
+across slots, which is what the regularizer measures and the Jacobian
+analysis exploits.
 
 All forward/backward routines accept either a single slot set (K, slot_dim)
 or a batch (B, K, slot_dim).
@@ -54,11 +56,16 @@ def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
 def attend_backward(g_out, A, Q, K, V, scale: float, g_A=None):
     """Gradients (gQ, gK, gV) of attend, each in its input's shape, from the
     gradient on its output and, if given, g_A on the weights (broadcast
-    against A).  Queries with fewer batch axes than the keys (the decoder's
-    first layer, shared by the batch) get their gradient summed over them."""
+    against A)."""
     gA = g_out @ np.swapaxes(V, -1, -2)
     if g_A is not None:
         gA += g_A
+    return (*attention_weights_backward(gA, A, Q, K, scale), np.swapaxes(A, -1, -2) @ g_out)
+
+
+def attention_weights_backward(gA, A, Q, K, scale: float):
+    """Gradients (gQ, gK) of the weights A of attend from the gradient gA on A;
+    queries with fewer batch axes than the keys get theirs summed over them."""
     g_logits = scale * A * (gA - _sum_last(gA * A)[..., None])
     gK = np.swapaxes(g_logits, -1, -2) @ Q
     # the n batch axes Q lacks flattened into the key axis: (..., P, N*K) @ (..., N*K, d)
@@ -66,7 +73,7 @@ def attend_backward(g_out, A, Q, K, V, scale: float, g_A=None):
     rows = np.moveaxis(g_logits.reshape((-1,) + g_logits.shape[n:]), 0, -2)
     keys = np.moveaxis(K.reshape((-1,) + K.shape[n:]), 0, -3)
     gQ = rows.reshape(rows.shape[:-2] + (-1,)) @ keys.reshape(keys.shape[:-3] + (-1, K.shape[-1]))
-    return gQ, gK, np.swapaxes(A, -1, -2) @ g_out
+    return gQ, gK
 
 
 def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -75,6 +82,12 @@ def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     rows at once would be large enough for a threaded BLAS to split, which
     slows down training runs that share the cores with each other."""
     return np.sum(np.swapaxes(g, -1, -2) @ x, axis=tuple(range(g.ndim - 2)))
+
+
+def bias_gradient(g: np.ndarray) -> np.ndarray:
+    """Gradient of a bias from g (..., out): g summed over its leading axes, as
+    a product with ones (np.sum over two leading axes runs about 7x slower)."""
+    return np.ones(g.size // g.shape[-1]) @ g.reshape(-1, g.shape[-1])
 
 
 @dataclass
@@ -192,7 +205,6 @@ class ForwardCache:
 
     slots: np.ndarray
     per_layer: list = field(default_factory=list)
-    token_final: np.ndarray | None = None
     head_hidden: np.ndarray | None = None
     batched: bool = True
     buffers: dict | None = None
@@ -258,23 +270,27 @@ def cross_attention_forward(
     cache = ForwardCache(slots=z, batched=batched, buffers=buffers)
     q_in = layers[0].query_inputs
     attn_all = []
-    for ly in layers:
+    for li, ly in enumerate(layers):
         if ly.W_Q.shape[1] != q_in.shape[-1]:
             raise ValueError("layer query projection does not match prior tokens")
         Q, Kk, V = (_split_heads(X, ly.n_heads)
                     for X in (q_in @ ly.W_Q.T, z @ ly.W_K.T, z @ ly.W_V.T))
-        out, A = attend(Q, Kk, V, _scale(ly))
+        # K^T contiguous: numpy's stacked matmul takes a transposed operand ~2x slower
+        A = softmax_rows(_scale(ly) * (Q @ np.ascontiguousarray(np.swapaxes(Kk, -1, -2))))
         A_heads = np.moveaxis(A, 1, 0)
         attn_all.append(A_heads if batched else A_heads[:, 0])
         cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A})
-        q_in = _merge_heads(out)
-    cache.token_final = q_in
-    # in place: one (B, P, hidden) array serves the whole head
-    hidden = np.matmul(q_in, head.W1.T,
-                       out=_scratch(buffers, "hidden", q_in.shape[:-1] + head.b1.shape))
+        if li < len(layers) - 1:
+            q_in = _merge_heads(A @ V)
+    # the last layer's tokens A_h V_h are not formed: hidden = sum_h A_h (V_h W1_h^T),
+    # W1_h the head-h columns of W1, as (B, P, H*K) @ (B, H*K, hidden), in place
+    B, H, P = A.shape[:3]
+    VW = V @ np.swapaxes(_split_heads(head.W1, H), -1, -2)
+    hidden = np.matmul(np.moveaxis(A, 1, 2).reshape(B, P, -1), VW.reshape(B, H * K, -1),
+                       out=_scratch(buffers, "hidden", (B, P) + head.b1.shape))
     hidden += head.b1
     cache.head_hidden = np.tanh(hidden, out=hidden)
-    pixels = hidden @ head.W2.T + head.b2
+    pixels = hidden @ np.ascontiguousarray(head.W2.T) + head.b2
     if not batched:
         pixels = pixels[0]
     if with_cache:
@@ -409,26 +425,34 @@ def decoder_backward(
     hh, cache.head_hidden = cache.head_hidden, None
     if hh is None:
         raise ValueError("this forward cache was consumed by an earlier backward pass")
-    head_grads = {"W2": weight_gradient(g_out, hh), "b2": np.sum(g_out, axis=(0, 1))}
+    head_grads = {"W2": weight_gradient(g_out, hh), "b2": bias_gradient(g_out)}
     g_pre = np.subtract(1.0, np.square(hh, out=hh), out=hh)  # (1 - hh^2) (g_out W2), into hh
     g_pre *= np.matmul(g_out, head.W2, out=_scratch(cache.buffers, "g_hidden", hh.shape))
-    head_grads["W1"] = weight_gradient(g_pre, cache.token_final)
-    head_grads["b1"] = np.sum(g_pre, axis=(0, 1))
-    g_tok = np.matmul(g_pre, head.W1,
-                      out=_scratch(cache.buffers, "g_tok", cache.token_final.shape))
 
     g_A = None
     if grad_attention is not None:  # as (B, 1, P, K): the same for every head
         g_A = np.asarray(grad_attention, dtype=float).reshape(
             (-1, 1) + cache.per_layer[0]["A"].shape[2:])
 
+    # the last layer through hidden = sum_h A_h (V_h W1_h^T): with AG_h = A_h^T g_pre,
+    # W1_h gets sum_b AG_h^T V_h, A_h g_pre (W1_h V_h^T) and V_h AG_h W1_h
+    ly, c = layers[-1], cache.per_layer[-1]
+    W1h, AG = _split_heads(head.W1, ly.n_heads), np.swapaxes(c["A"], -1, -2) @ g_pre[:, None]
+    head_grads["W1"] = _merge_heads(np.sum(np.swapaxes(AG, -1, -2) @ c["V"], axis=0))
+    head_grads["b1"] = bias_gradient(g_pre)
+    gA = g_pre[:, None] @ (W1h @ np.swapaxes(c["V"], -1, -2))
+    if g_A is not None:
+        gA += g_A
+    grads = (*attention_weights_backward(gA, c["A"], c["Q"], c["K"], _scale(ly)), AG @ W1h)
+
     g_slots = np.zeros_like(z)
     layer_grads: list[dict[str, np.ndarray]] = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
         ly, c = layers[li], cache.per_layer[li]
-        gQ, gK, gV = (_merge_heads(g) for g in attend_backward(
-            _split_heads(g_tok, ly.n_heads), c["A"], c["Q"], c["K"], c["V"],
-            _scale(ly), g_A))
+        if li < len(layers) - 1:
+            grads = attend_backward(_split_heads(g_tok, ly.n_heads), c["A"], c["Q"], c["K"],
+                                    c["V"], _scale(ly), g_A)
+        gQ, gK, gV = (_merge_heads(g) for g in grads)
         layer_grads[li] = {"W_K": weight_gradient(gK, z), "W_V": weight_gradient(gV, z),
                            "W_Q": weight_gradient(gQ, c["q_in"])}
         g_slots += gK @ ly.W_K + gV @ ly.W_V

@@ -23,6 +23,7 @@ from .attention import (
     aggregate_attention,
     attend,
     attend_backward,
+    bias_gradient,
     cross_attention_forward,
     decoder_backward,
     l_interact,
@@ -281,9 +282,9 @@ def _encoder_backward(model: SlotAutoencoder, cache: dict,
     S_final = cache["S_final"]
     g_lv = g_lv * cache["lv_inside"]
     grads["W_mu"] = weight_gradient(g_mu, S_final)
-    grads["b_mu"] = np.sum(g_mu, axis=(0, 1))
+    grads["b_mu"] = bias_gradient(g_mu)
     grads["W_lv"] = weight_gradient(g_lv, S_final)
-    grads["b_lv"] = np.sum(g_lv, axis=(0, 1))
+    grads["b_lv"] = bias_gradient(g_lv)
     gS = g_mu @ model.W_mu + g_lv @ model.W_lv
 
     T = cache["T"]
@@ -294,9 +295,9 @@ def _encoder_backward(model: SlotAutoencoder, cache: dict,
         lc = cache["layers"][i]
         gHpre = (gS @ ly.F2) * (1.0 - lc["H"] ** 2)
         grads[f"enc{i}_F2"] = weight_gradient(gS, lc["H"])
-        grads[f"enc{i}_f2"] = np.sum(gS, axis=(0, 1))
+        grads[f"enc{i}_f2"] = bias_gradient(gS)
         grads[f"enc{i}_F1"] = weight_gradient(gHpre, lc["S1"])
-        grads[f"enc{i}_f1"] = np.sum(gHpre, axis=(0, 1))
+        grads[f"enc{i}_f1"] = bias_gradient(gHpre)
         gS1 = gS + gHpre @ ly.F1  # the gradient on the attention's output too
         gQ, gK, gV = attend_backward(gS1, lc["A"], lc["Q"], lc["K"], lc["V"], scale)
         grads[f"enc{i}_W_Q"] = weight_gradient(gQ, lc["S_in"])
@@ -306,7 +307,7 @@ def _encoder_backward(model: SlotAutoencoder, cache: dict,
         gS = gS1 + gQ @ ly.W_Q
     grads["slot_queries"] = np.sum(gS, axis=0)
     grads["embed_W"] = weight_gradient(gT, cache["patches"])
-    grads["embed_b"] = np.sum(gT, axis=(0, 1))
+    grads["embed_b"] = bias_gradient(gT)
     return grads
 
 

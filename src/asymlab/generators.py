@@ -382,7 +382,7 @@ class SlotMap:
         u = np.asarray(u, dtype=float)
         if self.kind == "affine":
             return u @ self.matrix.T + self.offset
-        return self.linear * u + self.cubic * u**3
+        return self.linear * u + self.cubic * (u * u * u)
 
     def invert(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -317,14 +317,18 @@ def test_decoder_backward_weight_gradients():
     g_slots, layer_grads, head_grads = decoder_backward(layers, head, cache, G)
     h = 1e-6
     # spot-check one matrix per parameter family, the first layer's queries
-    # (shared by the batch), and the head weights read before backward
-    # overwrites the cache
+    # (shared by the batch), the last layer's keys and values (reached through
+    # the pixel head's first layer, not through tokens), and the head weights
+    # read before backward overwrites the cache
     for arr, grad in [(layers[0].W_K, layer_grads[0]["W_K"]),
                       (layers[0].W_Q, layer_grads[0]["W_Q"]),
                       (layers[1].W_Q, layer_grads[1]["W_Q"]),
+                      (layers[1].W_K, layer_grads[1]["W_K"]),
+                      (layers[1].W_V, layer_grads[1]["W_V"]),
                       (head.W1, head_grads["W1"]),
                       (head.W2, head_grads["W2"]),
                       (head.b1, head_grads["b1"]),
+                      (head.b2, head_grads["b2"]),
                       (z, g_slots)]:
         it = np.nditer(arr, flags=["multi_index"])
         for _ in range(min(arr.size, 5)):
@@ -424,4 +428,6 @@ def test_kept_buffers_change_no_result():
         earlier.append((pixels, pixels.copy()))
         for kept, copy in earlier:
             assert np.array_equal(kept, copy)
-    assert set(buffers) == {"hidden", "g_hidden", "g_tok"}
+    # the last layer's tokens are never formed, so no kept array has their shape
+    assert set(buffers) == {"hidden", "g_hidden"}
+    assert all(b.shape != (2, 4, 6) for b in buffers.values())

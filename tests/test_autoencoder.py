@@ -128,6 +128,41 @@ def test_gradients_match_fd_sample():
     assert checked == 24
 
 
+def test_gradients_match_fd_two_heads_two_layers():
+    # acceptance 08's sizes, sample rule and tolerance on a decoder whose
+    # last layer has two heads and takes its queries from an earlier layer
+    model = build_autoencoder(ModelConfig(**dict(TINY.to_json(), dec_heads=2, dec_layers=2)))
+    batch = np.random.default_rng(0).uniform(0, 1, size=(5, 8, 8, 3))
+    cfg = TrainConfig(alpha=0.05, beta=0.05, seed=0)
+    noise = np.random.default_rng(3).normal(size=(5, 2, 4))
+    _, grads = loss_and_gradients(model, batch, cfg, noise=noise)
+    params = model.parameters()
+    assert set(grads) == set(params)
+    rng = np.random.default_rng(1)
+    h = 1e-6
+    names = sorted(params)
+    quota = {n: min(params[n].size, -(-200 // len(names))) for n in names}
+    while sum(quota.values()) < 200:
+        for n in names:
+            if quota[n] < params[n].size and sum(quota.values()) < 200:
+                quota[n] += 1
+    worst = 0.0
+    for name in names:
+        arr = params[name]
+        for fi in rng.choice(arr.size, size=quota[name], replace=False):
+            idx = np.unravel_index(int(fi), arr.shape)
+            old = arr[idx]
+            arr[idx] = old + h
+            up = loss_disent(model, batch, cfg, None, noise=noise).total
+            arr[idx] = old - h
+            dn = loss_disent(model, batch, cfg, None, noise=noise).total
+            arr[idx] = old
+            fd = (up - dn) / (2 * h)
+            worst = max(worst, abs(fd - grads[name][idx]) / max(1.0, abs(fd)))
+    assert sum(quota.values()) == 200
+    assert worst <= 1e-4
+
+
 def test_gradients_finite():
     model = build_autoencoder(TINY)
     g = loss_and_gradients(model, tiny_batch(), TrainConfig(seed=0),
