@@ -555,19 +555,6 @@ def irreducibility_check(
     )
 
 
-def additivity_check(
-    f: VectorFn,
-    partition: SlotPartition,
-    probes,
-) -> CheckReport:
-    """Additivity across slots is exactly a block-diagonal Hessian, so this
-    delegates to the order-1 cross bound."""
-    rep = check_order_at_most_n(f, partition, 1, probes)
-    rep.name = "additivity"
-    rep.details["delegates_to"] = "order_at_most_1"
-    return rep
-
-
 def sufficient_nonlinearity_check(
     f: VectorFn,
     partition: SlotPartition,

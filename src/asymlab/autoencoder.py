@@ -452,11 +452,3 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
             for k, p in params.items():
                 p -= views[k]
     return model, log
-
-
-def reconstruct(model: SlotAutoencoder, images: np.ndarray):
-    """Deterministic reconstruction from the posterior mean; returns
-    (pixels, attention, z)."""
-    z, _ = encode(model, images)
-    pixels, attn = cross_attention_forward(model.dec_layers, model.dec_head, z)
-    return pixels, attn, z

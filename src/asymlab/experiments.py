@@ -32,7 +32,6 @@ from .asymmetry import (
 from .attention import (
     CrossAttentionLayer,
     PixelHead,
-    aggregate_attention,
     analytic_slot_jacobian,
     cross_attention_forward,
     l_interact,
@@ -44,7 +43,6 @@ from .derivatives import jacobian
 from .generators import (
     Box,
     GraphBand,
-    GeneratorSpec,
     default_partition,
     preset_generator,
     sample_cpe,
@@ -139,6 +137,15 @@ def _merge_defaults(config: dict | None, defaults: dict) -> dict:
     return merged
 
 
+def _check_index_list(cfg: dict, name: str) -> None:
+    """ValueError naming a config field, and its value, that is not a non-empty list of
+    integers at least 0."""
+    v = cfg[name]
+    if not isinstance(v, (list, tuple)) or not v or any(
+            isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i < 0 for i in v):
+        raise ValueError(f"{name} must be a non-empty list of integers at least 0, got {v!r}")
+
+
 _LOG_HEADER = ["iter", "rec", "kl", "interact", "total"]
 
 
@@ -177,6 +184,10 @@ def exp_characterization(config: dict | None = None,
         "seed": 0,
         "probe_scale": 0.8,
     })
+    _check_index_list(cfg, "orders")
+    fields = SimpleNamespace(**cfg)
+    check_integers(fields, {"presets_per_n": 1, "probes": 1, "equiv_samples": 0, "seed": 0})
+    check_numbers(fields, ("probe_scale",))
     t0 = time.time()
     result = ExperimentResult("characterization", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
@@ -244,17 +255,16 @@ def full_poly_features(d: int, degree: int = 3):
 
 @dataclass
 class FitModel:
-    """Linear-in-features regression model; features are monomial exponent
-    tuples recorded alongside the coefficients."""
+    """Linear-in-features regression model: the coefficients of its design
+    table's columns."""
 
-    features: list[tuple[int, ...]]
     coefficients: np.ndarray
     solver: str = "cholesky"
     condition: float = 0.0
 
 
-def fit_linear(X: np.ndarray, Y: np.ndarray, feats) -> FitModel:
-    """Least squares on the design table X (N, F) of the monomials `feats`.
+def fit_linear(X: np.ndarray, Y: np.ndarray) -> FitModel:
+    """Least squares on the design table X (N, F).
     Solves the normal equations when their condition number is below 1e12
     and falls back to an orthogonal-decomposition (SVD) solve otherwise,
     recording which path ran and the observed condition number."""
@@ -266,8 +276,7 @@ def fit_linear(X: np.ndarray, Y: np.ndarray, feats) -> FitModel:
     else:
         coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
         solver = "svd"
-    return FitModel(features=list(feats), coefficients=coef,
-                    solver=solver, condition=cond)
+    return FitModel(coefficients=coef, solver=solver, condition=cond)
 
 
 def design_tables(feature_sets):
@@ -311,10 +320,7 @@ def exp_compgen(config: dict | None = None,
         "cpe_mse_limit": 1e-8,
         "pair_tol": 1e-8,
     })
-    seeds = cfg["seeds"]
-    if not isinstance(seeds, (list, tuple)) or not seeds or any(
-            isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0 for s in seeds):
-        raise ValueError(f"seeds must be a non-empty list of integers at least 0, got {seeds!r}")
+    _check_index_list(cfg, "seeds")
     fields = SimpleNamespace(**cfg)
     check_integers(fields, {"n_train": 1, "n_eval_cpe": 1, "n_eval_support": 1, "degree": 1})
     check_numbers(fields, ("band_width", "ratio_required", "cpe_mse_limit", "pair_tol"))
@@ -339,8 +345,7 @@ def exp_compgen(config: dict | None = None,
 
         Z_train = support.sample(rng, cfg["n_train"])
         Y_train = gt(Z_train)
-        model_c, model_b = (fit_linear(X, Y_train, feats)
-                            for X, feats in zip(design(Z_train), (feats_c, feats_b)))
+        model_c, model_b = (fit_linear(X, Y_train) for X in design(Z_train))
 
         Z_in = support.sample(rng, cfg["n_eval_support"])
         Y_in = gt(Z_in)
@@ -488,6 +493,7 @@ def exp_train_ablation(config: dict | None = None,
     regularized corner against the unregularized one.  A diverged cell leaves
     log.csv and a failed results.json naming it, then raises TrainingDiverged."""
     cfg = _merge_defaults(config, _default_ablation_config())
+    check_integers(SimpleNamespace(**cfg), {"eval_images": 1})
     # each cell sets these itself, from its seed and the image size
     reserved = sorted({"seed", "height", "width"} & set(cfg["model"]))
     if reserved:
@@ -617,6 +623,9 @@ def exp_jacobian_check(config: dict | None = None,
         "zero_trials": 10,
         "battery": 2000,
     })
+    fields = SimpleNamespace(**cfg)
+    check_integers(fields, {"trials": 1, "zero_trials": 1, "battery": 1, "seed": 0})
+    check_numbers(fields, ("rel_tol", "zero_tol"))
     t0 = time.time()
     result = ExperimentResult("jacobian_check", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
@@ -689,6 +698,7 @@ def exp_train(config: dict | None = None,
         "train": {},
         "eval_images": 8,
     })
+    check_integers(SimpleNamespace(**cfg), {"eval_images": 1})
     t0 = time.time()
     data_cfg = DataConfig.from_json(cfg["data"])
     dataset = make_dataset(data_cfg)

@@ -68,16 +68,6 @@ class Feature:
         elif self.kind not in ("sin", "cos", "exp"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
 
-    def __call__(self, u: np.ndarray):
-        """The feature of a slot vector (a float), or of every row of an
-        (N, slot_dim) array (an (N,) array)."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "mon":
-            out = monomials(u, [self.exponents])[..., 0]
-        else:
-            out = _AFFINE_FNS[self.kind](u @ np.asarray(self.weights) + self.bias)
-        return float(out) if u.ndim == 1 else out
-
     def to_json(self) -> dict:
         if self.kind == "mon":
             return {"kind": "mon", "exponents": list(self.exponents)}
@@ -269,13 +259,6 @@ class EquivalenceTransform:
                 raise ValueError("slot transform must be square")
             if abs(np.linalg.det(m)) <= 1e-8:
                 raise ValueError("slot transform is numerically singular")
-
-    def inverse(self) -> "EquivalenceTransform":
-        return EquivalenceTransform(tuple(np.linalg.inv(m) for m in self.matrices))
-
-
-def identity_transform(partition: SlotPartition) -> EquivalenceTransform:
-    return EquivalenceTransform(tuple(np.eye(len(b)) for b in partition.blocks))
 
 
 def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> EquivalenceTransform:

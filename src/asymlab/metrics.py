@@ -256,7 +256,7 @@ def local_disentanglement_check(f, model_pair, support_samples) -> CheckReport:
         partition = f.partition if hasattr(f, "partition") else None
     else:
         latent_map = model_pair.latent_map
-        partition = getattr(model_pair, "partition_latent", None) or model_pair.partition
+        partition = model_pair.partition
     if partition is None:
         raise ValueError("no slot partition available for the latent map")
     samples = np.asarray(support_samples, dtype=float)

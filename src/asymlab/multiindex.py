@@ -50,18 +50,6 @@ def _cached(copy=list):
     return wrap
 
 
-def mi_norm(alpha: Sequence[int]) -> int:
-    """|alpha| = sum of entries (the derivative/monomial order)."""
-    a = validate_multiindex(alpha)
-    return sum(a)
-
-
-def mi_factorial(alpha: Sequence[int]) -> int:
-    """alpha! = prod of entry factorials."""
-    a = validate_multiindex(alpha)
-    return math.prod(math.factorial(x) for x in a)
-
-
 def monomials(Z, exponents) -> np.ndarray:
     """Every monomial z^alpha at every point: (N, F) for points Z (N, d) and
     exponent rows (F, d); a single point (d,) gives (F,).
@@ -96,12 +84,6 @@ def mi_power(z: Sequence[float], alpha: Sequence[int]) -> float:
 def unit_indices(d: int) -> tuple[MultiIndex, ...]:
     """The first-order multi-indices e_0 .. e_{d-1}, in coordinate order."""
     return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-
-
-def mi_add(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
-    a = validate_multiindex(alpha)
-    b = validate_multiindex(beta, d=len(a))
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mi_geq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
@@ -206,10 +188,6 @@ class SlotPartition:
         return cls(blocks=blocks, latent_dim=int(obj["latent_dim"]))
 
 
-def singleton_partition(d: int) -> SlotPartition:
-    return SlotPartition(blocks=tuple((i,) for i in range(d)), latent_dim=d)
-
-
 @_cached()
 def interaction_indices(partition: SlotPartition, n: int, upto: bool = False) -> list[MultiIndex]:
     """I_n (or I_{<=n} when `upto`): order-n multi-indices touching >= 2 slots.
@@ -288,8 +266,3 @@ def split_interaction_indices(
         if sup & A and sup & B:
             out.append(a)
     return out
-
-
-def slot_vector(z: np.ndarray, partition: SlotPartition, k: int) -> np.ndarray:
-    """z restricted to slot k's coordinates (in sorted coordinate order)."""
-    return np.asarray(z)[list(partition.blocks[k])]

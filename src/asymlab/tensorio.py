@@ -80,29 +80,6 @@ def save_ppm(path: str | os.PathLike, image: np.ndarray) -> None:
     atomic_write_bytes(path, header + q.tobytes())
 
 
-def load_ppm(path: str | os.PathLike) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    fh = io.BytesIO(raw)
-    if fh.readline().strip() != b"P6":
-        raise ValueError(f"{path}: not a P6 PPM")
-
-    def token():
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated header")
-            line = line.split(b"#")[0].strip()
-            if line:
-                return line
-
-    w, h = (int(v) for v in token().split())
-    maxval = int(token())
-    data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
-    return data.reshape(h, w, 3).astype(float) / maxval
-
-
 def heatmap_rgb(values: np.ndarray) -> np.ndarray:
     """Scalar field to a blue-to-red image in [0, 1] for PPM dumps."""
     v = np.asarray(values, dtype=float)

@@ -8,7 +8,6 @@ from asymlab.asymmetry import (
     CheckReport,
     _independence_matrices,
     active_tolerance,
-    additivity_check,
     check_interaction_asymmetry,
     check_no_interaction,
     check_order_at_most_n,
@@ -266,14 +265,6 @@ def test_irreducibility_enumerates_every_split_once():
     for slot in (1, 2):
         got = [w["index"]["split"] for w in rep.witnesses if w["index"]["slot"] == slot]
         assert got == expected
-
-
-def test_additivity_delegates():
-    rep = additivity_check(bilinear_cross, PART, PROBES)
-    assert rep.name == "additivity"
-    assert rep.details["delegates_to"] == "order_at_most_1"
-    assert not rep.passed  # the bilinear couples the slots in the Hessian
-    assert additivity_check(additive_cross, PART, PROBES).passed
 
 
 def test_sufficient_nonlinearity_small_model():

@@ -11,7 +11,6 @@ from asymlab.autoencoder import (
     kl_to_unit_gaussian,
     loss_and_gradients,
     loss_disent,
-    reconstruct,
     train,
 )
 
@@ -225,15 +224,6 @@ def test_divergence_on_non_finite_gradient_writes_nothing(monkeypatch):
     assert len(exc.value.log) == 1
     for k, v in model.parameters().items():
         assert np.array_equal(v, before[k]), k
-
-
-def test_reconstruct_shape():
-    # pixels come back as flat tokens, one row per image position
-    model = build_autoencoder(TINY)
-    out, attn, z = reconstruct(model, tiny_batch())
-    assert out.shape == (2, 64, 3)
-    assert z.shape == (2, 2, 4)
-    assert np.all(np.isfinite(out))
 
 
 

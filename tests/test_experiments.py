@@ -76,11 +76,11 @@ def test_fit_linear_solver_switch():
     Z = rng.uniform(-1, 1, size=(200, 2))
     feats = full_poly_features(2, degree=2)
     Y = Z[:, :1] * Z[:, 1:]
-    fit = fit_linear(monomials(Z, feats), Y, feats)
+    fit = fit_linear(monomials(Z, feats), Y)
     assert fit.solver == "cholesky"
     # duplicated feature makes the gram matrix exactly singular
     dup = feats + [feats[-1]]
-    fit2 = fit_linear(monomials(Z, dup), Y, dup)
+    fit2 = fit_linear(monomials(Z, dup), Y)
     assert fit2.solver == "svd"
     assert fit2.condition > 1e12
 
@@ -97,7 +97,7 @@ def test_shared_design_table_fits_bit_for_bit(order, degree):
     for feats, X in zip((feats_c, feats_b), design_tables((feats_c, feats_b))(Z)):
         own = monomials(Z, feats)
         assert np.array_equal(X, own)
-        shared, alone = fit_linear(X, Y, feats), fit_linear(own, Y, feats)
+        shared, alone = fit_linear(X, Y), fit_linear(own, Y)
         assert np.array_equal(shared.coefficients, alone.coefficients)
         assert (shared.solver, shared.condition) == (alone.solver, alone.condition)
         assert np.array_equal(X @ shared.coefficients, own @ alone.coefficients)
@@ -131,6 +131,44 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     err = capsys.readouterr().err
     assert rc == 2 and "bad configuration" in err and named in err, err
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("cmd, field, bad, named", [
+    # unchecked, zero trials or presets pass with nothing checked
+    ("jac-check", "trials", 0, "trials must be at least 1, got 0"),
+    ("jac-check", "trials", -3, "trials must be at least 1, got -3"),
+    ("jac-check", "zero_trials", 0, "zero_trials must be at least 1, got 0"),
+    ("jac-check", "battery", 1.5, "battery must be an integer, got 1.5"),
+    ("jac-check", "seed", -1, "seed must be at least 0, got -1"),
+    ("jac-check", "rel_tol", "1e-5", "rel_tol must be a number, got '1e-5'"),
+    ("jac-check", "zero_tol", None, "zero_tol must be a number, got None"),
+    ("characterize", "presets_per_n", 0, "presets_per_n must be at least 1, got 0"),
+    ("characterize", "orders", [],
+     "orders must be a non-empty list of integers at least 0, got []"),
+    ("characterize", "orders", [1, -1],
+     "orders must be a non-empty list of integers at least 0, got [1, -1]"),
+    ("characterize", "probes", 2.5, "probes must be an integer, got 2.5"),
+    ("characterize", "equiv_samples", -1, "equiv_samples must be at least 0, got -1"),
+    ("characterize", "seed", True, "seed must be an integer, got True"),
+    ("characterize", "probe_scale", "0.8", "probe_scale must be a number, got '0.8'"),
+    # unchecked, -1 slices off the last held-out image instead of scoring none
+    ("train", "eval_images", -1, "eval_images must be at least 1, got -1"),
+    ("train", "eval_images", 2.0, "eval_images must be an integer, got 2.0"),
+    ("ablate", "eval_images", -1, "eval_images must be at least 1, got -1"),
+    ("ablate", "eval_images", 0, "eval_images must be at least 1, got 0"),
+])
+def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: bad}))
+    rc = cli.main([cmd, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "bad configuration" in err and named in err, err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
+    rc = cli.main(["jac-check", "--trials", "0", "--out", str(tmp_path / "jc")])
+    assert rc == 2 and "trials must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_exp_compgen_single_seed(tmp_path):

@@ -7,6 +7,7 @@ from asymlab.derivatives import derivative_by_multiindex
 from asymlab.generators import (
     Box,
     ComposedPair,
+    EquivalenceTransform,
     Feature,
     GeneratorSpec,
     GraphBand,
@@ -17,7 +18,6 @@ from asymlab.generators import (
     apply_equivalence,
     compose_slotwise,
     default_partition,
-    identity_transform,
     monomial_features,
     preset_family,
     preset_generator,
@@ -30,11 +30,15 @@ from asymlab.multiindex import SlotPartition, interaction_indices
 
 
 def test_feature_kinds():
-    u = np.array([0.5, -0.3])
+    # one slot holding both features, each written to its own output
     mon = Feature(kind="mon", exponents=(2, 1))
-    assert mon(u) == pytest.approx(0.5**2 * -0.3)
     s = Feature(kind="sin", weights=(1.0, 2.0), bias=0.1)
-    assert s(u) == pytest.approx(np.sin(0.5 - 0.6 + 0.1))
+    spec = GeneratorSpec(
+        partition=SlotPartition(blocks=((0, 1),), latent_dim=2),
+        slot_functions=(SlotFunctionSpec(0, (mon, s), np.eye(2)),),
+        interactions=InteractionTermSet(order_bound=0), out_dim=2)
+    u = np.array([0.5, -0.3])
+    assert spec(u) == pytest.approx([0.5**2 * -0.3, np.sin(0.5 - 0.6 + 0.1)])
     with pytest.raises(ValueError):
         Feature(kind="mon", exponents=(5, 0))  # beyond C^3-safe degree cap
 
@@ -69,13 +73,6 @@ def test_preset_json_roundtrip():
     assert clone.order_bound == spec.order_bound
 
 
-def test_identity_transform_is_identity():
-    spec = preset_generator(1, rng_seed=9)
-    eq = apply_equivalence(spec, identity_transform(spec.partition))
-    z = np.random.default_rng(2).uniform(-1, 1, size=spec.partition.latent_dim)
-    assert np.allclose(eq(z), spec(z), atol=1e-12)
-
-
 def test_random_equivalence_pushes_points():
     spec = preset_generator(2, rng_seed=7)
     part = spec.partition
@@ -86,11 +83,6 @@ def test_random_equivalence_pushes_points():
         z = rng.uniform(-0.8, 0.8, size=part.latent_dim)
         # the equivalent generator at the pushed point reproduces f(z)
         assert np.allclose(eq(eq.push_point(z)), spec(z), atol=1e-9)
-    inv = tr.inverse()
-    v = rng.normal(size=part.latent_dim)
-    restored = inv.apply(tr.apply(v)) if hasattr(tr, "apply") else None
-    if restored is not None:
-        assert np.allclose(restored, v, atol=1e-9)
 
 
 def test_random_equivalence_condition_cap():
@@ -288,7 +280,7 @@ def test_batched_evaluation_matches_points(n):
 def test_batched_flag_follows_wrapped_function():
     spec = preset_generator(1, rng_seed=2)
     part = spec.partition
-    tr = identity_transform(part)
+    tr = EquivalenceTransform(tuple(np.eye(len(b)) for b in part.blocks))
     assert apply_equivalence(spec, tr).batched
     single = apply_equivalence(lambda z: spec(z), tr, part)
     assert not single.batched

@@ -6,23 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.generators import Feature
+from asymlab.generators import Feature, GeneratorSpec, InteractionTermSet, SlotFunctionSpec
 from asymlab.multiindex import (
     SlotPartition,
     all_multiindices,
     independence_groups,
     interaction_indices,
-    mi_add,
-    mi_factorial,
     mi_geq,
-    mi_norm,
     mi_poly_derivative,
     mi_power,
     mi_support,
     monomials,
     multiindices_within_block,
-    singleton_partition,
-    slot_vector,
     split_interaction_indices,
     validate_multiindex,
 )
@@ -30,11 +25,8 @@ from asymlab.multiindex import (
 mi_strategy = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(tuple)
 
 
-@given(mi_strategy, mi_strategy)
-def test_add_norm_additive(a, b):
-    if len(a) != len(b):
-        b = b[: len(a)] + (0,) * max(0, len(a) - len(b))
-    assert mi_norm(mi_add(a, b)) == mi_norm(a) + mi_norm(b)
+def mi_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 @given(mi_strategy, st.lists(st.floats(-2, 2), min_size=5, max_size=5))
@@ -42,12 +34,6 @@ def test_power_multiplicative(a, zs):
     z = np.asarray(zs[: len(a)])
     assert mi_power(z, a) * mi_power(z, a) == pytest.approx(
         mi_power(z, mi_add(a, a)), rel=1e-12, abs=1e-12)
-
-
-def test_factorial():
-    assert mi_factorial((0, 0)) == 1
-    assert mi_factorial((3, 2, 1)) == 6 * 2 * 1
-    assert mi_factorial((4,)) == 24
 
 
 def test_validate_rejects():
@@ -88,7 +74,7 @@ def test_all_multiindices_count(d, k):
     out = all_multiindices(d, k)
     assert len(out) == math.comb(d + k - 1, k)
     assert len(set(out)) == len(out)
-    assert all(mi_norm(a) == k for a in out)
+    assert all(sum(a) == k for a in out)
     assert out == sorted(out)
 
 
@@ -123,7 +109,7 @@ def test_interaction_indices_touch_two_blocks():
     assert idx == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
     for a in interaction_indices(p, 3):
         assert len(p.blocks_touched(a)) >= 2
-        assert mi_norm(a) == 3
+        assert sum(a) == 3
     with pytest.raises(ValueError):
         interaction_indices(p, 1)
 
@@ -158,18 +144,6 @@ def test_split_interaction_indices():
         split_interaction_indices(p, 0, (0,), (1,), 2)  # not a partition of the block
 
 
-def test_slot_vector():
-    p = SlotPartition(blocks=((0, 2), (1,)), latent_dim=3)
-    z = np.array([10.0, 20.0, 30.0])
-    assert np.array_equal(slot_vector(z, p, 0), [10.0, 30.0])
-    assert np.array_equal(slot_vector(z, p, 1), [20.0])
-
-
-def test_singleton_partition():
-    p = singleton_partition(3)
-    assert p.blocks == ((0,), (1,), (2,))
-
-
 @settings(max_examples=30)
 @given(st.integers(2, 5), st.integers(2, 3))
 def test_cross_indices_have_two_sided_support(d, k):
@@ -182,7 +156,7 @@ def test_cross_indices_have_two_sided_support(d, k):
 GROUP_PARTITIONS = {
     "default": SlotPartition(blocks=((0, 1), (2, 3)), latent_dim=4),
     "three_slots": SlotPartition(blocks=((0, 3), (1,), (2, 4)), latent_dim=5),
-    "singletons": singleton_partition(3),
+    "singletons": SlotPartition(blocks=((0,), (1,), (2,)), latent_dim=3),
 }
 
 
@@ -263,10 +237,15 @@ def test_point_monomials_bitwise_equal_to_row_major_kernel():
     for a in all_multiindices(3, 3) + [(0, 0, 0), (4, 0, 0)]:
         z = rng.uniform(-1.5, 1.5, size=3)
         assert _bitwise_equal(mi_power(z, a), float(row_major_monomials(z, [a])[0]))
-    feat = Feature(kind="mon", exponents=(2, 1))
+    # a one-slot generator holding the single feature u^(2, 1) with weight 1
+    spec = GeneratorSpec(
+        partition=SlotPartition(blocks=((0, 1),), latent_dim=2),
+        slot_functions=(SlotFunctionSpec(0, (Feature(kind="mon", exponents=(2, 1)),),
+                                         np.ones((1, 1))),),
+        interactions=InteractionTermSet(order_bound=0), out_dim=1)
     U = rng.uniform(-1.5, 1.5, size=(16, 2))
-    assert _bitwise_equal(feat(U), row_major_monomials(U, [(2, 1)])[..., 0])
-    assert _bitwise_equal(feat(U[0]), float(row_major_monomials(U[0], [(2, 1)])[0]))
+    assert _bitwise_equal(spec(U)[:, 0], row_major_monomials(U, [(2, 1)])[..., 0])
+    assert _bitwise_equal(float(spec(U[0])[0]), float(row_major_monomials(U[0], [(2, 1)])[0]))
 
 
 CACHED_ENUMERATORS = {

@@ -5,7 +5,6 @@ from asymlab.tensorio import (
     MAGIC,
     heatmap_rgb,
     load_json,
-    load_ppm,
     load_tensor,
     save_csv,
     save_json,
@@ -66,34 +65,21 @@ def test_tensor_truncation(tmp_path):
 
 def test_ppm_roundtrip_u8_exact(tmp_path):
     rng = np.random.default_rng(1)
-    img = rng.integers(0, 256, size=(5, 7, 3)).astype(float) / 255.0
+    levels = rng.integers(0, 256, size=(5, 7, 3))
     p = tmp_path / "img.ppm"
-    save_ppm(p, img)
-    back = load_ppm(p)
-    assert back.shape == (5, 7, 3)
-    np.testing.assert_allclose(back, img, atol=1e-12)
+    save_ppm(p, levels.astype(float) / 255.0)
+    # width before height, then the rows of RGB bytes
+    assert p.read_bytes() == b"P6\n7 5\n255\n" + levels.astype(np.uint8).tobytes()
 
 
 def test_ppm_clips_and_validates(tmp_path):
     p = tmp_path / "clip.ppm"
-    save_ppm(p, np.full((2, 2, 3), 7.0))
-    assert np.all(load_ppm(p) == 1.0)
+    save_ppm(p, np.stack([np.full((2, 2), v) for v in (7.0, -1.0, 0.5)], axis=-1))
+    assert p.read_bytes() == b"P6\n2 2\n255\n" + bytes([255, 0, 128]) * 4
     with pytest.raises(ValueError):
         save_ppm(p, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         save_ppm(p, np.full((2, 2, 3), np.nan))
-
-
-def test_ppm_header_comments(tmp_path):
-    p = tmp_path / "c.ppm"
-    body = bytes(2 * 1 * 3)
-    p.write_bytes(b"P6\n# a comment\n1 2\n# more\n255\n" + body)
-    img = load_ppm(p)
-    assert img.shape == (2, 1, 3)
-    with pytest.raises(ValueError, match="not a P6"):
-        q = tmp_path / "p5.ppm"
-        q.write_bytes(b"P5\n1 1\n255\n\0")
-        load_ppm(q)
 
 
 def test_heatmap_rgb():
