@@ -160,12 +160,6 @@ class PixelHead:
     def __call__(self, token: np.ndarray) -> np.ndarray:
         return np.tanh(token @ self.W1.T + self.b1) @ self.W2.T + self.b2
 
-    def jacobian(self, token: np.ndarray) -> np.ndarray:
-        """d psi / d token = W2 diag(tanh') W1, shape (..., out_dim, d_q);
-        one product with W1 over the rows of every token and channel."""
-        G = self.W2 * (1.0 - np.tanh(token @ self.W1.T + self.b1) ** 2)[..., None, :]
-        return (G.reshape(-1, G.shape[-1]) @ self.W1).reshape(G.shape[:-1] + (-1,))
-
 
 def positional_query_inputs(
     height: int,
@@ -333,8 +327,9 @@ def l_interact_grad(A_sum: np.ndarray) -> np.ndarray:
     return g[0] if single else g
 
 
-def _closed_form_terms(layer: CrossAttentionLayer, z_hat: np.ndarray):
-    """Checks and (M, A, V) for the closed forms: queries through W_K, weights, values."""
+def _closed_form_factors(layer: CrossAttentionLayer, head: PixelHead, z_hat: np.ndarray):
+    """Checks, then weights A (P, K), queries through W_K M (P, s), F (C, s+K, P) =
+    dpsi_d [W_V | V^T] and mix (C, P) = dpsi_d token_d; dpsi_d = W2 diag(tanh') W1 at pixel d."""
     if layer.n_heads != 1:
         raise ValueError("closed form covers single-head layers only")
     if layer.query_inputs is None:
@@ -344,56 +339,42 @@ def _closed_form_terms(layer: CrossAttentionLayer, z_hat: np.ndarray):
         raise ValueError("expected an unbatched (K, slot_dim) slot array")
     Q = layer.query_inputs @ layer.W_Q.T
     root = np.sqrt(layer.d_q) if layer.scaling else 1.0
-    return Q @ layer.W_K / root, softmax_rows(Q @ (z @ layer.W_K.T).T / root), z @ layer.W_V.T
+    M, A, V = Q @ layer.W_K / root, softmax_rows(Q @ (z @ layer.W_K.T).T / root), z @ layer.W_V.T
+    s, K, P = M.shape[1], V.shape[0], M.shape[0]
+    h = head.W1 @ (A @ V).T
+    dtanh = 1.0 - np.tanh(h + head.b1[:, None]) ** 2
+    mix = head.W2 @ (dtanh * h)
+    rows = (head.W1 @ np.hstack([layer.W_V, V.T])).T  # times W2 and tanh': dpsi [W_V | V^T]
+    F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
+    return A, M, F, mix
 
 
-def analytic_slot_jacobian(
-    layer: CrossAttentionLayer,
-    head: PixelHead,
-    z_hat: np.ndarray,
-) -> np.ndarray:
+def analytic_slot_jacobian(layer: CrossAttentionLayer, head: PixelHead,
+                           z_hat: np.ndarray) -> np.ndarray:
     """Closed-form d pixel / d slot for a single-layer, single-head decoder.
 
     Shape (K, n_pixels, out_dim, slot_dim); entry [m, d] is the block
     d x_hat_d / d z_m.  Differentiating through both the value mix and the
-    softmax gives, with M_d = W_Q o_d projected through W_K:
+    softmax gives, with M_d = W_Q o_d projected through W_K and the head's
+    derivative dpsi_d at the token token_d = sum_k A_dk W_V z_k:
 
-        A_dm * dpsi (W_V + (W_V z_m) M_d) - dpsi (sum_k A_dk W_V z_k) M_d A_dm
+        A_dm (dpsi_d W_V + dpsi_d (W_V z_m - token_d) M_d)
 
     so a slot with A_dm = 0 contributes an exactly zero block.  When scaling
     is on, M_d carries the same 1/sqrt(d_q) factor as the logits.
     """
-    M, A, V = _closed_form_terms(layer, z_hat)
-    dpsi = head.jacobian(A @ V)
-
-    # dpsi composed with W_V, and with each slot's value vector, as products
-    # over the flat stack of (pixel, channel) rows
-    rows = dpsi.reshape(-1, dpsi.shape[-1])
-    dpsi_WV = (rows @ layer.W_V).reshape(dpsi.shape[:2] + (-1,))
-    dpsi_V = (rows @ V.T).reshape(dpsi.shape[:2] + (-1,))
-    mix = np.sum(dpsi_V * A[:, None, :], axis=-1)
-
-    # axes (slot m, pixel, channel, slot coordinate); contiguous slot-major
-    # operands and an in-place subtraction keep this as fast as a slot loop
-    A_m = np.ascontiguousarray(A.T)[:, :, None, None]
-    V_m = np.ascontiguousarray(np.moveaxis(dpsi_V, 2, 0))[..., None]
-    M_m = M[:, None, :]
-    term1 = A_m * (dpsi_WV + V_m * M_m)
-    term1 -= A_m * mix[:, :, None] * M_m  # term2
-    return term1
+    A, M, F, mix = _closed_form_factors(layer, head, z_hat)
+    s = M.shape[1]
+    u = np.moveaxis(F[:, s:], 0, -1) - mix.T  # (K, P, C): dpsi_d (W_V z_m - token_d)
+    return A.T[:, :, None, None] * (np.moveaxis(F[:, :s], -1, 0) + u[..., None] * M[:, None, :])
 
 
 def analytic_slot_jacobian_norms(layer: CrossAttentionLayer, head: PixelHead,
                                  z_hat: np.ndarray) -> np.ndarray:
     """(n_pixels, K) L1 norms of analytic_slot_jacobian's blocks, not formed: block (m, d) is
     A_dm (dpsi_d W_V + u_md M_d), u_md = dpsi_d (V_m - token_d), and A_dm >= 0 factors out."""
-    M, A, V = _closed_form_terms(layer, z_hat)
-    s, K, P = M.shape[1], V.shape[0], M.shape[0]
-    h = head.W1 @ (A @ V).T
-    dtanh = 1.0 - np.tanh(h + head.b1[:, None]) ** 2
-    mix = head.W2 @ (dtanh * h)  # dpsi_d token_d, (C, P)
-    rows = (head.W1 @ np.hstack([layer.W_V, V.T])).T  # times W2 and tanh': dpsi [W_V | V^T]
-    F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
+    A, M, F, mix = _closed_form_factors(layer, head, z_hat)
+    s, K, P = M.shape[1], A.shape[1], M.shape[0]
     MT, buf, acc = np.ascontiguousarray(M.T)[:, None], np.empty((s, K, P)), np.zeros(K * P)
     for c in range(F.shape[0]):
         np.multiply(F[c, s:] - mix[c], MT, out=buf)  # u_md M_d

@@ -9,7 +9,6 @@ An existing non-empty output directory is refused unless --force is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -46,11 +45,10 @@ def _prepare_out(path: str, force: bool) -> Path:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return tensorio.load_json(path)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, or bytes that are not text
         raise UsageError(f"{path} is not valid JSON: {e}") from e
 
 

@@ -39,8 +39,8 @@ from .attention import (
 )
 from .autoencoder import (ModelConfig, TrainConfig, TrainingDiverged, build_autoencoder,
                           encode, train)
-from .derivatives import jacobian
 from .generators import (
+    PRESET_ORDERS,
     Box,
     GraphBand,
     default_partition,
@@ -48,7 +48,7 @@ from .generators import (
     sample_cpe,
     top_order_cross_nonzero,
 )
-from .metrics import (assignment_from_masks, j_ari_from_norms, jis_from_norms,
+from .metrics import (assignment_from_masks, fd_slot_jacobian, j_ari_from_norms, jis_from_norms,
                       position_only_index, slot_jacobian_norms, slot_shares)
 from .multiindex import (
     SlotPartition,
@@ -137,13 +137,21 @@ def _merge_defaults(config: dict | None, defaults: dict) -> dict:
     return merged
 
 
-def _check_index_list(cfg: dict, name: str) -> None:
+def _check_list(cfg: dict, name: str, integers: bool = True) -> None:
     """ValueError naming a config field, and its value, that is not a non-empty list of
-    integers at least 0."""
-    v = cfg[name]
+    integers (with integers=False, of numbers) at least 0."""
+    v, kinds = cfg[name], (int, np.integer) if integers else (int, float, np.integer, np.floating)
     if not isinstance(v, (list, tuple)) or not v or any(
-            isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i < 0 for i in v):
-        raise ValueError(f"{name} must be a non-empty list of integers at least 0, got {v!r}")
+            isinstance(i, bool) or not isinstance(i, kinds) or not i >= 0 for i in v):
+        raise ValueError(f"{name} must be a non-empty list of "
+                         f"{'integers' if integers else 'numbers'} at least 0, got {v!r}")
+
+
+def _check_preset_orders(name: str, orders) -> None:
+    """ValueError naming a config field that asks for an order no preset generator has."""
+    bad = [n for n in orders if n not in PRESET_ORDERS]
+    if bad:
+        raise ValueError(f"{name} must be among the preset orders {PRESET_ORDERS}, got {bad[0]!r}")
 
 
 _LOG_HEADER = ["iter", "rec", "kl", "interact", "total"]
@@ -184,7 +192,8 @@ def exp_characterization(config: dict | None = None,
         "seed": 0,
         "probe_scale": 0.8,
     })
-    _check_index_list(cfg, "orders")
+    _check_list(cfg, "orders")
+    _check_preset_orders("orders", cfg["orders"])
     fields = SimpleNamespace(**cfg)
     check_integers(fields, {"presets_per_n": 1, "probes": 1, "equiv_samples": 0, "seed": 0})
     check_numbers(fields, ("probe_scale",))
@@ -320,9 +329,11 @@ def exp_compgen(config: dict | None = None,
         "cpe_mse_limit": 1e-8,
         "pair_tol": 1e-8,
     })
-    _check_index_list(cfg, "seeds")
+    _check_list(cfg, "seeds")
     fields = SimpleNamespace(**cfg)
-    check_integers(fields, {"n_train": 1, "n_eval_cpe": 1, "n_eval_support": 1, "degree": 1})
+    check_integers(fields, {"order": 0, "n_train": 1, "n_eval_cpe": 1, "n_eval_support": 1,
+                            "degree": 1})
+    _check_preset_orders("order", [cfg["order"]])
     check_numbers(fields, ("band_width", "ratio_required", "cpe_mse_limit", "pair_tol"))
     if not cfg["band_width"] >= 0:
         raise ValueError(f"band_width must be at least 0, got {cfg['band_width']!r}")
@@ -493,6 +504,9 @@ def exp_train_ablation(config: dict | None = None,
     regularized corner against the unregularized one.  A diverged cell leaves
     log.csv and a failed results.json naming it, then raises TrainingDiverged."""
     cfg = _merge_defaults(config, _default_ablation_config())
+    _check_list(cfg, "alphas", integers=False)
+    _check_list(cfg, "betas", integers=False)
+    _check_list(cfg, "seeds")
     check_integers(SimpleNamespace(**cfg), {"eval_images": 1})
     # each cell sets these itself, from its seed and the image size
     reserved = sorted({"seed", "height", "width"} & set(cfg["model"]))
@@ -540,9 +554,9 @@ def exp_train_ablation(config: dict | None = None,
                     tensorio.heatmap_rgb(hm),
                 )
 
-    summary = {}
+    summary = {}  # by (alpha, beta) value, so 0 and 0.0 find the same cell
     for (a, b), rs in cells.items():
-        summary[f"a{a}_b{b}"] = {
+        summary[a, b] = {
             "j_ari_mean": float(np.mean([r["j_ari"] for r in rs])),
             "j_ari_std": float(np.std([r["j_ari"] for r in rs])),
             "jis_mean": float(np.mean([r["jis"] for r in rs])),
@@ -552,7 +566,7 @@ def exp_train_ablation(config: dict | None = None,
             "interact_mean": float(np.mean([r["final_interact"] for r in rs])),
             "images_scored": rs[0]["images_scored"],
         }
-    result.extras["cells"] = summary
+    result.extras["cells"] = {f"a{a}_b{b}": cell for (a, b), cell in summary.items()}
     result.extras["published_reference"] = {
         "note": "full-scale study values, not reproducible at this toy scale",
         "sprites": {"j_ari": [93.6, 0.5], "jis": [95.0, 1.7]},
@@ -560,8 +574,7 @@ def exp_train_ablation(config: dict | None = None,
     }
 
     a_hi, b_hi = max(cfg["alphas"]), max(cfg["betas"])
-    reg = summary.get(f"a{a_hi}_b{b_hi}")
-    base = summary.get("a0.0_b0.0")
+    reg, base = summary.get((a_hi, b_hi)), summary.get((0, 0))
     if reg and base and (a_hi > 0 or b_hi > 0):
         ok_jis = reg["jis_mean"] >= base["jis_mean"] + cfg["jis_margin"]
         ok_int = reg["interact_mean"] < base["interact_mean"]
@@ -639,14 +652,9 @@ def exp_jacobian_check(config: dict | None = None,
                                       scaling=bool(t % 2))
         z = rng.normal(scale=0.8, size=(K, s))
         analytic = analytic_slot_jacobian(layers[0], head, z)
-
-        def flat(v, layers=layers, head=head, K=K, s=s):
-            return cross_attention_forward(layers, head, v.reshape(K, s))[0].ravel()
-
-        fd = jacobian(flat, z.ravel())
-        fd_blocks = fd.reshape(P, 3, K, s).transpose(2, 0, 1, 3)
-        scale = max(1.0, float(np.max(np.abs(fd_blocks))))
-        worst = max(worst, float(np.max(np.abs(analytic - fd_blocks))) / scale)
+        fd = fd_slot_jacobian((layers, head), z)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        worst = max(worst, float(np.max(np.abs(analytic - fd))) / scale)
     result.add_metric("analytic_vs_fd", "max_rel_error", worst)
     ok_fd = worst <= cfg["rel_tol"]
 

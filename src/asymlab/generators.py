@@ -545,6 +545,8 @@ def sample_cpe(support, partition: SlotPartition, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # preset families
 
+PRESET_ORDERS = (0, 1, 2)  # the cross-interaction orders preset_generator builds
+
 
 def required_output_dim(partition: SlotPartition, n: int) -> int:
     """Output dimension needed for the order-n rank conditions to be
@@ -580,15 +582,15 @@ def preset_generator(
     d_x: int | None = None,
     include_trig: bool = True,
 ) -> GeneratorSpec:
-    """Random generator of declared cross-interaction order n in {0, 1, 2}.
+    """Random generator of declared cross-interaction order n in PRESET_ORDERS.
 
     Construction guarantees the cross bound exactly; the within-slot richness
     (every slot split interacts at order n+1) holds generically and is
     verified on a few probes, resampling coefficients (up to 20 draws) on
     the rare failure.  Cross coefficients are normal with scale 0.8.
     """
-    if n not in (0, 1, 2):
-        raise ValueError("preset order must be 0, 1 or 2")
+    if n not in PRESET_ORDERS:
+        raise ValueError(f"preset order must be one of {PRESET_ORDERS}, got {n!r}")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     partition = partition or default_partition(n)
     need = required_output_dim(partition, n)

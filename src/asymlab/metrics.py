@@ -107,28 +107,20 @@ def ari(a: PixelAssignment, b: PixelAssignment) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
-def slot_jacobian_norms(decoder, z_hat: np.ndarray) -> np.ndarray:
-    """Per-pixel L1 norms of each slot's Jacobian block, shape (n_pixels, K);
-    the norm runs over the slot's coordinates and all pixel channels.
-
-    decoder is either an (attention layers, pixel head) pair, which uses the
-    closed-form Jacobian when it is single-layer single-head and the
-    derivative engine's central differences otherwise, or a plain callable
-    (K, slot_dim) -> (pixels, channels), which always uses the engine.
-    """
+def fd_slot_jacobian(decoder, z_hat: np.ndarray) -> np.ndarray:
+    """Central-difference slot Jacobian in analytic_slot_jacobian's layout (K, n_pixels,
+    channels, slot_dim).  decoder is an (attention layers, pixel head) pair, evaluated on the
+    whole stencil in one batched pass, or a plain callable (K, slot_dim) -> (pixels, channels),
+    evaluated one slot set at a time."""
     z = np.asarray(z_hat, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected (K, slot_dim) slot latents")
     K, s = z.shape
-
-    if isinstance(decoder, tuple) and len(decoder) == 2 and not callable(decoder):
+    if isinstance(decoder, tuple):
         layers, head = decoder
-        if len(layers) == 1 and layers[0].n_heads == 1:
-            return analytic_slot_jacobian_norms(layers[0], head, z)
-
         channels = head.W2.shape[0]
 
-        def f(flat):  # the decoder takes a batch of slot sets in one pass
+        def f(flat):
             return cross_attention_forward(layers, head, flat.reshape(-1, K, s))[0]
         f.batched = True
     else:
@@ -139,7 +131,19 @@ def slot_jacobian_norms(decoder, z_hat: np.ndarray) -> np.ndarray:
 
     jac, _ = partials(f, z.reshape(1, -1), unit_indices(K * s))
     # row k * s + r of jac[0] is d pixels / d z[k, r], flat over (pixel, channel)
-    return np.sum(np.abs(jac.reshape(K, s, -1, channels)), axis=(1, 3)).T
+    return np.moveaxis(jac.reshape(K, s, -1, channels), 1, -1)
+
+
+def slot_jacobian_norms(decoder, z_hat: np.ndarray) -> np.ndarray:
+    """Per-pixel L1 norms of each slot's Jacobian block, shape (n_pixels, K);
+    the norm runs over the slot's coordinates and all pixel channels.
+
+    decoder is as in fd_slot_jacobian; a single-layer, single-head pair
+    takes the closed-form norms instead of central differences.
+    """
+    if isinstance(decoder, tuple) and len(decoder[0]) == 1 and decoder[0][0].n_heads == 1:
+        return analytic_slot_jacobian_norms(decoder[0][0], decoder[1], z_hat)
+    return np.sum(np.abs(fd_slot_jacobian(decoder, z_hat)), axis=(2, 3)).T
 
 
 def j_ari(decoder, z_hat: np.ndarray, gt: PixelAssignment) -> MetricResult:

@@ -121,6 +121,11 @@ def test_exp_compgen_repeats_in_one_process():
     ("band_width", -1, "band_width must be at least 0, got -1"),
     ("band_width", "0.1", "band_width must be a number, got '0.1'"),
     ("pair_tol", None, "pair_tol must be a number, got None"),
+    # preset generators exist at orders 0, 1 and 2 only
+    ("order", 3, "order must be among the preset orders (0, 1, 2), got 3"),
+    ("order", -1, "order must be at least 0, got -1"),
+    ("order", 2.0, "order must be an integer, got 2.0"),
+    ("order", True, "order must be an integer, got True"),
 ])
 def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -147,6 +152,8 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
      "orders must be a non-empty list of integers at least 0, got []"),
     ("characterize", "orders", [1, -1],
      "orders must be a non-empty list of integers at least 0, got [1, -1]"),
+    ("characterize", "orders", [1, 3],
+     "orders must be among the preset orders (0, 1, 2), got 3"),
     ("characterize", "probes", 2.5, "probes must be an integer, got 2.5"),
     ("characterize", "equiv_samples", -1, "equiv_samples must be at least 0, got -1"),
     ("characterize", "seed", True, "seed must be an integer, got True"),
@@ -156,6 +163,12 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     ("train", "eval_images", 2.0, "eval_images must be an integer, got 2.0"),
     ("ablate", "eval_images", -1, "eval_images must be at least 1, got -1"),
     ("ablate", "eval_images", 0, "eval_images must be at least 1, got 0"),
+    ("ablate", "alphas", [], "alphas must be a non-empty list of numbers at least 0, got []"),
+    ("ablate", "betas", [0, -0.05],
+     "betas must be a non-empty list of numbers at least 0, got [0, -0.05]"),
+    ("ablate", "alphas", "0.05", "alphas must be a non-empty list of numbers at least 0, got '0.05'"),
+    ("ablate", "seeds", [], "seeds must be a non-empty list of integers at least 0, got []"),
+    ("ablate", "seeds", [0.5], "seeds must be a non-empty list of integers at least 0, got [0.5]"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -169,6 +182,22 @@ def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
 def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
     rc = cli.main(["jac-check", "--trials", "0", "--out", str(tmp_path / "jc")])
     assert rc == 2 and "trials must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_ablate_rejects_zero_seeds_flag(tmp_path, capsys):
+    rc = cli.main(["ablate", "--seeds", "0", "--out", str(tmp_path / "ab")])
+    assert rc == 2 and "seeds must be a non-empty list" in capsys.readouterr().err
+
+
+def test_cli_names_unreadable_config_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"seeds\": [0,")
+    for path, named in ((tmp_path / "missing.json", "cannot read"),
+                        (bad, "is not valid JSON")):
+        rc = cli.main(["compgen", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{path}" in err and named in err, err
+        assert not (tmp_path / "out" / "results.json").exists()
 
 
 def test_exp_compgen_single_seed(tmp_path):
@@ -489,6 +518,19 @@ def test_ablation_results_independent_of_pool_size(monkeypatch):
     assert runs[0] == runs[1]
     assert runs[0]["extras"]["cells"]["a0.0_b0.0"]["images_scored"] == 4
     assert len(runs[0]["extras"]["cells"]["a0.0_b0.0"]["slot_shares"]) == 3
+
+
+def test_ablation_verdict_finds_integer_zero_cell():
+    from asymlab.experiments import exp_train_ablation
+
+    # the unregularized cell is found by value, whether its zeros are written 0 or 0.0
+    base = {"betas": [0.0], "seeds": [0], "iterations": 5, "batch_size": 4, "warmup": 1,
+            "eval_images": 1, "data": {"count": 10, "seed": 4}}
+    grid = [{m["metric"]: m["value"] for m in exp_train_ablation(dict(base, alphas=alphas)).metrics
+             if m["run_id"] == "grid"} for alphas in ([0, 0.05], [0.0, 0.05])]
+    assert set(grid[0]) == {"regularized_jis_gain", "regularized_jari_gain",
+                            "regularized_interact_drop"}
+    assert grid[0] == grid[1]
 
 
 def test_ablation_scores_held_out_images_only(monkeypatch):

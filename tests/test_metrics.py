@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.attention import random_decoder
+from asymlab.attention import analytic_slot_jacobian, cross_attention_forward, random_decoder
 from asymlab.generators import (
     SlotMap,
     SlotwiseDiffeoSpec,
@@ -20,6 +20,7 @@ from asymlab.metrics import (
     ari,
     assignment_from_masks,
     block_permutation_structure,
+    fd_slot_jacobian,
     j_ari,
     j_ari_from_norms,
     jis,
@@ -174,6 +175,27 @@ def test_slot_jacobian_norms_analytic_vs_fd():
     fd = slot_jacobian_norms(fn, z)
     assert analytic.shape == (5, 3)
     assert np.max(np.abs(analytic - fd)) < 1e-6
+
+
+def test_fd_slot_jacobian_matches_closed_form():
+    K, P, s = 3, 7, 4
+    layers, head = random_decoder(9, n_pixels=P, K=K, slot_dim=s, scaling=True)
+    z = np.random.default_rng(9).normal(scale=0.6, size=(K, s))
+    fd = fd_slot_jacobian((layers, head), z)
+    assert fd.shape == (K, P, 3, s)
+    closed = analytic_slot_jacobian(layers[0], head, z)
+    assert np.max(np.abs(fd - closed)) <= 1e-6 * np.max(np.abs(closed))
+
+
+def test_fd_slot_jacobian_callable_matches_pair():
+    K, s = 3, 4
+    layers, head = random_decoder(6, n_pixels=5, K=K, slot_dim=s,
+                                  n_heads=2, n_layers=2, d_q=6)
+    z = np.random.default_rng(6).normal(scale=0.5, size=(K, s))
+    pair = fd_slot_jacobian((layers, head), z)
+    by_call = fd_slot_jacobian(lambda zz: cross_attention_forward(layers, head, zz)[0], z)
+    assert pair.shape == (K, 5, 3, s)
+    np.testing.assert_allclose(by_call, pair, rtol=1e-12, atol=1e-12)
 
 
 def test_slot_jacobian_norms_multilayer_multihead():
