@@ -36,7 +36,7 @@ import numpy as np
 
 from .derivatives import partials
 from .derivatives import jacobian  # noqa: F401  (re-exported for existing callers)
-from .generators import apply_equivalence, random_equivalence
+from .generators import compose_slotwise, random_equivalence
 from .multiindex import (
     MultiIndex,
     SlotPartition,
@@ -284,16 +284,16 @@ def check_interaction_asymmetry(
 ) -> CheckReport:
     """Interaction asymmetry at order n: the cross-slot bound holds for f,
     and the within-slot richness holds for f and for a random sample of
-    equivalent generators (slot-wise basis changes, probes mapped along).
+    equivalent generators (pairs composed with a slot-wise basis change,
+    probes pushed through the pair's latent map).
     Sub-check reports already made for f at these probes come in as cross and within."""
     probes = _as_probes(probes)
     sub = [("cross", cross or check_order_at_most_n(f, partition, n, probes)),
            ("within", within or check_within_slot_order(f, partition, n, probes))]
     rng = np.random.default_rng(rng_seed)
     for s in range(equiv_samples):
-        T = random_equivalence(partition, rng)
-        fbar = apply_equivalence(f, T, partition)
-        rep = check_within_slot_order(fbar, partition, n, fbar.push_point(probes))
+        pair = compose_slotwise(f, random_equivalence(partition, rng), partition)
+        rep = check_within_slot_order(pair.model, partition, n, pair.latent_map(probes))
         sub.append((f"within_equiv_{s}", rep))
 
     witnesses = []

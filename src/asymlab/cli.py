@@ -45,11 +45,14 @@ def _prepare_out(path: str, force: bool) -> Path:
 
 def _load_json(path: str) -> dict:
     try:
-        return tensorio.load_json(path)
+        obj = tensorio.load_json(path)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
     except ValueError as e:  # malformed JSON, or bytes that are not text
         raise UsageError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _cmd_check(args) -> int:

@@ -43,6 +43,9 @@ from .generators import (
     PRESET_ORDERS,
     Box,
     GraphBand,
+    SlotMap,
+    SlotwiseDiffeoSpec,
+    compose_slotwise,
     default_partition,
     preset_generator,
     sample_cpe,
@@ -139,12 +142,15 @@ def _merge_defaults(config: dict | None, defaults: dict) -> dict:
 
 def _check_list(cfg: dict, name: str, integers: bool = True) -> None:
     """ValueError naming a config field, and its value, that is not a non-empty list of
-    integers (with integers=False, of numbers) at least 0."""
+    integers (with integers=False, of numbers) at least 0, or that repeats a value (0 and
+    0.0 are one value): a repeat would run twice under one run id."""
     v, kinds = cfg[name], (int, np.integer) if integers else (int, float, np.integer, np.floating)
     if not isinstance(v, (list, tuple)) or not v or any(
             isinstance(i, bool) or not isinstance(i, kinds) or not i >= 0 for i in v):
         raise ValueError(f"{name} must be a non-empty list of "
                          f"{'integers' if integers else 'numbers'} at least 0, got {v!r}")
+    if len(set(v)) < len(v):
+        raise ValueError(f"{name} must not repeat a value, got {v!r}")
 
 
 def _check_preset_orders(name: str, orders) -> None:
@@ -393,8 +399,6 @@ def exp_compgen(config: dict | None = None,
         # constructed pair f o h: at its own latents h^{-1}(z) it must reproduce
         # f(z) on the band and off it (one evaluation on both sets' rows); this
         # exercises the iterative slot-map inversion at extension points
-        from .generators import SlotMap, SlotwiseDiffeoSpec, compose_slotwise
-
         maps = tuple(
             SlotMap(kind="cubic",
                     linear=rng.uniform(0.7, 1.3, size=len(b)),
@@ -436,6 +440,15 @@ def _default_ablation_config() -> dict:
     }
 
 
+def _held_out(dataset, eval_images: int) -> list[int]:
+    """The first eval_images test-split indices (a shorter split whole); ValueError when
+    there are none, so that a run never passes with nothing scored."""
+    eval_idx = dataset.manifest["splits"]["test"][:eval_images]
+    if not eval_idx:
+        raise ValueError("no held-out image to score: the test split or eval_images is empty")
+    return eval_idx
+
+
 def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list, list]:
     """Encode and score each held-out image from one slot Jacobian.  Returns per-image
     J-ARI, JIS, the summed J-ARI exclusions, per-image (n_pixels, K) norms and foregrounds."""
@@ -461,10 +474,7 @@ def _run_ablation_cell(args: dict) -> dict:
     data_cfg = DataConfig.from_json(args["data"])
     dataset = make_dataset(data_cfg)
     train_images = dataset.split("train")
-    # held-out images only: a split shorter than eval_images is scored whole
-    eval_idx = dataset.manifest["splits"]["test"][: args["eval_images"]]
-    if not eval_idx:
-        raise ValueError("no held-out image to score: the test split or eval_images is empty")
+    eval_idx = _held_out(dataset, args["eval_images"])
     mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
                      seed=args["seed"], **args["model"])
     tc = TrainConfig(alpha=args["alpha"], beta=args["beta"], lr=args["lr"],
@@ -710,6 +720,7 @@ def exp_train(config: dict | None = None,
     t0 = time.time()
     data_cfg = DataConfig.from_json(cfg["data"])
     dataset = make_dataset(data_cfg)
+    eval_idx = _held_out(dataset, cfg["eval_images"])
     mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
                      **cfg["model"])
     tc = TrainConfig(**cfg["train"])
@@ -725,11 +736,9 @@ def exp_train(config: dict | None = None,
     result.add_metric("train", "final_interact", log[-1].interact)
     result.add_metric("train", "rec_improved", float(log[-1].rec < log[0].rec))
 
-    eval_idx = dataset.manifest["splits"]["test"][: cfg["eval_images"]]
     jari_vals, jis_vals, *_ = _score_held_out(model, dataset, eval_idx)
-    if jari_vals:
-        result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
-        result.add_metric("eval", "jis", float(np.mean(jis_vals)))
+    result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
+    result.add_metric("eval", "jis", float(np.mean(jis_vals)))
     result.passed = bool(log[-1].rec < log[0].rec)
     result.wall_clock = time.time() - t0
     if out is not None:

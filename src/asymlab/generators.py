@@ -11,12 +11,13 @@ f^k draw from monomials (degree <= 4) and sin/cos/exp of affine forms, all
 C^3.  The n = 0 regime has no admissible cross monomials at all; there the
 constraint is structural: slot functions write to disjoint output rows.
 
-Also provided: slot-wise linear basis changes (equivalent generators),
-slot-wise diffeomorphisms with a slot permutation (for manufacturing
-disentangled model pairs), and two latent supports (a box and a band around
-a graph) with one sampler for their Cartesian-product extension.  Generators,
-equivalent generators and composed pairs take one latent point (d_z,) or a
-batch (N, d_z) and evaluate a batch with array operations.
+Also provided: slot-wise diffeomorphisms with a slot permutation, composed
+with a generator into a disentangled model pair (an equivalent generator is
+such a pair: a random slot-wise linear basis change, slots unpermuted), and
+two latent supports (a box and a band around a graph) with one sampler for
+their Cartesian-product extension.  Generators and composed pairs take one
+latent point (d_z,) or a batch (N, d_z) and evaluate a batch with array
+operations.
 """
 
 from __future__ import annotations
@@ -244,87 +245,6 @@ class GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# equivalent generators (slot-wise linear basis changes)
-
-
-@dataclass(frozen=True)
-class EquivalenceTransform:
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ms = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-        object.__setattr__(self, "matrices", ms)
-        for m in ms:
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("slot transform must be square")
-            if abs(np.linalg.det(m)) <= 1e-8:
-                raise ValueError("slot transform is numerically singular")
-
-
-def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> EquivalenceTransform:
-    """M_k = I + 0.5 * G with G uniform in [-1, 1], resampled until the
-    condition number is at most 50 (keeps the family well-behaved and every
-    draw reproducible from the generator state)."""
-    mats = []
-    for b in partition.blocks:
-        d = len(b)
-        while True:
-            m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(d, d))
-            if np.linalg.cond(m) <= 50.0:
-                mats.append(m)
-                break
-    return EquivalenceTransform(tuple(mats))
-
-
-class EquivalentGenerator:
-    """f_bar with f_bar(M_1 z_{B_1}, ..., M_K z_{B_K}) = f(z), evaluated as
-    f_bar(y) = f(M_1^{-1} y_{B_1}, ...)."""
-
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], partition: SlotPartition,
-                 transform: EquivalenceTransform):
-        if len(transform.matrices) != partition.K:
-            raise ValueError("one transform block per slot required")
-        for m, b in zip(transform.matrices, partition.blocks):
-            if m.shape[0] != len(b):
-                raise ValueError("transform block size does not match slot size")
-        self.f = f
-        self.partition = partition
-        self.transform = transform
-        self._inv = [np.linalg.inv(m) for m in transform.matrices]
-
-    @property
-    def batched(self) -> bool:
-        return is_batched(self.f)
-
-    def _slotwise(self, mats, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = np.empty_like(v)
-        for m, b in zip(mats, self.partition.blocks):
-            out[..., list(b)] = v[..., list(b)] @ m.T
-        return out
-
-    def push_point(self, z: np.ndarray) -> np.ndarray:
-        """Map latent points (d,) or (N, d) into the transformed basis,
-        y_{B_k} = M_k z_{B_k}."""
-        return self._slotwise(self.transform.matrices, z)
-
-    def __call__(self, y: Sequence[float]) -> np.ndarray:
-        z = self._slotwise(self._inv, y)
-        return self.f(z) if z.ndim == 1 else evaluate(self.f, z)
-
-
-def apply_equivalence(
-    spec,
-    transform: EquivalenceTransform,
-    partition: SlotPartition | None = None,
-) -> EquivalentGenerator:
-    """Equivalent generator of a GeneratorSpec or any callable with a partition."""
-    if partition is None:
-        partition = spec.partition
-    return EquivalentGenerator(spec, partition, transform)
-
-
-# ---------------------------------------------------------------------------
 # slot-wise diffeomorphisms and constructed model pairs
 
 
@@ -470,6 +390,25 @@ def compose_slotwise(spec, diffeo: SlotwiseDiffeoSpec,
     if partition is None:
         partition = spec.partition
     return ComposedPair(spec, partition, diffeo)
+
+
+def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> SlotwiseDiffeoSpec:
+    """A random slot-wise linear basis change y_{B_k} = M_k z_{B_k}, as the
+    reparametrization whose slot maps are M_k^{-1}, with no offset and no
+    slot permutation: composed with f it is the equivalent generator
+    f_bar(y) = f(M_1^{-1} y_{B_1}, ...), and its latent map pushes z to y.
+    M_k = I + 0.5 * G with G uniform in [-1, 1], resampled until the
+    condition number is at most 50 (keeps the family well-behaved and every
+    draw reproducible from the generator state)."""
+    maps = []
+    for b in partition.blocks:
+        d = len(b)
+        while True:
+            m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(d, d))
+            if np.linalg.cond(m) <= 50.0:
+                maps.append(SlotMap(kind="affine", matrix=np.linalg.inv(m), offset=np.zeros(d)))
+                break
+    return SlotwiseDiffeoSpec(tuple(maps), tuple(range(partition.K)))
 
 
 # ---------------------------------------------------------------------------

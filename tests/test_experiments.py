@@ -126,6 +126,8 @@ def test_exp_compgen_repeats_in_one_process():
     ("order", -1, "order must be at least 0, got -1"),
     ("order", 2.0, "order must be an integer, got 2.0"),
     ("order", True, "order must be an integer, got True"),
+    # a repeated seed would write its run id twice
+    ("seeds", [3, 3], "seeds must not repeat a value, got [3, 3]"),
 ])
 def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -169,6 +171,10 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     ("ablate", "alphas", "0.05", "alphas must be a non-empty list of numbers at least 0, got '0.05'"),
     ("ablate", "seeds", [], "seeds must be a non-empty list of integers at least 0, got []"),
     ("ablate", "seeds", [0.5], "seeds must be a non-empty list of integers at least 0, got [0.5]"),
+    # a repeated order would write its reports twice
+    ("characterize", "orders", [1, 1], "orders must not repeat a value, got [1, 1]"),
+    # 0 and 0.0 are one grid value: the copies would pool into one cell
+    ("ablate", "alphas", [0, 0.0], "alphas must not repeat a value, got [0, 0.0]"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -198,6 +204,18 @@ def test_cli_names_unreadable_config_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2 and f"{path}" in err and named in err, err
         assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["ablate", "--seeds", "2"], ["jac-check", "--trials", "2"],
+                                  ["train"]])
+def test_cli_names_config_file_not_an_object(tmp_path, capsys, argv):
+    # the flags would otherwise set a key on a list, a TypeError traceback
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    rc = cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{path} must hold a JSON object, got list" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exp_compgen_single_seed(tmp_path):
@@ -389,7 +407,10 @@ def test_cli_names_bad_model_and_data_fields(tmp_path, capsys):
             "train": {"iterations": 2, "batch_size": 2}}
     for name, cfg, named in (
             ("model", dict(base, model={"slot_dim": 0}), "slot_dim must be at least 1, got 0"),
-            ("data", dict(base, data={"count": 10.0}), "count must be an integer, got 10.0")):
+            ("data", dict(base, data={"count": 10.0}), "count must be an integer, got 10.0"),
+            # nothing held out: J-ARI and JIS would be skipped and the run pass
+            ("split", dict(base, data={"count": 10, "seed": 4, "train_fraction": 0.9,
+                                       "val_fraction": 0.1}), "no held-out image to score")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / name)])

@@ -7,7 +7,6 @@ from asymlab.derivatives import derivative_by_multiindex
 from asymlab.generators import (
     Box,
     ComposedPair,
-    EquivalenceTransform,
     Feature,
     GeneratorSpec,
     GraphBand,
@@ -15,7 +14,6 @@ from asymlab.generators import (
     SlotFunctionSpec,
     SlotMap,
     SlotwiseDiffeoSpec,
-    apply_equivalence,
     compose_slotwise,
     default_partition,
     monomial_features,
@@ -77,21 +75,21 @@ def test_random_equivalence_pushes_points():
     spec = preset_generator(2, rng_seed=7)
     part = spec.partition
     rng = np.random.default_rng(5)
-    tr = random_equivalence(part, rng)
-    eq = apply_equivalence(spec, tr)
+    eq = compose_slotwise(spec, random_equivalence(part, rng))
+    assert eq.permutation == (0, 1)
     for _ in range(4):
         z = rng.uniform(-0.8, 0.8, size=part.latent_dim)
         # the equivalent generator at the pushed point reproduces f(z)
-        assert np.allclose(eq(eq.push_point(z)), spec(z), atol=1e-9)
+        assert np.allclose(eq.model(eq.latent_map(z)), spec(z), atol=1e-9)
 
 
 def test_random_equivalence_condition_cap():
     part = default_partition(2)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        tr = random_equivalence(part, rng)
-        for M in tr.matrices:
-            assert np.linalg.cond(M) <= 50.0 + 1e-9
+        for m in random_equivalence(part, rng).maps:
+            assert m.kind == "affine" and not np.any(m.offset)
+            assert np.linalg.cond(m.matrix) <= 50.0 + 1e-9
 
 
 def test_slotmap_affine_invert():
@@ -263,10 +261,10 @@ def test_batched_evaluation_matches_points(n):
     Z = rng.uniform(-0.9, 0.9, size=(37, part.latent_dim))
     _assert_rows_match(spec(Z), [spec(z) for z in Z])
 
-    eq = apply_equivalence(spec, random_equivalence(part, rng))
-    Y = eq.push_point(Z)
-    _assert_rows_match(Y, [eq.push_point(z) for z in Z])
-    _assert_rows_match(eq(Y), [eq(y) for y in Y])
+    eq = compose_slotwise(spec, random_equivalence(part, rng))
+    Y = eq.latent_map(Z)
+    _assert_rows_match(Y, [eq.latent_map(z) for z in Z])
+    _assert_rows_match(eq.model(Y), [eq.model(y) for y in Y])
 
     maps = (SlotMap(kind="cubic", linear=rng.uniform(0.7, 1.3, size=2),
                     cubic=rng.uniform(0.0, 0.3, size=2)),
@@ -280,9 +278,12 @@ def test_batched_evaluation_matches_points(n):
 def test_batched_flag_follows_wrapped_function():
     spec = preset_generator(1, rng_seed=2)
     part = spec.partition
-    tr = EquivalenceTransform(tuple(np.eye(len(b)) for b in part.blocks))
-    assert apply_equivalence(spec, tr).batched
-    single = apply_equivalence(lambda z: spec(z), tr, part)
+    identity = SlotwiseDiffeoSpec(
+        maps=tuple(SlotMap(kind="affine", matrix=np.eye(len(b)), offset=np.zeros(len(b)))
+                   for b in part.blocks),
+        permutation=tuple(range(part.K)))
+    assert compose_slotwise(spec, identity).batched
+    single = compose_slotwise(lambda z: spec(z), identity, part)
     assert not single.batched
     Z = np.random.default_rng(0).uniform(-1, 1, size=(5, part.latent_dim))
-    assert np.allclose(single(Z), spec(Z), atol=1e-12)
+    assert np.allclose(single.model(Z), spec(Z), atol=1e-12)
