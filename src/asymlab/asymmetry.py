@@ -2,11 +2,19 @@
 
 Every check shares the same shape: ask the derivative engine for all the
 partials it needs at every probe of a declared probe set in one request,
-compare against a scale-aware tolerance, and emit a CheckReport carrying the
-verdict, the worst-case margin, and witnesses for failures.  "For all z" in
-the written conditions always means "at every probe" here; reports record
-the probe count so the claim's scope is explicit, and details["evaluations"]
-records how many points the engine evaluated the function at.
+then judge that table of partials against a scale-aware tolerance and emit
+a CheckReport carrying the verdict, the worst-case margin, and witnesses
+for failures.  "For all z" in the written conditions always means "at
+every probe" here; reports record the probe count so the claim's scope is
+explicit, and details["evaluations"] records how many points the engine
+evaluated the function at for the request the report was judged from.
+
+Each public check requests exactly its own multi-indices; certify judges all
+of a generator's order-n reports from one request, each recording its points.
+The equivalent generators f_bar = f o L^-1 (L = diag(M_k), drawn by
+generators.random_equivalence) add none: by the chain rule J_bar = J L^-1,
+and their order-(n+1) within-slot partials are f's slot tensors contracted
+with M_k^-1 on every axis.
 
 One code path serves every order n >= 0; only the n = 0 cross bound, a
 condition on shared outputs rather than derivatives, is check_no_interaction.
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +51,7 @@ from .multiindex import (
     SlotPartition,
     independence_groups,
     interaction_indices,
+    multiindices_within_block,
     split_interaction_indices,
     unit_indices,
 )
@@ -108,14 +118,37 @@ def active_tolerance(J: np.ndarray) -> np.ndarray:
     return ACTIVE_TOL_FACTOR * (1.0 + np.max(np.abs(J), axis=(-2, -1)))
 
 
-def _request(f: VectorFn, probes: np.ndarray,
-             alphas: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray, int]:
-    """One engine request for the Jacobian and the given partials at every
-    probe: J (N, d_x, d_z), the partials (N, len(alphas), d_x), and the
-    number of points evaluated."""
-    d = probes.shape[1]
-    values, evaluations = partials(f, probes, unit_indices(d) + tuple(alphas))
-    return values[:, :d].transpose(0, 2, 1), values[:, d:], evaluations
+@dataclass
+class _Table:
+    """Partials (N, n_alphas, d_x) at every probe, a column per multi-index;
+    J (N, d_x, d_z) if requested; points(rows), the points witnesses name."""
+
+    values: np.ndarray
+    column: dict
+    evaluations: int
+    points: Callable[[np.ndarray], np.ndarray]
+    J: np.ndarray | None = None
+
+    def get(self, alphas: Sequence[MultiIndex]) -> np.ndarray:
+        return self.values[:, [self.column[a] for a in alphas]]
+
+
+def _request(f: VectorFn, probes, alphas: Sequence[MultiIndex], jacobian: bool = True) -> _Table:
+    """One engine request at every probe for the given multi-indices
+    (duplicates dropped), after every unit index when jacobian is set."""
+    probes = _as_probes(probes)
+    units = unit_indices(probes.shape[1]) if jacobian else ()
+    request = tuple(dict.fromkeys(units + tuple(alphas)))
+    values, evaluations = partials(f, probes, request)
+    J = values[:, :len(units)].transpose(0, 2, 1) if jacobian else None
+    return _Table(values, {a: c for c, a in enumerate(request)}, evaluations,
+                  probes.__getitem__, J)
+
+
+def _report(name: str, t: _Table, margin, witnesses, passed_probes, **details) -> CheckReport:
+    N = len(t.values)
+    return CheckReport(name, passed_probes == N, float(margin), witnesses, N, passed_probes,
+                       {**details, "evaluations": t.evaluations})
 
 
 def _witness(z: np.ndarray, index, value) -> dict:
@@ -129,6 +162,47 @@ def _cross_pairs(partition: SlotPartition):
                 yield i1, i2
 
 
+def _cross_alphas(partition: SlotPartition, n: int) -> list[MultiIndex]:
+    """The cross bound's order-(n+1) multi-indices (none at n = 0: J alone)."""
+    if n < 0:
+        raise ValueError(f"interaction order must be >= 0, got {n}")
+    return interaction_indices(partition, n + 1) if n else []
+
+
+def _judge_no_interaction(t: _Table, partition: SlotPartition) -> CheckReport:
+    J = t.J
+    tol_z = active_tolerance(J)
+    pairs = list(_cross_pairs(partition))
+    # |D_i1 f * D_i2 f| per probe, flattened pair-major so argmax finds the
+    # first pair (then the first output) reaching the maximum
+    prods = np.abs(np.stack([J[:, :, i1] * J[:, :, i2] for i1, i2 in pairs], axis=1)
+                   if pairs else np.zeros((len(J), 1, 1))).reshape(len(J), -1)
+    worst = prods.max(axis=1)
+    where = prods.argmax(axis=1)
+    witnesses = []
+    rows = np.nonzero(worst > tol_z)[0]
+    for p, z in zip(rows, t.points(rows)):
+        (i1, i2), l = pairs[where[p] // J.shape[1]], where[p] % J.shape[1]
+        witnesses.append(_witness(z, (i1 + 1, i2 + 1, int(l) + 1), worst[p]))
+    return _report("no_interaction", t, np.min(tol_z - worst), witnesses,
+                   len(J) - len(witnesses))
+
+
+def _judge_order(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
+    if n == 0:
+        return _judge_no_interaction(t, partition)
+    alphas = _cross_alphas(partition, n)
+    tol_z = active_tolerance(t.J)
+    vals = np.concatenate([np.zeros((len(t.J), 1)), np.max(np.abs(t.get(alphas)), axis=2)],
+                          axis=1)
+    worst = vals.max(axis=1)
+    rows = np.nonzero(worst > tol_z)[0]
+    witnesses = [_witness(z, list(alphas[vals[p].argmax() - 1]), worst[p])
+                 for p, z in zip(rows, t.points(rows))]
+    return _report(f"order_at_most_{n}", t, np.min(tol_z - worst), witnesses,
+                   len(t.J) - len(witnesses), multi_indices_checked=len(alphas))
+
+
 def check_no_interaction(
     f: VectorFn,
     partition: SlotPartition,
@@ -136,30 +210,7 @@ def check_no_interaction(
 ) -> CheckReport:
     """No interaction across slots: D_i f (.) D_j f = 0 elementwise for every
     cross-block coordinate pair (Hadamard product of Jacobian columns)."""
-    probes = _as_probes(probes)
-    J, _, evaluations = _request(f, probes, ())
-    tol_z = active_tolerance(J)
-    pairs = list(_cross_pairs(partition))
-    # |D_i1 f * D_i2 f| per probe, flattened pair-major so argmax finds the
-    # first pair (then the first output) reaching the maximum
-    prods = np.abs(np.stack([J[:, :, i1] * J[:, :, i2] for i1, i2 in pairs], axis=1)
-                   if pairs else np.zeros((len(probes), 1, 1))).reshape(len(probes), -1)
-    worst = prods.max(axis=1)
-    where = prods.argmax(axis=1)
-    witnesses = []
-    for p in np.nonzero(worst > tol_z)[0]:
-        (i1, i2), l = pairs[where[p] // J.shape[1]], where[p] % J.shape[1]
-        witnesses.append(_witness(probes[p], (i1 + 1, i2 + 1, int(l) + 1), worst[p]))
-    passed_probes = len(probes) - len(witnesses)
-    return CheckReport(
-        name="no_interaction",
-        passed=passed_probes == len(probes),
-        margin=float(np.min(tol_z - worst)),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=passed_probes,
-        details={"evaluations": evaluations},
-    )
+    return _judge_no_interaction(_request(f, probes, ()), partition)
 
 
 def check_order_at_most_n(
@@ -173,28 +224,7 @@ def check_order_at_most_n(
     condition is about shared outputs, not derivatives, and this returns
     check_no_interaction's report.  Orders the derivative engine cannot
     difference raise ValueError."""
-    if n < 0:
-        raise ValueError(f"interaction order must be >= 0, got {n}")
-    if n == 0:
-        return check_no_interaction(f, partition, probes)
-    probes = _as_probes(probes)
-    alphas = interaction_indices(partition, n + 1)
-    J, D, evaluations = _request(f, probes, alphas)
-    tol_z = active_tolerance(J)
-    vals = np.concatenate([np.zeros((len(probes), 1)), np.max(np.abs(D), axis=2)], axis=1)
-    worst = vals.max(axis=1)
-    witnesses = [_witness(probes[p], list(alphas[vals[p].argmax() - 1]), worst[p])
-                 for p in np.nonzero(worst > tol_z)[0]]
-    passed_probes = len(probes) - len(witnesses)
-    return CheckReport(
-        name=f"order_at_most_{n}",
-        passed=passed_probes == len(probes),
-        margin=float(np.min(tol_z - worst)),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=passed_probes,
-        details={"multi_indices_checked": len(alphas), "evaluations": evaluations},
-    )
+    return _judge_order(_request(f, probes, _cross_alphas(partition, n)), partition, n)
 
 
 def _slot_splits(block: Sequence[int]):
@@ -207,6 +237,54 @@ def _slot_splits(block: Sequence[int]):
         for extra in itertools.combinations(block[1:], r):
             A = (block[0], *extra)
             yield A, tuple(i for i in block if i not in A)
+
+
+@lru_cache(maxsize=256)
+def _within_plan(partition: SlotPartition, n: int):
+    """Every slot's 2-part splits (k, A, B), each split's order-(n+1)
+    candidates (none at n = 0: J alone), and their sorted union."""
+    if n < 0:
+        raise ValueError(f"interaction order must be >= 0, got {n}")
+    if any(len(b) > 6 for b in partition.blocks):
+        raise ValueError("slot too large to enumerate splits (max 6)")
+    splits = [(k, A, B) for k, block in enumerate(partition.blocks)
+              for A, B in _slot_splits(block)]
+    candidates = [split_interaction_indices(partition, k, A, B, n + 1) if n else []
+                  for k, A, B in splits]
+    return splits, candidates, sorted({a for c in candidates for a in c})
+
+
+def _judge_within(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
+    splits, candidates, _ = _within_plan(partition, n)
+    J = t.J
+    tol_z = active_tolerance(J)
+    vals = np.max(np.abs(t.values), axis=2)
+    best = np.zeros((len(J), len(splits)))
+    for s, ((k, A, B), cand) in enumerate(zip(splits, candidates)):
+        if n == 0:
+            # first-order interaction is the shared-output condition: some
+            # output moved from both sides of the split
+            for iA in A:
+                for iB in B:
+                    best[:, s] = np.maximum(
+                        best[:, s], np.max(np.abs(J[:, :, iA] * J[:, :, iB]), axis=1))
+        elif cand:
+            # the first candidate above tolerance decides the split; without
+            # one, the largest candidate is the margin
+            v = vals[:, [t.column[a] for a in cand]]
+            above = v > tol_z[:, None]
+            first = v[np.arange(len(J)), above.argmax(axis=1)]
+            best[:, s] = np.where(above.any(axis=1), first, v.max(axis=1))
+    # failing (probe, split) pairs in row-major order: probe by probe
+    rows, cols = np.nonzero(best <= tol_z[:, None])
+    witnesses = []
+    for p, s, z in zip(rows, cols, t.points(rows) if len(rows) else ()):
+        k, A, B = splits[s]
+        witnesses.append(_witness(z, {
+            "slot": k + 1, "split": [sorted(i + 1 for i in A), sorted(i + 1 for i in B)]},
+            best[p, s]))
+    return _report(f"within_slot_order_{n + 1}", t, np.min(best - tol_z[:, None]), witnesses,
+                   int(np.sum(np.all(best > tol_z[:, None], axis=1))))
 
 
 def check_within_slot_order(
@@ -223,53 +301,67 @@ def check_within_slot_order(
     order-(n+1) index straddling the slot boundary vanishes anyway, so the
     restriction loses nothing.
     """
-    if n < 0:
-        raise ValueError(f"interaction order must be >= 0, got {n}")
-    if any(len(b) > 6 for b in partition.blocks):
-        raise ValueError("slot too large to enumerate splits (max 6)")
-    probes = _as_probes(probes)
-    splits = [(k, A, B) for k, block in enumerate(partition.blocks)
-              for A, B in _slot_splits(block)]
-    candidates = [split_interaction_indices(partition, k, A, B, n + 1) if n else []
-                  for k, A, B in splits]
-    alphas = sorted({a for c in candidates for a in c})
-    J, D, evaluations = _request(f, probes, alphas)
-    tol_z = active_tolerance(J)
-    vals = np.max(np.abs(D), axis=2)
+    return _judge_within(_request(f, probes, _within_plan(partition, n)[2]), partition, n)
+
+
+@lru_cache(maxsize=256)
+def _chain_rule(partition: SlotPartition, order: int):
+    """The chain rule for within-slot partials of one order under z = L^-1 y:
+    D^beta f_bar = sum over axis sequences s within a slot of D^alpha(s) f *
+    prod_r L^-1[s_r, j_r], with j the axes of beta.  Returns every slot's
+    multi-indices and their columns; index (n_beta, n_seq, order), the flat
+    positions of L^-1[s_r, j_r]; and gather (n_seq, n_alpha), s -> alpha(s)."""
+    alphas = [a for k in range(partition.K) for a in multiindices_within_block(partition, k, order)]
     column = {a: c for c, a in enumerate(alphas)}
-    best = np.zeros((len(probes), len(splits)))
-    for s, ((k, A, B), cand) in enumerate(zip(splits, candidates)):
-        if n == 0:
-            # first-order interaction is the shared-output condition: some
-            # output moved from both sides of the split
-            for iA in A:
-                for iB in B:
-                    best[:, s] = np.maximum(
-                        best[:, s], np.max(np.abs(J[:, :, iA] * J[:, :, iB]), axis=1))
-        elif cand:
-            # the first candidate above tolerance decides the split; without
-            # one, the largest candidate is the margin
-            v = vals[:, [column[a] for a in cand]]
-            above = v > tol_z[:, None]
-            first = v[np.arange(len(probes)), above.argmax(axis=1)]
-            best[:, s] = np.where(above.any(axis=1), first, v.max(axis=1))
-    witnesses = []
-    for p in range(len(probes)):
-        for s in np.nonzero(best[p] <= tol_z[p])[0]:
-            k, A, B = splits[s]
-            witnesses.append(_witness(probes[p], {
-                "slot": k + 1, "split": [sorted(i + 1 for i in A), sorted(i + 1 for i in B)]},
-                best[p, s]))
-    passed_probes = int(np.sum(np.all(best > tol_z[:, None], axis=1)))
-    return CheckReport(
-        name=f"within_slot_order_{n + 1}",
-        passed=passed_probes == len(probes),
-        margin=float(np.min(best - tol_z[:, None])),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=passed_probes,
-        details={"evaluations": evaluations},
-    )
+    seqs = [s for b in partition.blocks for s in itertools.product(b, repeat=order)]
+    d = partition.latent_dim
+    axes = [[i for i, a in enumerate(beta) for _ in range(a)] for beta in alphas]
+    index = np.array([[[s[r] * d + j[r] for r in range(order)] for s in seqs] for j in axes])
+    gather = np.zeros((len(seqs), len(alphas)))
+    for c, s in enumerate(seqs):
+        gather[c, column[tuple(s.count(i) for i in range(d))]] = 1.0
+    for table in (index, gather):
+        table.setflags(write=False)
+    return alphas, column, index, gather
+
+
+def _equivalents(f: VectorFn, t: _Table, partition: SlotPartition, n: int,
+                 samples: int, rng_seed: int):
+    """Tables of `samples` equivalent generators drawn by random_equivalence,
+    each from f's table by the chain rule; witnesses name the probes pushed
+    to y by the composed pair's latent map."""
+    alphas, column, index, gather = _chain_rule(partition, n + 1)
+    D = t.get(alphas)
+    d = partition.latent_dim
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(samples):
+        eq = random_equivalence(partition, rng)
+        L_inv = np.zeros((d, d))
+        for b, m in zip(partition.blocks, eq.maps):
+            L_inv[np.ix_(b, b)] = m.matrix
+        R = np.prod(L_inv.ravel()[index], axis=-1) @ gather
+        pushed = lambda rows, eq=eq: compose_slotwise(f, eq, partition).latent_map(t.points(rows))
+        yield _Table(R @ D, column, t.evaluations, pushed, t.J @ L_inv)
+
+
+def _asymmetry(f: VectorFn, partition: SlotPartition, n: int, probes,
+               equiv_samples: int, rng_seed: int, extra: Sequence[MultiIndex] = ()):
+    """One request for f's Jacobian, the cross bound at n, every slot's
+    order-(n+1) partials and `extra`; its table, and the cross, within and
+    asymmetry reports judged from it."""
+    if equiv_samples < 0:
+        raise ValueError(f"equiv_samples must be at least 0, got {equiv_samples}")
+    t = _request(f, probes, [*_cross_alphas(partition, n), *_chain_rule(partition, n + 1)[0],
+                             *extra])
+    sub = [("cross", _judge_order(t, partition, n)), ("within", _judge_within(t, partition, n))]
+    sub += [(f"within_equiv_{s}", _judge_within(eq, partition, n))
+            for s, eq in enumerate(_equivalents(f, t, partition, n, equiv_samples, rng_seed))]
+    # every sub-report passes exactly when all its probes do
+    asym = _report(f"interaction_asymmetry_n{n}", t, min(rep.margin for _, rep in sub),
+                   [{**w, "sub_check": label} for label, rep in sub for w in rep.witnesses],
+                   min(rep.probes_passed for _, rep in sub),
+                   **{label: {"passed": rep.passed, "margin": rep.margin} for label, rep in sub})
+    return t, {"cross": sub[0][1], "within": sub[1][1], "asymmetry": asym}
 
 
 def check_interaction_asymmetry(
@@ -279,40 +371,34 @@ def check_interaction_asymmetry(
     probes,
     equiv_samples: int = 10,
     rng_seed: int = 0,
-    cross: CheckReport | None = None,
-    within: CheckReport | None = None,
 ) -> CheckReport:
     """Interaction asymmetry at order n: the cross-slot bound holds for f,
-    and the within-slot richness holds for f and for a random sample of
-    equivalent generators (pairs composed with a slot-wise basis change,
-    probes pushed through the pair's latent map).
-    Sub-check reports already made for f at these probes come in as cross and within."""
-    probes = _as_probes(probes)
-    sub = [("cross", cross or check_order_at_most_n(f, partition, n, probes)),
-           ("within", within or check_within_slot_order(f, partition, n, probes))]
-    rng = np.random.default_rng(rng_seed)
-    for s in range(equiv_samples):
-        pair = compose_slotwise(f, random_equivalence(partition, rng), partition)
-        rep = check_within_slot_order(pair.model, partition, n, pair.latent_map(probes))
-        sub.append((f"within_equiv_{s}", rep))
+    and the within-slot richness holds for f and for equiv_samples random
+    equivalent generators, all judged from one request (see the module
+    docstring); a negative equiv_samples raises ValueError."""
+    return _asymmetry(f, partition, n, probes, equiv_samples, rng_seed)[1]["asymmetry"]
 
-    witnesses = []
-    for label, rep in sub:
-        for w in rep.witnesses:
-            witnesses.append({**w, "sub_check": label})
-    passed = all(rep.passed for _, rep in sub)
-    return CheckReport(
-        name=f"interaction_asymmetry_n{n}",
-        passed=passed,
-        margin=float(min(rep.margin for _, rep in sub)),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=min(rep.probes_passed for _, rep in sub),
-        details={
-            **{label: {"passed": rep.passed, "margin": rep.margin} for label, rep in sub},
-            "evaluations": sum(rep.details["evaluations"] for _, rep in sub),
-        },
-    )
+
+def certify(
+    f: VectorFn,
+    partition: SlotPartition,
+    n: int,
+    probes,
+    equiv_samples: int = 10,
+    rng_seed: int = 0,
+) -> dict[str, CheckReport]:
+    """Every order-n certificate of f from one engine request: "cross" (the
+    bound at n), "below" (the bound at n - 1, for n >= 1 only), "within",
+    "asymmetry" (as check_interaction_asymmetry) and "independence" (as
+    sufficient_independence_check).  Each records that request's
+    evaluations."""
+    below = _cross_alphas(partition, n - 1) if n > 0 else []
+    t, reports = _asymmetry(f, partition, n, probes, equiv_samples, rng_seed,
+                            below + _independence_alphas(partition, n))
+    if n > 0:
+        reports["below"] = _judge_order(t, partition, n - 1)
+    reports["independence"] = _judge_independence(t, partition, n)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +417,37 @@ def numerical_rank(M: np.ndarray):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def _independence_matrices(
-    f: VectorFn,
-    partition: SlotPartition,
-    n: int,
-    probes: np.ndarray,
-) -> tuple[np.ndarray, list[tuple[str, slice]], int]:
-    """The order-n matrix at every probe from one engine request, as one
-    (N, d_x, columns) array with independence_groups' columns in order; the
-    column slice of each group; and the number of points evaluated."""
+def _independence_alphas(partition: SlotPartition, n: int) -> list[MultiIndex]:
+    return sorted({a for _, g in independence_groups(partition, n) for a in g})
+
+
+def _independence_stack(t: _Table, partition: SlotPartition,
+                        n: int) -> tuple[np.ndarray, list[tuple[str, slice]]]:
+    """The order-n matrix at every probe as one (N, d_x, columns) array with
+    independence_groups' columns in order, and the column slice of each group."""
     groups = independence_groups(partition, n)
-    alphas = sorted({a for _, g in groups for a in g})
-    values, evaluations = partials(f, probes, alphas)
-    column = {a: c for c, a in enumerate(alphas)}
-    stack = values[:, [column[a] for _, g in groups for a in g]].transpose(0, 2, 1)
+    stack = t.get([a for _, g in groups for a in g]).transpose(0, 2, 1)
     ends = np.cumsum([len(g) for _, g in groups])
-    slices = [(name, slice(end - len(g), end)) for (name, g), end in zip(groups, ends)]
-    return stack, slices, evaluations
+    return stack, [(name, slice(end - len(g), end)) for (name, g), end in zip(groups, ends)]
+
+
+def _judge_independence(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
+    stack, slices = _independence_stack(t, partition, n)
+    if not np.all(np.any(stack, axis=(1, 2))):
+        raise ValueError("degenerate all-zero derivative matrix")
+    r_whole = numerical_rank(stack)
+    r_sum = sum(numerical_rank(stack[:, :, cols]) for _, cols in slices)
+    gap = np.abs(r_whole - r_sum)
+    rows = np.nonzero(gap)[0]
+    witnesses = [_witness(z, {"rank_whole": int(r_whole[p]), "rank_sum": int(r_sum[p])}, gap[p])
+                 for p, z in zip(rows, t.points(rows))]
+    rep = _report(f"sufficient_independence_n{n}", t, -gap.max(), witnesses,
+                  len(gap) - len(witnesses), order=n)
+    if stack.shape[1] < stack.shape[2]:
+        rep.details["satisfiability_warning"] = (
+            "output dimension below the stacked column count; condition may be unsatisfiable"
+        )
+    return rep
 
 
 def sufficient_independence_check(
@@ -359,29 +459,8 @@ def sufficient_independence_check(
     """Rank additivity of the order-n derivative groups at every probe:
     rank(whole) must equal the sum of per-group ranks, each rank taken over
     the probe stack in one SVD call."""
-    probes = _as_probes(probes)
-    stack, slices, evaluations = _independence_matrices(f, partition, n, probes)
-    if not np.all(np.any(stack, axis=(1, 2))):
-        raise ValueError("degenerate all-zero derivative matrix")
-    r_whole = numerical_rank(stack)
-    r_sum = sum(numerical_rank(stack[:, :, cols]) for _, cols in slices)
-    gap = np.abs(r_whole - r_sum)
-    witnesses = [_witness(probes[p], {"rank_whole": int(r_whole[p]), "rank_sum": int(r_sum[p])},
-                          gap[p]) for p in np.nonzero(gap)[0]]
-    details = {"order": n, "evaluations": evaluations}
-    if stack.shape[1] < stack.shape[2]:
-        details["satisfiability_warning"] = (
-            "output dimension below the stacked column count; condition may be unsatisfiable"
-        )
-    return CheckReport(
-        name=f"sufficient_independence_n{n}",
-        passed=not witnesses,
-        margin=float(-gap.max()),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=len(probes) - len(witnesses),
-        details=details,
-    )
+    t = _request(f, probes, _independence_alphas(partition, n), jacobian=False)
+    return _judge_independence(t, partition, n)
 
 
 def rank_factorization_property(
@@ -472,10 +551,10 @@ def compositionality_check(
     """Output-index sets I_k(z) (outputs with an active slot derivative) must
     be pairwise disjoint at every probe."""
     probes = _as_probes(probes)
-    Js, _, evaluations = _request(f, probes, ())
+    t = _request(f, probes, ())
     witnesses = []
     passed_probes = 0
-    for z, J, tol_z in zip(probes, Js, active_tolerance(Js)):
+    for z, J, tol_z in zip(probes, t.J, active_tolerance(t.J)):
         sets = [_active_outputs(J, partition, k, tol_z) for k in range(partition.K)]
         clash = None
         for k, j in itertools.combinations(range(partition.K), 2):
@@ -488,15 +567,8 @@ def compositionality_check(
         else:
             k, j, l = clash
             witnesses.append(_witness(z, {"slots": [k + 1, j + 1], "output": l + 1}, 0.0))
-    return CheckReport(
-        name="compositionality",
-        passed=passed_probes == len(probes),
-        margin=0.0 if passed_probes == len(probes) else -1.0,
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=passed_probes,
-        details={"evaluations": evaluations},
-    )
+    return _report("compositionality", t, 0.0 if passed_probes == len(probes) else -1.0,
+                   witnesses, passed_probes)
 
 
 def irreducibility_check(
@@ -509,12 +581,12 @@ def irreducibility_check(
     columns).  Slots whose I_k has fewer than 2 outputs admit no split and
     pass vacuously."""
     probes = _as_probes(probes)
-    Js, _, evaluations = _request(f, probes, ())
+    t = _request(f, probes, ())
     rng = np.random.default_rng(0)
     witnesses = []
     margin = np.inf
     passed_probes = 0
-    for z, J, tol_z in zip(probes, Js, active_tolerance(Js)):
+    for z, J, tol_z in zip(probes, t.J, active_tolerance(t.J)):
         probe_ok = True
         for k in range(partition.K):
             I_k = sorted(_active_outputs(J, partition, k, tol_z))
@@ -542,17 +614,8 @@ def irreducibility_check(
                     )
         if probe_ok:
             passed_probes += 1
-    if margin == np.inf:
-        margin = 0.0
-    return CheckReport(
-        name="irreducibility",
-        passed=passed_probes == len(probes),
-        margin=float(margin),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=passed_probes,
-        details={"evaluations": evaluations},
-    )
+    return _report("irreducibility", t, 0.0 if margin == np.inf else margin, witnesses,
+                   passed_probes)
 
 
 def sufficient_nonlinearity_check(
@@ -564,17 +627,11 @@ def sufficient_nonlinearity_check(
     second derivatives] must have full column rank at every probe."""
     probes = _as_probes(probes)
     # W(z) is the order-1 sufficient-independence matrix taken whole
-    W, _, evaluations = _independence_matrices(f, partition, 1, probes)
+    t = _request(f, probes, _independence_alphas(partition, 1), jacobian=False)
+    W, _ = _independence_stack(t, partition, 1)
     r = numerical_rank(W)
     gap = W.shape[2] - r
     witnesses = [_witness(probes[p], {"rank": int(r[p]), "columns": W.shape[2]}, gap[p])
                  for p in np.nonzero(gap)[0]]
-    return CheckReport(
-        name="sufficient_nonlinearity",
-        passed=not witnesses,
-        margin=float(-gap.max()),
-        witnesses=witnesses,
-        probes_used=len(probes),
-        probes_passed=len(probes) - len(witnesses),
-        details={"evaluations": evaluations},
-    )
+    return _report("sufficient_nonlinearity", t, -gap.max(), witnesses,
+                   len(probes) - len(witnesses))

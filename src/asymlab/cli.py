@@ -15,12 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, tensorio
-from .asymmetry import (
-    check_interaction_asymmetry,
-    check_order_at_most_n,
-    check_within_slot_order,
-    sufficient_independence_check,
-)
+from .asymmetry import certify
 from .autoencoder import TrainingDiverged
 from .generators import GeneratorSpec
 from .sprites import DataConfig
@@ -67,18 +62,13 @@ def _cmd_check(args) -> int:
     probes = rng.uniform(-0.8, 0.8, size=(args.probes, part.latent_dim))
 
     try:
-        reports = {
-            "cross_order": check_order_at_most_n(spec, part, args.order, probes),
-            "within_slot": check_within_slot_order(spec, part, args.order, probes),
-            "sufficient_independence": sufficient_independence_check(
-                spec, part, args.order, probes),
-        }
-        if args.equiv > 0:
-            reports["asymmetry"] = check_interaction_asymmetry(
-                spec, part, args.order, probes, equiv_samples=args.equiv, rng_seed=args.seed,
-                cross=reports["cross_order"], within=reports["within_slot"])
+        certs = certify(spec, part, args.order, probes, args.equiv, args.seed)
     except ValueError as e:  # an order the engine cannot difference, or an all-zero matrix
         raise UsageError(f"cannot certify at order {args.order}: {e}") from e
+    reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
+               "sufficient_independence": certs["independence"]}
+    if args.equiv > 0:
+        reports["asymmetry"] = certs["asymmetry"]
 
     passed = all(r.passed for r in reports.values())
     tensorio.save_json(out / "results.json", {

@@ -23,12 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tensorio
-from .asymmetry import (
-    CheckReport,
-    check_interaction_asymmetry,
-    check_order_at_most_n,
-    sufficient_independence_check,
-)
+from .asymmetry import CheckReport, certify
 from .attention import (
     CrossAttentionLayer,
     PixelHead,
@@ -187,9 +182,9 @@ def _record_divergence(result: ExperimentResult, out, t0: float, e: TrainingDive
 
 def exp_characterization(config: dict | None = None,
                          out: str | os.PathLike | None = None) -> ExperimentResult:
-    """For each preset generator: the cross-order check at its declared n
-    must pass; at n-1 it must fail whenever the top-order cross terms are
-    nonzero; interaction asymmetry and sufficient independence must pass."""
+    """For each preset generator, certified from one engine request: the
+    cross-order check at its declared n must pass; at n-1 it must fail when
+    the top-order cross terms are nonzero; asymmetry and independence too."""
     cfg = _merge_defaults(config, {
         "presets_per_n": 7,
         "orders": [0, 1, 2],
@@ -214,27 +209,25 @@ def exp_characterization(config: dict | None = None,
             part = spec.partition
             probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
                                  size=(cfg["probes"], part.latent_dim))
-            rep = check_order_at_most_n(spec, part, n, probes)
+            reports = certify(spec, part, n, probes, equiv_samples=cfg["equiv_samples"],
+                              rng_seed=cfg["seed"] + i)
+            rep = reports["cross"]
             result.add_report(run_id, rep)
             ok = rep.passed
             result.add_metric(run_id, "order_check_as_expected", float(ok))
             all_ok &= ok
 
             if n >= 1 and top_order_cross_nonzero(spec):
-                rep_low = check_order_at_most_n(spec, part, n - 1, probes)
-                ok_low = not rep_low.passed
+                ok_low = not reports["below"].passed
                 result.add_metric(run_id, "fails_below_declared_order", float(ok_low))
                 all_ok &= ok_low
 
-            asym = check_interaction_asymmetry(
-                spec, part, n, probes, equiv_samples=cfg["equiv_samples"],
-                rng_seed=cfg["seed"] + i, cross=rep,
-            )
+            asym = reports["asymmetry"]
             result.add_report(run_id, asym)
             result.add_metric(run_id, "asymmetry_margin", asym.margin)
             all_ok &= asym.passed
 
-            sind = sufficient_independence_check(spec, part, n, probes)
+            sind = reports["independence"]
             result.add_report(run_id, sind)
             result.add_metric(run_id, "sufficient_independence_pass_fraction",
                               sind.pass_fraction)

@@ -6,8 +6,12 @@ import pytest
 
 from asymlab.asymmetry import (
     CheckReport,
-    _independence_matrices,
+    _equivalents,
+    _independence_alphas,
+    _independence_stack,
+    _request,
     active_tolerance,
+    certify,
     check_interaction_asymmetry,
     check_no_interaction,
     check_order_at_most_n,
@@ -19,8 +23,10 @@ from asymlab.asymmetry import (
     sufficient_independence_check,
     sufficient_nonlinearity_check,
 )
-from asymlab.generators import preset_generator
-from asymlab.multiindex import SlotPartition, independence_groups
+from asymlab.derivatives import partials
+from asymlab.generators import compose_slotwise, preset_generator, random_equivalence
+from asymlab.multiindex import (SlotPartition, independence_groups, multiindices_within_block,
+                                unit_indices)
 
 PART = SlotPartition(blocks=((0, 1), (2, 3)), latent_dim=4)
 RNG = np.random.default_rng(42)
@@ -138,6 +144,63 @@ def test_asymmetry_fails_with_subcheck_tag():
     assert all("sub_check" in w for w in rep.witnesses)
 
 
+def test_asymmetry_rejects_negative_equiv_samples():
+    for check in (check_interaction_asymmetry, certify):
+        with pytest.raises(ValueError, match="equiv_samples must be at least 0, got -1"):
+            check(additive_cross, PART, 1, PROBES, equiv_samples=-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_equivalents_by_chain_rule_match_composed_pairs(n):
+    # each equivalent's Jacobian and within-slot partials, derived from f's
+    # table, against the engine run on the composed pair at the pushed probes
+    spec = preset_generator(n, rng_seed=60 + n)
+    alphas = [a for k in range(PART.K) for a in multiindices_within_block(PART, k, n + 1)]
+    table = _request(spec, PROBES, alphas)
+    rng = np.random.default_rng(4)
+    for eq_table in _equivalents(spec, table, PART, n, 3, 4):
+        pair = compose_slotwise(spec, random_equivalence(PART, rng), PART)
+        ref, _ = partials(pair.model, pair.latent_map(PROBES), unit_indices(4) + tuple(alphas))
+        for got, want in ((eq_table.J, ref[:, :4].transpose(0, 2, 1)),
+                          (eq_table.get(alphas), ref[:, 4:])):
+            assert np.max(np.abs(got - want)) <= 1e-6 * (1 + np.max(np.abs(want)))
+
+
+def test_equivalent_witnesses_name_the_pushed_probes():
+    # slot 2 moves no output, so every split of it fails for f and for
+    # every equivalent generator, at the probes its latent map pushes
+    def dead_slot(z):
+        return np.array([np.sin(z[0] + z[1]), z[0] * z[1], np.exp(z[0])])
+
+    rep = check_interaction_asymmetry(dead_slot, PART, 0, PROBES, equiv_samples=2, rng_seed=3)
+    rng = np.random.default_rng(3)
+    for s in range(2):
+        pushed = compose_slotwise(dead_slot, random_equivalence(PART, rng), PART).latent_map(PROBES)
+        points = [w["point"] for w in rep.witnesses if w["sub_check"] == f"within_equiv_{s}"]
+        assert points == pushed.tolist()
+
+
+def test_certify_judges_every_report_from_one_request():
+    for n in (0, 1, 2):
+        spec = preset_generator(n, rng_seed=n + 30)
+        reports = certify(spec, PART, n, PROBES, equiv_samples=2, rng_seed=1)
+        alone = {"cross": check_order_at_most_n(spec, PART, n, PROBES),
+                 "within": check_within_slot_order(spec, PART, n, PROBES),
+                 "asymmetry": check_interaction_asymmetry(spec, PART, n, PROBES,
+                                                          equiv_samples=2, rng_seed=1),
+                 "independence": sufficient_independence_check(spec, PART, n, PROBES)}
+        if n:
+            alone["below"] = check_order_at_most_n(spec, PART, n - 1, PROBES)
+        assert sorted(reports) == sorted(alone)
+        assert len({rep.details["evaluations"] for rep in reports.values()}) == 1
+        for key, rep in alone.items():
+            got = reports[key]
+            assert (got.name, got.passed, got.probes_passed) == (rep.name, rep.passed,
+                                                                 rep.probes_passed)
+            assert len(got.witnesses) == len(rep.witnesses)
+            assert abs(got.margin - rep.margin) <= 1e-6 * (1 + abs(rep.margin))
+
+
 def test_numerical_rank():
     M = np.diag([1.0, 1e-3, 1e-12])
     assert numerical_rank(M) == 2
@@ -172,7 +235,8 @@ def test_sufficient_independence_on_presets():
 
 def test_independence_matrix_groups():
     spec = preset_generator(2, rng_seed=8)
-    stack, slices, _ = _independence_matrices(spec, PART, 2, PROBES[:3])
+    table = _request(spec, PROBES[:3], _independence_alphas(PART, 2), jacobian=False)
+    stack, slices = _independence_stack(table, PART, 2)
     labels = [lab for lab, _ in slices]
     assert labels == [lab for lab, _ in independence_groups(PART, 2)]
     assert len(labels) == len(set(labels))
@@ -293,8 +357,12 @@ def test_checks_report_evaluations():
     assert cross.details["evaluations"] == 2 * (8 + 4 * 4)
     within = check_within_slot_order(additive_cross, PART, 1, probes)
     assert within.details["evaluations"] == 2 * (8 + 2 * 4)
+    # the bundle's one request: the cross bound's points, then per slot the
+    # mixed index's 4 corners, the 2 x 2 axis points at step h2 of its two
+    # pure second derivatives, and the centre those share; its equivalent
+    # generators are evaluated nowhere
     bundle = check_interaction_asymmetry(additive_cross, PART, 1, probes, equiv_samples=2)
-    assert bundle.details["evaluations"] == 2 * (8 + 4 * 4) + 3 * 2 * (8 + 2 * 4)
+    assert bundle.details["evaluations"] == 2 * (8 + 4 * 4 + 2 * (4 + 4) + 1)
     for rep in (compositionality_check(additive_cross, PART, probes),
                 irreducibility_check(additive_cross, PART, probes)):
         assert rep.details["evaluations"] == 2 * 8

@@ -600,11 +600,9 @@ def _count_engine_requests(monkeypatch) -> list:
 def test_characterization_runs_no_check_twice(monkeypatch):
     calls = _count_engine_requests(monkeypatch)
     exp_characterization()
-    # per preset: one to draw it, its cross-order check, the check one order
-    # below (n >= 1 only), the bundle's within-slot check and 3 equivalent
-    # generators, and sufficient independence; the bundle reuses the
-    # cross-order report
-    assert len(calls) == 7 * 7 + 14 * 8
+    # per preset: one to draw it and one to certify it; the equivalent
+    # generators come from the certification's partials by the chain rule
+    assert len(calls) == 21 + 21
 
 
 @pytest.mark.parametrize("equiv", [1, 3])
@@ -615,9 +613,8 @@ def test_cli_check_runs_no_check_twice(tmp_path, monkeypatch, equiv):
     rc = cli.main(["check", "--generator", str(gen), "--order", "2", "--equiv", str(equiv),
                    "--out", str(tmp_path / "out")])
     assert rc == 0
-    # cross order, within slot, sufficient independence, then one per
-    # equivalent generator: the bundle reuses the first two
-    assert len(calls) == 3 + equiv
+    # every report, equivalent generators included, from one request
+    assert len(calls) == 1
 
 
 def test_characterization_same_with_cold_and_warm_caches():
