@@ -1,9 +1,9 @@
 """Softmax attention, the cross-attention decoder built on it, its analytic
 per-slot Jacobian, and the attention-overlap regularizer.
 
-attend/attend_backward are the one softmax-attention primitive (Vaswani et
-al. 2017) and its gradient, with heads carried as an array axis; the
-encoder and every decoder layer share its gradient core.
+softmax_rows and _softmax_backward are the one softmax and its gradient
+core, along any axis.  attend/attend_backward build the encoder's softmax
+attention (Vaswani et al. 2017) on them, and the decoder its layers.
 
 The decoder maps K slot vectors to pixels: keys and values come from the
 slots, queries from fixed per-pixel inputs (first layer) or the previous
@@ -13,6 +13,15 @@ are never formed: their value mixes go through the head's first layer).
 Attention over slots is the only place pixel values can mix information
 across slots, which is what the regularizer measures and the Jacobian
 analysis exploits.
+
+Inside the decoder every per-pixel array is pixel-last, with the P pixels
+on its last, contiguous axis: attention weights (B, n_heads, K, P) with the
+softmax over the slot axis -2, queries ([B,] n_heads, head_dim, P), tokens
+(B, d_q, P), the pixel head's activations (B, hidden, P) and pixels
+(B, C, P).  So every max, sum and broadcast over the K slots adds whole
+pixel rows, and every product has P as its long axis.  The public functions
+keep the (P, K) and (P, C) conventions: they return transposed views and
+take such views back without a copy.
 
 All forward/backward routines accept either a single slot set (K, slot_dim)
 or a batch (B, K, slot_dim).
@@ -26,23 +35,27 @@ from typing import Sequence
 import numpy as np
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with rowwise max subtraction so finite
-    logits never overflow; non-finite logits raise FloatingPointError."""
+def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along one axis with the max along it subtracted, so finite
+    logits never overflow; non-finite logits raise FloatingPointError.  The
+    decoder takes it over the slot axis -2 of pixel-last weights (..., K, P),
+    where the max and the sum add whole contiguous pixel rows."""
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("softmax input must be finite")
-    # the max as one pass per slot over the transposed rows, as _sum_last explains
-    rows = logits.reshape(-1, logits.shape[-1]).T.copy()
-    e = np.exp(logits - rows.max(axis=0).reshape(logits.shape[:-1] + (1,)))
-    e /= _sum_last(e)[..., None]
+    e = logits - np.max(logits, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
     return e
 
 
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """np.sum over the last axis as a product: numpy reduces a short last
-    axis (K = 3 slots) row by row, about 20x slower."""
-    return x @ np.ones(x.shape[-1])
+def _softmax_backward(gA: np.ndarray, A: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
+    """Gradient on the logits of A = softmax_rows(scale * logits, axis) from
+    the gradient gA on A, written into gA."""
+    gA -= np.sum(gA * A, axis=axis, keepdims=True)
+    gA *= A
+    gA *= scale
+    return gA
 
 
 def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
@@ -56,24 +69,16 @@ def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
 def attend_backward(g_out, A, Q, K, V, scale: float, g_A=None):
     """Gradients (gQ, gK, gV) of attend, each in its input's shape, from the
     gradient on its output and, if given, g_A on the weights (broadcast
-    against A)."""
+    against A); queries with fewer batch axes than the keys get theirs
+    summed over them."""
     gA = g_out @ np.swapaxes(V, -1, -2)
     if g_A is not None:
         gA += g_A
-    return (*attention_weights_backward(gA, A, Q, K, scale), np.swapaxes(A, -1, -2) @ g_out)
-
-
-def attention_weights_backward(gA, A, Q, K, scale: float):
-    """Gradients (gQ, gK) of the weights A of attend from the gradient gA on A;
-    queries with fewer batch axes than the keys get theirs summed over them."""
-    g_logits = scale * A * (gA - _sum_last(gA * A)[..., None])
-    gK = np.swapaxes(g_logits, -1, -2) @ Q
-    # the n batch axes Q lacks flattened into the key axis: (..., P, N*K) @ (..., N*K, d)
-    n = g_logits.ndim - Q.ndim
-    rows = np.moveaxis(g_logits.reshape((-1,) + g_logits.shape[n:]), 0, -2)
-    keys = np.moveaxis(K.reshape((-1,) + K.shape[n:]), 0, -3)
-    gQ = rows.reshape(rows.shape[:-2] + (-1,)) @ keys.reshape(keys.shape[:-3] + (-1, K.shape[-1]))
-    return gQ, gK
+    g_logits = _softmax_backward(gA, A, scale)
+    gQ = g_logits @ K
+    if gQ.ndim > Q.ndim:
+        gQ = np.sum(gQ, axis=tuple(range(gQ.ndim - Q.ndim)))
+    return gQ, np.swapaxes(g_logits, -1, -2) @ Q, np.swapaxes(A, -1, -2) @ g_out
 
 
 def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -82,6 +87,12 @@ def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     rows at once would be large enough for a threaded BLAS to split, which
     slows down training runs that share the cores with each other."""
     return np.sum(np.swapaxes(g, -1, -2) @ x, axis=tuple(range(g.ndim - 2)))
+
+
+def _pixel_weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """weight_gradient for pixel-last g (..., out, P) and x (..., in, P):
+    g x^T per leading index, summed."""
+    return weight_gradient(np.swapaxes(g, -1, -2), np.swapaxes(x, -1, -2))
 
 
 def bias_gradient(g: np.ndarray) -> np.ndarray:
@@ -191,11 +202,16 @@ def positional_query_inputs(
 @dataclass
 class ForwardCache:
     """Intermediates of one decoder forward pass, consumed by the backward
-    pass.  Per layer: the query inputs, and Q, K, V and the attention
-    weights with heads as an axis, (B, n_heads, tokens, head_dim) and
-    (B, n_heads, P, K); the first layer's queries, shared by the batch, have
-    no batch axis.  decoder_backward consumes the cache, overwriting the
-    pixel head's activations head_hidden with their gradient."""
+    pass.  Every per-pixel array is pixel-last.  Per layer: the query inputs
+    ([B,] d_in, P), the queries ([B,] n_heads, head_dim, P), the keys and
+    values (B, n_heads, K, head_dim) and the attention weights
+    (B, n_heads, K, P); the first layer's query inputs and queries, shared
+    by the batch, have no batch axis.  The last layer also keeps the two
+    factors of the pixel head's first layer, VWb (B, hidden, n_heads*K + 1),
+    its slot values through W1 with b1 as the last column, and A1
+    (B, n_heads*K + 1, P), its weights with a row of ones under them.
+    decoder_backward consumes the cache, overwriting the pixel head's
+    activations head_hidden (B, hidden, P) with their gradient."""
 
     slots: np.ndarray
     per_layer: list = field(default_factory=list)
@@ -221,7 +237,7 @@ def _scale(layer: CrossAttentionLayer) -> float:
 
 def _scratch(buffers: dict | None, name: str, shape: tuple) -> np.ndarray | None:
     """out= for a product: the caller's kept array `name`, so a training loop
-    does not fault its (B, P, d) arrays in anew every step; None without."""
+    does not fault its (B, hidden, P) arrays in anew every step; None without."""
     if buffers is not None and (name not in buffers or buffers[name].shape != shape):
         buffers[name] = np.empty(shape)
     return None if buffers is None else buffers[name]
@@ -236,9 +252,10 @@ def cross_attention_forward(
 ):
     """Run the decoder on slot vectors.
 
-    Returns (pixels, attention) where attention is a list over layers of
-    (n_heads, [B,] P, K) arrays of softmax weights; with_cache=True returns
-    a third ForwardCache element.  First layer queries come from its
+    Returns (pixels, attention): pixels ([B,] P, C) and, per layer, the
+    (n_heads, [B,] P, K) softmax weights; with_cache=True returns a third
+    ForwardCache element.  Both are transposed views of the pixel-last
+    arrays the decoder computes.  First layer queries come from its
     query_inputs; each deeper layer queries the previous layer's tokens, and
     the pixel head applies only after the last layer.  A buffers dict lends
     its arrays to this pass and its backward pass until the next pass with
@@ -252,7 +269,7 @@ def cross_attention_forward(
     batched = z.ndim == 3
     if not batched:
         z = z[None]
-    K, slot_dim = z.shape[1:]
+    B, K, slot_dim = z.shape
     if K < 1:
         raise ValueError("need at least one slot")
     if layers[0].query_inputs is None:
@@ -262,29 +279,35 @@ def cross_attention_forward(
             raise ValueError("layer slot dimension does not match input")
 
     cache = ForwardCache(slots=z, batched=batched, buffers=buffers)
-    q_in = layers[0].query_inputs
+    q_in = layers[0].query_inputs.T
+    P = q_in.shape[-1]
     attn_all = []
     for li, ly in enumerate(layers):
-        if ly.W_Q.shape[1] != q_in.shape[-1]:
+        if ly.W_Q.shape[1] != q_in.shape[-2]:
             raise ValueError("layer query projection does not match prior tokens")
-        Q, Kk, V = (_split_heads(X, ly.n_heads)
-                    for X in (q_in @ ly.W_Q.T, z @ ly.W_K.T, z @ ly.W_V.T))
-        # K^T contiguous: numpy's stacked matmul takes a transposed operand ~2x slower
-        A = softmax_rows(_scale(ly) * (Q @ np.ascontiguousarray(np.swapaxes(Kk, -1, -2))))
-        A_heads = np.moveaxis(A, 1, 0)
+        Q = (ly.W_Q @ q_in).reshape(q_in.shape[:-2] + (ly.n_heads, -1, P))
+        Kk, V = (_split_heads(z @ W.T, ly.n_heads) for W in (ly.W_K, ly.W_V))
+        A = softmax_rows((_scale(ly) * Kk) @ Q, axis=-2)
+        A_heads = np.swapaxes(np.moveaxis(A, 1, 0), -1, -2)
         attn_all.append(A_heads if batched else A_heads[:, 0])
         cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A})
         if li < len(layers) - 1:
-            q_in = _merge_heads(A @ V)
-    # the last layer's tokens A_h V_h are not formed: hidden = sum_h A_h (V_h W1_h^T),
-    # W1_h the head-h columns of W1, as (B, P, H*K) @ (B, H*K, hidden), in place
-    B, H, P = A.shape[:3]
-    VW = V @ np.swapaxes(_split_heads(head.W1, H), -1, -2)
-    hidden = np.matmul(np.moveaxis(A, 1, 2).reshape(B, P, -1), VW.reshape(B, H * K, -1),
-                       out=_scratch(buffers, "hidden", (B, P) + head.b1.shape))
-    hidden += head.b1
+            q_in = (np.swapaxes(V, -1, -2) @ A).reshape(B, -1, P)
+    # the last layer's tokens V_h^T A_h are not formed: hidden = sum_h (W1_h V_h^T) A_h + b1,
+    # W1_h the head-h columns of W1, is one product [VW | b1] @ [A; 1] over the (head, slot)
+    # pairs and a row of ones, (B, hidden, H*K + 1) @ (B, H*K + 1, P), into the kept array
+    H = A.shape[1]
+    VWb = np.empty((B, head.b1.size, H * K + 1))
+    VWb[..., :-1] = np.moveaxis(_split_heads(head.W1, H) @ np.swapaxes(V, -1, -2), 1, 2).reshape(
+        B, -1, H * K)
+    VWb[..., -1] = head.b1
+    A1 = np.concatenate([A.reshape(B, H * K, P), np.ones((B, 1, P))], axis=1)
+    cache.per_layer[-1].update(VWb=VWb, A1=A1)
+    hidden = np.matmul(VWb, A1, out=_scratch(buffers, "hidden", (B, head.b1.size, P)))
     cache.head_hidden = np.tanh(hidden, out=hidden)
-    pixels = hidden @ np.ascontiguousarray(head.W2.T) + head.b2
+    pixels = head.W2 @ hidden
+    pixels += head.b2[:, None]
+    pixels = np.swapaxes(pixels, -1, -2)
     if not batched:
         pixels = pixels[0]
     if with_cache:
@@ -301,6 +324,19 @@ def aggregate_attention(attention) -> np.ndarray:
     return sum(np.sum(heads, axis=0) for heads in attention)
 
 
+def _interact(A: np.ndarray, grad_scale: float | None = None):
+    """l_interact of pixel-last weights A (B, K, P), unchecked; given grad_scale,
+    also grad_scale times l_interact_grad's gradient, pixel-last."""
+    row_sum = np.sum(A, axis=-2, keepdims=True)
+    pair = row_sum[:, 0] ** 2 - np.sum(A**2, axis=-2)  # twice each pixel's pairwise products
+    value = 0.5 * float(np.mean(np.sum(pair, axis=-1)))
+    if grad_scale is None:
+        return value
+    g = row_sum - A
+    g *= grad_scale / A.shape[0]
+    return value, g
+
+
 def l_interact(A) -> float:
     """Sum over pixels of all pairwise products of a pixel's attention to
     two different slots, averaged over the batch if one is present.  Zero
@@ -312,9 +348,7 @@ def l_interact(A) -> float:
         raise ValueError("attention weights must be non-negative")
     if v.ndim == 2:
         v = v[None]
-    row_sum = _sum_last(v)
-    pair = 0.5 * (row_sum**2 - _sum_last(v**2))
-    return float(np.mean(np.sum(pair, axis=-1)))
+    return _interact(np.swapaxes(v, -1, -2))
 
 
 def l_interact_grad(A_sum: np.ndarray) -> np.ndarray:
@@ -323,12 +357,12 @@ def l_interact_grad(A_sum: np.ndarray) -> np.ndarray:
     single = v.ndim == 2
     if single:
         v = v[None]
-    g = (_sum_last(v)[..., None] - v) / v.shape[0]
+    g = np.swapaxes(_interact(np.swapaxes(v, -1, -2), 1.0)[1], -1, -2)
     return g[0] if single else g
 
 
 def _closed_form_factors(layer: CrossAttentionLayer, head: PixelHead, z_hat: np.ndarray):
-    """Checks, then weights A (P, K), queries through W_K M (P, s), F (C, s+K, P) =
+    """Checks, then weights A^T (K, P), queries through W_K M (P, s), F (C, s+K, P) =
     dpsi_d [W_V | V^T] and mix (C, P) = dpsi_d token_d; dpsi_d = W2 diag(tanh') W1 at pixel d."""
     if layer.n_heads != 1:
         raise ValueError("closed form covers single-head layers only")
@@ -339,14 +373,15 @@ def _closed_form_factors(layer: CrossAttentionLayer, head: PixelHead, z_hat: np.
         raise ValueError("expected an unbatched (K, slot_dim) slot array")
     Q = layer.query_inputs @ layer.W_Q.T
     root = np.sqrt(layer.d_q) if layer.scaling else 1.0
-    M, A, V = Q @ layer.W_K / root, softmax_rows(Q @ (z @ layer.W_K.T).T / root), z @ layer.W_V.T
+    M, V = Q @ layer.W_K / root, z @ layer.W_V.T
+    AT = softmax_rows((z @ layer.W_K.T) @ Q.T / root, axis=-2)
     s, K, P = M.shape[1], V.shape[0], M.shape[0]
-    h = head.W1 @ (A @ V).T
+    h = head.W1 @ (AT.T @ V).T
     dtanh = 1.0 - np.tanh(h + head.b1[:, None]) ** 2
     mix = head.W2 @ (dtanh * h)
     rows = (head.W1 @ np.hstack([layer.W_V, V.T])).T  # times W2 and tanh': dpsi [W_V | V^T]
     F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
-    return A, M, F, mix
+    return AT, M, F, mix
 
 
 def analytic_slot_jacobian(layer: CrossAttentionLayer, head: PixelHead,
@@ -363,24 +398,24 @@ def analytic_slot_jacobian(layer: CrossAttentionLayer, head: PixelHead,
     so a slot with A_dm = 0 contributes an exactly zero block.  When scaling
     is on, M_d carries the same 1/sqrt(d_q) factor as the logits.
     """
-    A, M, F, mix = _closed_form_factors(layer, head, z_hat)
+    AT, M, F, mix = _closed_form_factors(layer, head, z_hat)
     s = M.shape[1]
     u = np.moveaxis(F[:, s:], 0, -1) - mix.T  # (K, P, C): dpsi_d (W_V z_m - token_d)
-    return A.T[:, :, None, None] * (np.moveaxis(F[:, :s], -1, 0) + u[..., None] * M[:, None, :])
+    return AT[:, :, None, None] * (np.moveaxis(F[:, :s], -1, 0) + u[..., None] * M[:, None, :])
 
 
 def analytic_slot_jacobian_norms(layer: CrossAttentionLayer, head: PixelHead,
                                  z_hat: np.ndarray) -> np.ndarray:
     """(n_pixels, K) L1 norms of analytic_slot_jacobian's blocks, not formed: block (m, d) is
     A_dm (dpsi_d W_V + u_md M_d), u_md = dpsi_d (V_m - token_d), and A_dm >= 0 factors out."""
-    A, M, F, mix = _closed_form_factors(layer, head, z_hat)
-    s, K, P = M.shape[1], A.shape[1], M.shape[0]
+    AT, M, F, mix = _closed_form_factors(layer, head, z_hat)
+    s, (K, P) = M.shape[1], AT.shape
     MT, buf, acc = np.ascontiguousarray(M.T)[:, None], np.empty((s, K, P)), np.zeros(K * P)
     for c in range(F.shape[0]):
         np.multiply(F[c, s:] - mix[c], MT, out=buf)  # u_md M_d
         buf += F[c, :s, None]
         acc += np.ones(s) @ np.abs(buf, out=buf).reshape(s, -1)
-    return (acc.reshape(K, P) * A.T).T
+    return (acc.reshape(K, P) * AT).T
 
 
 def decoder_backward(
@@ -392,52 +427,66 @@ def decoder_backward(
 ):
     """Reverse-mode pass through the decoder.
 
-    grad_pixels matches the forward pass's pixels; grad_attention, if given,
-    is the gradient with respect to the aggregated attention matrix and is
-    routed identically into every layer/head softmax (aggregation is a plain
-    sum).
+    grad_pixels matches the forward pass's pixels ([B,] P, C); grad_attention,
+    if given, is the gradient ([B,] P, K) with respect to the aggregated
+    attention matrix and is routed identically into every layer/head softmax
+    (aggregation is a plain sum).  Transposed views of pixel-last arrays
+    are taken without a copy.
     Returns (grad_slots, layer_grads, head_grads) with one parameter dict
     per layer.
     """
-    g_out = np.asarray(grad_pixels, dtype=float)
-    if g_out.ndim == 2:
-        g_out = g_out[None]
     z = cache.slots
     hh, cache.head_hidden = cache.head_hidden, None
     if hh is None:
         raise ValueError("this forward cache was consumed by an earlier backward pass")
-    head_grads = {"W2": weight_gradient(g_out, hh), "b2": bias_gradient(g_out)}
-    g_pre = np.subtract(1.0, np.square(hh, out=hh), out=hh)  # (1 - hh^2) (g_out W2), into hh
-    g_pre *= np.matmul(g_out, head.W2, out=_scratch(cache.buffers, "g_hidden", hh.shape))
+    g_out = np.swapaxes(np.asarray(grad_pixels, dtype=float), -1, -2).reshape(
+        -1, head.b2.size, hh.shape[-1])
+    head_grads = {"W2": _pixel_weight_gradient(g_out, hh),
+                  "b2": np.ones(len(g_out)) @ (g_out @ np.ones(g_out.shape[-1]))}
+    g_pre = np.subtract(1.0, np.square(hh, out=hh), out=hh)  # (1 - hh^2) (W2^T g_out), into hh
+    g_pre *= np.matmul(head.W2.T, g_out, out=_scratch(cache.buffers, "g_hidden", hh.shape))
 
+    B, H, K, P = cache.per_layer[-1]["A"].shape
     g_A = None
-    if grad_attention is not None:  # as (B, 1, P, K): the same for every head
-        g_A = np.asarray(grad_attention, dtype=float).reshape(
-            (-1, 1) + cache.per_layer[0]["A"].shape[2:])
+    if grad_attention is not None:  # as (B, 1, K, P): the same for every head
+        g_A = np.swapaxes(np.asarray(grad_attention, dtype=float), -1, -2).reshape(B, 1, K, P)
 
-    # the last layer through hidden = sum_h A_h (V_h W1_h^T): with AG_h = A_h^T g_pre,
-    # W1_h gets sum_b AG_h^T V_h, A_h g_pre (W1_h V_h^T) and V_h AG_h W1_h
-    ly, c = layers[-1], cache.per_layer[-1]
-    W1h, AG = _split_heads(head.W1, ly.n_heads), np.swapaxes(c["A"], -1, -2) @ g_pre[:, None]
-    head_grads["W1"] = _merge_heads(np.sum(np.swapaxes(AG, -1, -2) @ c["V"], axis=0))
-    head_grads["b1"] = bias_gradient(g_pre)
-    gA = g_pre[:, None] @ (W1h @ np.swapaxes(c["V"], -1, -2))
-    if g_A is not None:
-        gA += g_A
-    grads = (*attention_weights_backward(gA, c["A"], c["Q"], c["K"], _scale(ly)), AG @ W1h)
+    # the last layer through hidden = [VW | b1] [A; 1], VW_h = W1_h V_h^T: with
+    # [G | g_b1] = g_pre [A; 1]^T, b1 gets sum_b g_b1, W1_h gets sum_b G_h V_h,
+    # A_h gets VW_h^T g_pre and V_h gets G_h^T W1_h
+    c = cache.per_layer[-1]
+    G1 = g_pre @ np.swapaxes(c["A1"], -1, -2)
+    head_grads["b1"] = np.ones(B) @ G1[..., -1]
+    G = np.moveaxis(G1[..., :-1].reshape(B, -1, H, K), 2, 1)
+    head_grads["W1"] = _merge_heads(np.sum(G @ c["V"], axis=0))
+    gA = (np.swapaxes(c["VWb"][..., :-1], -1, -2) @ g_pre).reshape(B, H, K, P)
+    gV = np.swapaxes(G, -1, -2) @ _split_heads(head.W1, H)
 
     g_slots = np.zeros_like(z)
     layer_grads: list[dict[str, np.ndarray]] = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
         ly, c = layers[li], cache.per_layer[li]
-        if li < len(layers) - 1:
-            grads = attend_backward(_split_heads(g_tok, ly.n_heads), c["A"], c["Q"], c["K"],
-                                    c["V"], _scale(ly), g_A)
-        gQ, gK, gV = (_merge_heads(g) for g in grads)
+        A, Q, Kk, V = c["A"], c["Q"], c["K"], c["V"]
+        H, hd = Q.shape[-3:-1]
+        if li < len(layers) - 1:  # through the tokens V_h^T A_h the next layer queried
+            g_tok = (layers[li + 1].W_Q.T @ gQ).reshape(B, H, hd, P)
+            gA = V @ g_tok
+            gV = A @ np.swapaxes(g_tok, -1, -2)
+        if g_A is not None:
+            gA += g_A
+        g_logits = _softmax_backward(gA, A, _scale(ly), axis=-2)
+        if li:
+            gK = g_logits @ np.swapaxes(Q, -1, -2)
+            gQ = (np.swapaxes(Kk, -1, -2) @ g_logits).reshape(B, -1, P)
+        else:  # queries shared by the batch: one product per head over (example, slot) pairs
+            rows = np.moveaxis(g_logits, 0, 1).reshape(H, B * K, P)
+            keys = np.moveaxis(Kk, 0, 1).reshape(H, B * K, hd)
+            gK = np.moveaxis((rows @ np.swapaxes(Q, -1, -2)).reshape(H, B, K, hd), 0, 1)
+            gQ = (np.swapaxes(keys, -1, -2) @ rows).reshape(-1, P)
+        gK, gV = _merge_heads(gK), _merge_heads(gV)
         layer_grads[li] = {"W_K": weight_gradient(gK, z), "W_V": weight_gradient(gV, z),
-                           "W_Q": weight_gradient(gQ, c["q_in"])}
+                           "W_Q": _pixel_weight_gradient(gQ, c["q_in"])}
         g_slots += gK @ ly.W_K + gV @ ly.W_V
-        g_tok = gQ @ ly.W_Q if li else None
     return g_slots if cache.batched else g_slots[0], layer_grads, head_grads
 
 

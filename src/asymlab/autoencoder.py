@@ -20,14 +20,12 @@ import numpy as np
 from .attention import (
     CrossAttentionLayer,
     PixelHead,
-    aggregate_attention,
+    _interact,
     attend,
     attend_backward,
     bias_gradient,
     cross_attention_forward,
     decoder_backward,
-    l_interact,
-    l_interact_grad,
     positional_query_inputs,
     weight_gradient,
 )
@@ -324,24 +322,25 @@ def _loss_forward(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig
     mu, lv, enc_cache = encode(model, batch, with_cache=True)
     sigma = np.exp(0.5 * lv)
     z = mu + sigma * noise
-    pixels, attn, dec_cache = cross_attention_forward(
+    pixels, _, dec_cache = cross_attention_forward(
         model.dec_layers, model.dec_head, z, with_cache=True, buffers=buffers
     )
-    B = batch.shape[0]
-    target = batch.reshape(B, -1, model.config.channels)
-    resid = pixels - target
+    # pixel-last, as the decoder computes them: pixels and residual (B, C, P), weights (B, K, P)
+    B, C = batch.shape[0], model.config.channels
+    resid = np.swapaxes(pixels, -1, -2) - np.swapaxes(batch.reshape(B, -1, C), -1, -2)
     rec = float(np.mean(resid**2))
     kl = kl_to_unit_gaussian(mu, lv)
-    A_sum = aggregate_attention(attn)
-    interact = l_interact(A_sum)
+    # aggregate_attention's sum; the softmax refused non-finite logits, so no checks
+    A_sum = sum(np.sum(c["A"], axis=1) for c in dec_cache.per_layer)
     alpha_eff = config.alpha * alpha_scale
+    interact, g_attn = _interact(A_sum, alpha_eff)  # and alpha_eff times its gradient
     total = rec + alpha_eff * interact + config.beta * kl
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite loss: rec={rec} kl={kl} interact={interact}")
     breakdown = LossBreakdown(rec=rec, kl=kl, interact=interact, total=float(total))
     state = {
         "mu": mu, "lv": lv, "sigma": sigma, "z": z, "noise": noise,
-        "resid": resid, "A_sum": A_sum, "enc_cache": enc_cache,
+        "resid": resid, "g_attn": g_attn, "enc_cache": enc_cache,
         "dec_cache": dec_cache, "alpha_eff": alpha_eff,
     }
     return breakdown, state
@@ -381,8 +380,10 @@ def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainC
         noise = _draw_noise(model, batch.shape[0], rng)
     breakdown, st = _loss_forward(model, batch, config, noise, alpha_scale, buffers)
     B = batch.shape[0]
-    g_pixels = 2.0 * st["resid"] / st["resid"].size
-    g_attn = st["alpha_eff"] * l_interact_grad(st["A_sum"]) if st["alpha_eff"] != 0 else None
+    # (B, P, C) and (B, P, K) views of pixel-last arrays, which decoder_backward takes back
+    # without a copy
+    g_pixels = np.swapaxes(st["resid"] * (2.0 / st["resid"].size), -1, -2)
+    g_attn = np.swapaxes(st["g_attn"], -1, -2) if st["alpha_eff"] != 0 else None
     g_z, dec_grads, head_grads = decoder_backward(
         model.dec_layers, model.dec_head, st["dec_cache"], g_pixels, g_attn
     )

@@ -51,6 +51,9 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_check(args) -> int:
+    for flag, value, least in (("--probes", args.probes, 1), ("--equiv", args.equiv, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     out = _prepare_out(args.out, args.force)
     spec_json = _load_json(args.generator)
     try:

@@ -133,6 +133,16 @@ def test_slot_axis_reductions_match_numpy(K, lead):
                                rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -2])
+def test_softmax_rows_along_any_axis(axis):
+    # the decoder's softmax over the slot axis -2 of pixel-last weights (B, K, P)
+    # is the last-axis softmax of the transposed weights
+    logits = np.random.default_rng(5).normal(scale=5.0, size=(4, 3, 6))
+    moved = np.moveaxis(logits, axis, -1)
+    np.testing.assert_allclose(np.moveaxis(softmax_rows(logits, axis=axis), axis, -1),
+                               softmax_rows(moved), rtol=1e-14, atol=0)
+
+
 def test_multilayer_multihead_matches_per_head_slices():
     # the head axis against a reference that slices heads one at a time
     layers, head = random_decoder(13, n_pixels=5, K=3, slot_dim=4, n_heads=2,

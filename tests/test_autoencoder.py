@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymlab import autoencoder
+from asymlab.attention import aggregate_attention, l_interact, l_interact_grad
 from asymlab.autoencoder import (
     ModelConfig,
     TrainConfig,
@@ -160,6 +161,39 @@ def test_gradients_match_fd_two_heads_two_layers():
             worst = max(worst, abs(fd - grads[name][idx]) / max(1.0, abs(fd)))
     assert sum(quota.values()) == 200
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("config, image", [
+    (ModelConfig(**dict(TINY.to_json(), dec_heads=2, dec_layers=2)), (8, 8, 3)),
+    (ModelConfig(), (16, 16, 3)),
+])
+def test_loss_overlap_matches_public_penalty(monkeypatch, config, image):
+    # the loss takes its overlap and the gradient it routes from the cache's pixel-last
+    # weights; the public (P, K) functions on the same forward pass's attention agree
+    model = build_autoencoder(config)
+    batch = np.random.default_rng(0).uniform(0, 1, size=(3,) + image)
+    noise = np.random.default_rng(3).normal(size=(3, config.n_slots, config.slot_dim))
+    cfg = TrainConfig(alpha=0.05, beta=0.05, seed=0)
+    seen = {}
+    forward, backward = autoencoder.cross_attention_forward, autoencoder.decoder_backward
+
+    def seen_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        seen["attn"] = [heads.copy() for heads in out[1]]
+        return out
+
+    def seen_backward(layers, head, cache, grad_pixels, grad_attention=None):
+        seen["routed"] = grad_attention.copy()
+        return backward(layers, head, cache, grad_pixels, grad_attention)
+
+    monkeypatch.setattr(autoencoder, "cross_attention_forward", seen_forward)
+    monkeypatch.setattr(autoencoder, "decoder_backward", seen_backward)
+    breakdown, _ = loss_and_gradients(model, batch, cfg, noise=noise)
+    A_sum = aggregate_attention(seen["attn"])
+    assert A_sum.shape == (3, config.height * config.width, config.n_slots)
+    assert breakdown.interact == pytest.approx(l_interact(A_sum), rel=1e-14, abs=0)
+    np.testing.assert_allclose(seen["routed"], cfg.alpha * l_interact_grad(A_sum),
+                               rtol=1e-14, atol=0)
 
 
 def test_gradients_finite():

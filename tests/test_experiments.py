@@ -190,6 +190,21 @@ def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
     assert rc == 2 and "trials must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--probes", "0", "--probes must be at least 1, got 0"),
+    ("--probes", "-1", "--probes must be at least 1, got -1"),
+    ("--equiv", "-1", "--equiv must be at least 0, got -1"),
+])
+def test_cli_check_rejects_bad_counts(tmp_path, capsys, flag, value, named):
+    # refused before any probe is drawn: no numpy traceback, no output directory
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
+    rc = cli.main(["check", "--generator", str(gen), "--order", "1", flag, value,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2 and named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_ablate_rejects_zero_seeds_flag(tmp_path, capsys):
     rc = cli.main(["ablate", "--seeds", "0", "--out", str(tmp_path / "ab")])
     assert rc == 2 and "seeds must be a non-empty list" in capsys.readouterr().err
