@@ -14,14 +14,23 @@ of a generator's order-n reports from one request, each recording its points.
 The equivalent generators f_bar = f o L^-1 (L = diag(M_k), drawn by
 generators.random_equivalence) add none: by the chain rule J_bar = J L^-1,
 and their order-(n+1) within-slot partials are f's slot tensors contracted
-with M_k^-1 on every axis.
+with M_k^-1 on every axis.  The within-slot judge takes f's table and the S
+equivalents' as one ((S + 1) N, ...) stack on the probe axis, computes every
+(probe, split) margin and tolerance in one pass, and cuts each table's
+report from its own N-row block.
 
 One code path serves every order n >= 0; only the n = 0 cross bound, a
 condition on shared outputs rather than derivatives, is check_no_interaction.
 The rank checks take their columns from multiindex.independence_groups (the
 rule generators.required_output_dim counts), stack them for every probe into
-one (N, d_x, columns) array and take each rank over the whole stack.  Orders
-the derivative engine cannot difference (above 3) raise ValueError.
+one (N, d_x, columns) array and take each rank over the whole stack.  The
+column groups are ranked only at probes where the whole matrix W is
+column-rank-deficient: a group G is a column subset of W, so sigma_max(G) <=
+sigma_max(W) and, by interlacing, sigma_min(G) >= sigma_min(W); where W has
+full column rank every group has too, and the ranks add up.  When d_x is
+below the column count W never has full column rank, and every probe is
+ranked group by group.  Orders the derivative engine cannot difference
+(above 3) raise ValueError.
 
 Every check uses one tolerance and the engine's one stencil
 (derivatives.StencilConfig()).  The constants: a derivative counts as
@@ -242,7 +251,8 @@ def _slot_splits(block: Sequence[int]):
 @lru_cache(maxsize=256)
 def _within_plan(partition: SlotPartition, n: int):
     """Every slot's 2-part splits (k, A, B), each split's order-(n+1)
-    candidates (none at n = 0: J alone), and their sorted union."""
+    candidates (none at n = 0: J alone) as positions in their sorted union,
+    and that union."""
     if n < 0:
         raise ValueError(f"interaction order must be >= 0, got {n}")
     if any(len(b) > 6 for b in partition.blocks):
@@ -251,40 +261,57 @@ def _within_plan(partition: SlotPartition, n: int):
               for A, B in _slot_splits(block)]
     candidates = [split_interaction_indices(partition, k, A, B, n + 1) if n else []
                   for k, A, B in splits]
-    return splits, candidates, sorted({a for c in candidates for a in c})
+    union = sorted({a for c in candidates for a in c})
+    position = {a: i for i, a in enumerate(union)}
+    positions = [np.array([position[a] for a in c], dtype=int) for c in candidates]
+    for cand in positions:
+        cand.setflags(write=False)
+    return splits, positions, union
 
 
-def _judge_within(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
-    splits, candidates, _ = _within_plan(partition, n)
-    J = t.J
-    tol_z = active_tolerance(J)
-    vals = np.max(np.abs(t.values), axis=2)
+def _judge_within(tables: Sequence[_Table], partition: SlotPartition, n: int) -> list[CheckReport]:
+    """One within-slot report per table, all judged in one pass over the
+    tables stacked on the probe axis; every table holds the same probe count."""
+    splits, positions, union = _within_plan(partition, n)
+    J = np.concatenate([t.J for t in tables])
+    tol_z = active_tolerance(J)[:, None]
     best = np.zeros((len(J), len(splits)))
-    for s, ((k, A, B), cand) in enumerate(zip(splits, candidates)):
-        if n == 0:
-            # first-order interaction is the shared-output condition: some
-            # output moved from both sides of the split
+    if n == 0:
+        # first-order interaction is the shared-output condition: some
+        # output moved from both sides of the split
+        for s, (k, A, B) in enumerate(splits):
             for iA in A:
                 for iB in B:
                     best[:, s] = np.maximum(
                         best[:, s], np.max(np.abs(J[:, :, iA] * J[:, :, iB]), axis=1))
-        elif cand:
-            # the first candidate above tolerance decides the split; without
-            # one, the largest candidate is the margin
-            v = vals[:, [t.column[a] for a in cand]]
-            above = v > tol_z[:, None]
-            first = v[np.arange(len(J)), above.argmax(axis=1)]
-            best[:, s] = np.where(above.any(axis=1), first, v.max(axis=1))
-    # failing (probe, split) pairs in row-major order: probe by probe
-    rows, cols = np.nonzero(best <= tol_z[:, None])
-    witnesses = []
-    for p, s, z in zip(rows, cols, t.points(rows) if len(rows) else ()):
-        k, A, B = splits[s]
-        witnesses.append(_witness(z, {
-            "slot": k + 1, "split": [sorted(i + 1 for i in A), sorted(i + 1 for i in B)]},
-            best[p, s]))
-    return _report(f"within_slot_order_{n + 1}", t, np.min(best - tol_z[:, None]), witnesses,
-                   int(np.sum(np.all(best > tol_z[:, None], axis=1))))
+    else:
+        vals = np.abs(np.concatenate([t.get(union) for t in tables])).max(axis=2)
+        for s, cand in enumerate(positions):
+            if len(cand):
+                # the first candidate above tolerance decides the split;
+                # without one, the largest candidate is the margin
+                v = vals[:, cand]
+                above = v > tol_z
+                first = v[np.arange(len(J)), above.argmax(axis=1)]
+                best[:, s] = np.where(above.any(axis=1), first, v.max(axis=1))
+    N = len(tables[0].J)
+    margins = (best - tol_z).reshape(len(tables), -1).min(axis=1)
+    passed = (best > tol_z).all(axis=1).reshape(len(tables), N).sum(axis=1)
+    failed = best <= tol_z
+    reports = []
+    for b, t in enumerate(tables):
+        block = best[b * N:(b + 1) * N]
+        # failing (probe, split) pairs in row-major order: probe by probe
+        rows, cols = np.nonzero(failed[b * N:(b + 1) * N])
+        witnesses = []
+        for p, s, z in zip(rows, cols, t.points(rows) if len(rows) else ()):
+            k, A, B = splits[s]
+            witnesses.append(_witness(z, {
+                "slot": k + 1, "split": [sorted(i + 1 for i in A), sorted(i + 1 for i in B)]},
+                block[p, s]))
+        reports.append(_report(f"within_slot_order_{n + 1}", t, margins[b], witnesses,
+                               int(passed[b])))
+    return reports
 
 
 def check_within_slot_order(
@@ -301,7 +328,7 @@ def check_within_slot_order(
     order-(n+1) index straddling the slot boundary vanishes anyway, so the
     restriction loses nothing.
     """
-    return _judge_within(_request(f, probes, _within_plan(partition, n)[2]), partition, n)
+    return _judge_within([_request(f, probes, _within_plan(partition, n)[2])], partition, n)[0]
 
 
 @lru_cache(maxsize=256)
@@ -353,9 +380,10 @@ def _asymmetry(f: VectorFn, partition: SlotPartition, n: int, probes,
         raise ValueError(f"equiv_samples must be at least 0, got {equiv_samples}")
     t = _request(f, probes, [*_cross_alphas(partition, n), *_chain_rule(partition, n + 1)[0],
                              *extra])
-    sub = [("cross", _judge_order(t, partition, n)), ("within", _judge_within(t, partition, n))]
-    sub += [(f"within_equiv_{s}", _judge_within(eq, partition, n))
-            for s, eq in enumerate(_equivalents(f, t, partition, n, equiv_samples, rng_seed))]
+    within = _judge_within([t, *_equivalents(f, t, partition, n, equiv_samples, rng_seed)],
+                           partition, n)
+    sub = [("cross", _judge_order(t, partition, n)), ("within", within[0])]
+    sub += [(f"within_equiv_{s}", rep) for s, rep in enumerate(within[1:])]
     # every sub-report passes exactly when all its probes do
     asym = _report(f"interaction_asymmetry_n{n}", t, min(rep.margin for _, rep in sub),
                    [{**w, "sub_check": label} for label, rep in sub for w in rep.witnesses],
@@ -431,12 +459,25 @@ def _independence_stack(t: _Table, partition: SlotPartition,
     return stack, [(name, slice(end - len(g), end)) for (name, g), end in zip(groups, ends)]
 
 
+def _rank_sum(stack: np.ndarray, slices, r_whole: np.ndarray) -> np.ndarray:
+    """The sum of the column groups' ranks at every probe, given the whole
+    matrix's: a group of a full-column-rank matrix has full column rank (see
+    the module docstring), so only the rank-deficient probes are ranked
+    group by group."""
+    r_sum = np.full(len(stack), stack.shape[2])
+    rows = np.nonzero(r_whole < stack.shape[2])[0]
+    if len(rows):
+        deficient = stack[rows]
+        r_sum[rows] = sum(numerical_rank(deficient[:, :, cols]) for _, cols in slices)
+    return r_sum
+
+
 def _judge_independence(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
     stack, slices = _independence_stack(t, partition, n)
     if not np.all(np.any(stack, axis=(1, 2))):
         raise ValueError("degenerate all-zero derivative matrix")
     r_whole = numerical_rank(stack)
-    r_sum = sum(numerical_rank(stack[:, :, cols]) for _, cols in slices)
+    r_sum = _rank_sum(stack, slices, r_whole)
     gap = np.abs(r_whole - r_sum)
     rows = np.nonzero(gap)[0]
     witnesses = [_witness(z, {"rank_whole": int(r_whole[p]), "rank_sum": int(r_sum[p])}, gap[p])

@@ -65,8 +65,12 @@ def _cmd_check(args) -> int:
     probes = rng.uniform(-0.8, 0.8, size=(args.probes, part.latent_dim))
 
     try:
-        certs = certify(spec, part, args.order, probes, args.equiv, args.seed)
-    except ValueError as e:  # an order the engine cannot difference, or an all-zero matrix
+        # the engine names a non-finite value itself; numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            certs = certify(spec, part, args.order, probes, args.equiv, args.seed)
+    except (ValueError, FloatingPointError) as e:
+        # an order the engine cannot difference, an all-zero matrix, or a
+        # generator that overflows at a stencil point
         raise UsageError(f"cannot certify at order {args.order}: {e}") from e
     reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
                "sufficient_independence": certs["independence"]}

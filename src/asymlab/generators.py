@@ -405,7 +405,8 @@ def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> Sl
         d = len(b)
         while True:
             m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(d, d))
-            if np.linalg.cond(m) <= 50.0:
+            s = np.linalg.svd(m, compute_uv=False)  # s[0] / s[-1] is np.linalg.cond(m)
+            if s[0] / s[-1] <= 50.0:
                 maps.append(SlotMap(kind="affine", matrix=np.linalg.inv(m), offset=np.zeros(d)))
                 break
     return SlotwiseDiffeoSpec(tuple(maps), tuple(range(partition.K)))

@@ -6,10 +6,16 @@ import pytest
 
 from asymlab.asymmetry import (
     CheckReport,
+    _chain_rule,
+    _cross_alphas,
     _equivalents,
     _independence_alphas,
     _independence_stack,
+    _judge_independence,
+    _judge_within,
+    _rank_sum,
     _request,
+    _Table,
     active_tolerance,
     certify,
     check_interaction_asymmetry,
@@ -178,6 +184,68 @@ def test_equivalent_witnesses_name_the_pushed_probes():
         pushed = compose_slotwise(dead_slot, random_equivalence(PART, rng), PART).latent_map(PROBES)
         points = [w["point"] for w in rep.witnesses if w["sub_check"] == f"within_equiv_{s}"]
         assert points == pushed.tolist()
+
+
+def first_order_only(z):
+    # slot 1 writes each coordinate to its own output: its split shares no
+    # output, but a random basis change of the slot mixes them
+    return np.array([z[0], z[1], np.sin(z[2] + z[3]), z[2] * z[3]])
+
+
+@pytest.mark.parametrize("f, n", [(preset_generator(2, rng_seed=32), 2),
+                                  (first_order_only, 0), (bilinear_cross, 1)])
+def test_stacked_within_reports_equal_each_table_judged_alone(f, n):
+    # f and its equivalents judged as one stack on the probe axis, against
+    # the within judge run on each of their tables alone
+    table = _request(f, PROBES, [*_cross_alphas(PART, n), *_chain_rule(PART, n + 1)[0]])
+    tables = [table, *_equivalents(f, table, PART, n, 3, 2)]
+    stacked = _judge_within(tables, PART, n)
+    rep = check_interaction_asymmetry(f, PART, n, PROBES, equiv_samples=3, rng_seed=2)
+    verdicts = []
+    for s, (t, got) in enumerate(zip(tables, stacked)):
+        alone = _judge_within([t], PART, n)[0]
+        assert got.to_json() == alone.to_json()
+        label = f"within_equiv_{s - 1}" if s else "within"
+        assert rep.details[label] == {"passed": alone.passed, "margin": alone.margin}
+        assert sum(w["sub_check"] == label for w in rep.witnesses) == len(alone.witnesses)
+        verdicts.append(alone.passed)
+    if f is first_order_only:
+        assert verdicts == [False, True, True, True]
+
+
+def test_group_ranks_skipped_only_where_the_whole_matrix_has_full_rank():
+    # the rank sum and the report against every group ranked at every probe
+    rng = np.random.default_rng(9)
+    groups = independence_groups(PART, 1)  # 2 + 2 first-order, 3 + 3 second-order columns
+    alphas = [a for _, g in groups for a in g]
+    ends = np.cumsum([len(g) for _, g in groups])
+    tall = rng.normal(size=(7, 12, len(alphas)))  # probes 0, 1: full column rank
+    tall[2, :, 1] = tall[2, :, 0]  # a dependence inside one group
+    tall[3, :, 2] = tall[3, :, 0]  # a dependence across two groups
+    tall[4, :, ends[2]:] *= 1e-6  # a small group, still above the whole matrix's floor
+    tall[5, :, ends[2]:] *= 1e-9  # a group below the whole matrix's floor, alone of full rank
+    tall[6, :, 3] = 0.0  # a zero column
+    narrow = rng.normal(size=(3, 6, len(alphas)))  # d_x < columns: never full column rank
+    ranks = []
+    for W in (tall, narrow):
+        probes = rng.uniform(-1, 1, size=(len(W), 4))
+        t = _Table(W.transpose(0, 2, 1).copy(), {a: c for c, a in enumerate(alphas)}, 0,
+                   probes.__getitem__)
+        stack, slices = _independence_stack(t, PART, 1)
+        r_whole = numerical_rank(stack)
+        r_sum = sum(numerical_rank(stack[:, :, cols]) for _, cols in slices)
+        assert _rank_sum(stack, slices, r_whole).tolist() == r_sum.tolist()
+        gap = np.abs(r_whole - r_sum)
+        rep = _judge_independence(t, PART, 1)
+        assert (rep.passed, rep.margin, rep.probes_passed) == (
+            not gap.any(), -float(gap.max()), int(np.sum(gap == 0)))
+        assert rep.witnesses == [
+            {"point": probes[p].tolist(), "index": {"rank_whole": int(r_whole[p]),
+                                                    "rank_sum": int(r_sum[p])},
+             "value": float(gap[p])} for p in np.nonzero(gap)[0]]
+        ranks.append((r_whole.tolist(), r_sum.tolist()))
+    assert ranks == [([10, 10, 9, 9, 10, 7, 9], [10, 10, 9, 10, 10, 10, 9]),
+                     ([6, 6, 6], [10, 10, 10])]
 
 
 def test_certify_judges_every_report_from_one_request():

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,27 @@ def test_cli_check_rejects_bad_counts(tmp_path, capsys, flag, value, named):
                    "--out", str(tmp_path / "out")])
     assert rc == 2 and named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_names_an_overflowing_generator(tmp_path, capsys):
+    # exp(1000 (z_1 + z_2)) overflows at the stencil points: one error line
+    # naming the point, exit 2, and no numpy warning on the way
+    spec = preset_generator(1, rng_seed=3).to_json()
+    for slot in spec["slot_functions"]:
+        for feat in slot["features"]:
+            if feat["kind"] == "sin":
+                feat.update(kind="exp", weights=[1000, 1000])
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["check", "--generator", str(gen), "--order", "1",
+                       "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot certify at order 1: "
+                          "non-finite function value at stencil point [")
+    assert err.count("\n") == 1
 
 
 def test_cli_ablate_rejects_zero_seeds_flag(tmp_path, capsys):
