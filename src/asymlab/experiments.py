@@ -755,11 +755,7 @@ def exp_gen_data(config: dict | None = None,
     t0 = time.time()
     result = ExperimentResult("gen_data", cfg.to_json(), cfg.seed)
     dataset = make_dataset(cfg)
-    labels = np.stack([
-        np.where(scene.masks.any(axis=0),
-                 np.argmax(scene.masks, axis=0).astype(float), -1.0)
-        for scene in dataset.scenes
-    ])
+    labels = dataset.owner.astype(float)  # object index per pixel, -1 on background
     result.add_metric("dataset", "scenes", float(cfg.count))
     result.add_metric("dataset", "mean_foreground_fraction",
                       float(np.mean(labels >= 0)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -319,6 +320,28 @@ def test_exp_gen_data_and_train(tmp_path):
     assert tensors
     assert len(ck["parameters"]) == len(tensors)
     assert {m["metric"] for m in rt.metrics} >= {"final_rec", "j_ari", "jis"}
+
+
+@pytest.mark.parametrize("config, digests", [
+    (None, ("a967a217cbe5fe08660814adde0f005689283ba4803c62244ca8e3fb79c1afdb",
+            "8aedf48bed4c80998f4fc3f25b37fd8529696bf3a3f8a97fa4783fc7e223e2fd",
+            "3d2f65b1a753bbe0ea90b5a6a6020b4deb432df6910e337d90bd475c53f4fb36")),
+    ({"count": 40, "seed": 3, "max_objects": 5},
+     ("4e4f4a5f69a1824cd56c17171f04f0866d269c38e8cea0edd00095dcc4e4d607",
+      "e06b58e04541e8fea9d26ed62896fdba2f8748374846d8cefbec1afd65bcb428",
+      "b48334a2fe83f1ebccb297e9a04aa97582969e66c16ea55dd63539704d36b442")),
+])
+def test_cli_gen_data_bytes_pinned(tmp_path, config, digests):
+    """labels.atns, images.atns and manifest.json, pinned on the per-scene renderer
+    and per-scene label loop that the batched renderer's owner map replaced."""
+    argv = ["gen-data", "--out", str(tmp_path / "out")]
+    if config:
+        (tmp_path / "data.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "data.json")]
+    assert cli.main(argv) == 0
+    files = ("tensors/labels.atns", "tensors/images.atns", "manifest.json")
+    got = tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in files)
+    assert got == digests
 
 
 def test_cli_check_pass_and_fail(tmp_path):

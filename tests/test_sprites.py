@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -12,6 +13,7 @@ from asymlab.sprites import (
     ObjectLatent,
     make_dataset,
     render_scene,
+    render_scenes,
 )
 
 
@@ -67,6 +69,117 @@ def test_object_latent_validation():
         ObjectLatent(x=0, y=0, size=3, color=9, shape=SHAPE_SQUARE)
     with pytest.raises(ValueError):
         ObjectLatent(x=0, y=0, size=3, color=0, shape=5)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "size", "color", "shape"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
+def test_object_latent_rejects_non_integer_fields(field, bad):
+    fields = {"x": 1, "y": 1, "size": 3, "color": 0, "shape": SHAPE_SQUARE, field: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+        ObjectLatent(**fields)
+
+
+def test_object_latent_accepts_numpy_integers():
+    obj = ObjectLatent(x=np.int64(1), y=np.int32(2), size=np.int64(3), color=np.int8(1),
+                       shape=np.int64(SHAPE_CIRCLE))
+    assert np.array_equal(render_scene([obj], 8).masks,
+                          render_scene([ObjectLatent(1, 2, 3, 1, SHAPE_CIRCLE)], 8).masks)
+
+
+def test_render_scene_with_no_objects():
+    scene = render_scene([], 16)
+    assert scene.image.shape == (16, 16, 3) and not scene.image.any()
+    assert scene.masks.shape == (0, 16, 16) and scene.masks.dtype == bool
+    assert scene.latents == ()
+
+
+def _reference_owner(objs, size):
+    """Pixel-by-pixel raster from the definitions: a square covers its s x s box, a
+    circle the pixels whose centre lies within s/2 of its centre; later objects win."""
+    owner = np.full((size, size), -1)
+    for k, o in enumerate(objs):
+        r = o.size / 2
+        for py in range(size):
+            for px in range(size):
+                if o.shape == SHAPE_SQUARE:
+                    hit = o.y <= py < o.y + o.size and o.x <= px < o.x + o.size
+                else:
+                    hit = (py + 0.5 - o.y - r) ** 2 + (px + 0.5 - o.x - r) ** 2 <= r * r
+                if hit:
+                    owner[py, px] = k
+    return owner
+
+
+def test_render_scenes_matches_a_pixel_by_pixel_raster():
+    batch = [
+        [ObjectLatent(2, 2, 6, 0, SHAPE_SQUARE), ObjectLatent(5, 5, 6, 3, SHAPE_CIRCLE)],
+        [],
+        [ObjectLatent(0, 0, 16, 1, SHAPE_CIRCLE), ObjectLatent(4, 4, 4, 2, SHAPE_SQUARE),
+         ObjectLatent(3, 6, 5, 0, SHAPE_CIRCLE), ObjectLatent(5, 5, 1, 3, SHAPE_SQUARE)],
+        [ObjectLatent(9, 1, 7, 2, SHAPE_CIRCLE), ObjectLatent(0, 12, 2, 1, SHAPE_CIRCLE)],
+    ]
+    images, masks, owner, scenes = render_scenes(batch, 16)
+    assert images.shape == (4, 16, 16, 3) and masks.shape == (8, 16, 16)
+    for i, (objs, scene) in enumerate(zip(batch, scenes)):
+        expect = _reference_owner(objs, 16)
+        assert np.array_equal(owner[i], expect)
+        assert np.array_equal(scene.masks, expect[None] == np.arange(len(objs))[:, None, None])
+        colors = np.vstack([[PALETTE[o.color] for o in objs] or np.empty((0, 3)), np.zeros(3)])
+        assert np.array_equal(scene.image, colors[expect])  # -1 reads the black last row
+        assert scene.image.tobytes() == render_scene(objs, 16).image.tobytes()
+        assert scene.latents == tuple(objs)
+
+
+def test_render_scenes_names_scene_and_object_out_of_frame():
+    good = ObjectLatent(x=0, y=0, size=4, color=1, shape=SHAPE_SQUARE)
+    low = ObjectLatent(x=3, y=-1, size=2, color=1, shape=SHAPE_CIRCLE)
+    with pytest.raises(ValueError, match="object 2 of scene 1 out of frame"):
+        render_scenes([[good], [good, good, low], [low]], 16)
+
+
+# sha256 of images.tobytes(), of every scene's masks.tobytes() in turn, and of the
+# sorted-keys manifest JSON, pinned on the per-scene renderer this one replaced
+PINNED = [
+    ({}, "687e2bfee80a6634e47cd626e5a4f8412a4c3262700d72cbc936bcae403fe81c",
+     "61b98d1ce9d597f534848e4652b8a6edd56490606010690de11e87f09ab85c1e",
+     "fc8d5a35363f2b13d6144835a6ebf968c06d153fd4950b730165357675a3895a"),
+    ({"count": 2000, "seed": 7}, "9ff1d7413a776e50116acbd1e735b5649e82243a2beee3c4929deeb476ed959f",
+     "daedb3a7881c5866242e0abfc1375b1b483942e4f8afe9a69d403cabbacd7be0",
+     "825c116821a1fa8b847d3e4499e15cf80b9e0e02abf4ac707161258a435d9aa9"),
+    ({"image_size": 8, "min_size": 1, "max_size": 4},
+     "e92d7d515b97fdd688d53c2278c0909f50d1a9991c4977357867a4b60d840b6b",
+     "0a8bc3d530cd59ae3fa89da704d53034737abe74cc8638c462c398855b679244",
+     "a50f98c6d795b66e021762c84fa349fc806dbf21e45abef851a850acb7846279"),
+    ({"max_objects": 5}, "0c32a9062e178f727a07af6e2527b5daf07475ed4cea8a951017e31bf47ab13e",
+     "3ac6060648dbf3046f1e1f44d1f18e51e9dd1b20237413530dcc7ba78132c894",
+     "14892e26e53074a372b3a4df3748fee9e25db89a02699ed4b081d44e0cb15d6f"),
+]
+
+
+@pytest.mark.parametrize("config, images_sha, masks_sha, manifest_sha", PINNED)
+def test_dataset_bytes_pinned(config, images_sha, masks_sha, manifest_sha):
+    ds = make_dataset(DataConfig(**config))
+    masks = hashlib.sha256()
+    for scene in ds.scenes:
+        masks.update(scene.masks.tobytes())
+    assert hashlib.sha256(ds.images.tobytes()).hexdigest() == images_sha
+    assert masks.hexdigest() == masks_sha
+    manifest = json.dumps(ds.manifest, sort_keys=True).encode()
+    assert hashlib.sha256(manifest).hexdigest() == manifest_sha
+
+
+def test_scenes_are_read_only_views_of_one_store():
+    ds = make_dataset(DataConfig(count=12, seed=5))
+    for scene in ds.scenes:
+        assert np.shares_memory(scene.image, ds.images)
+        assert np.shares_memory(scene.masks, ds.masks)
+    for store in (ds.images, ds.masks, ds.owner, ds.scenes[3].image, ds.scenes[3].masks):
+        with pytest.raises(ValueError, match="read-only"):
+            store[0] = 0
+    # a split is the caller's own copy
+    batch = ds.split("train")
+    batch[0] = 0.5
+    assert not np.shares_memory(batch, ds.images)
 
 
 def test_dataset_deterministic():
