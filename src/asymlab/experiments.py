@@ -271,18 +271,51 @@ class FitModel:
     condition: float = 0.0
 
 
+def _gram_min_norm(X: np.ndarray, Y: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
+    """The minimum-norm least-squares solution from the eigenvectors of gram = XᵀX,
+    or None when that solution is not certified to make lstsq's rank decision.
+
+    Directions with eigenvalue <= F·eps·w_max are dropped.  The certificate: each
+    dropped direction v has ‖X v‖ <= eps·max(N, F)·sqrt(w_max), lstsq's rcond=None
+    cutoff measured on X itself, and the kept eigenvalues span at most 1e8, so
+    every kept singular value lies far above that cutoff."""
+    if not np.all(np.isfinite(gram)):
+        return None  # an overflowed gram: lstsq works on X itself
+    N, F = X.shape
+    eps = np.finfo(X.dtype).eps
+    w, V = np.linalg.eigh(gram)
+    if not w[-1] > 0:
+        return None
+    keep = w > F * eps * w[-1]
+    if np.any(np.linalg.norm(X @ V[:, ~keep], axis=0) > eps * max(N, F) * np.sqrt(w[-1])):
+        return None
+    w_k, V_k = w[keep], V[:, keep]
+    if w_k[-1] > 1e8 * w_k[0]:
+        return None
+    return (V_k / w_k) @ (V_k.T @ (X.T @ Y))
+
+
 def fit_linear(X: np.ndarray, Y: np.ndarray) -> FitModel:
-    """Least squares on the design table X (N, F).
-    Solves the normal equations when their condition number is below 1e12
-    and falls back to an orthogonal-decomposition (SVD) solve otherwise,
-    recording which path ran and the observed condition number."""
+    """Least squares on the design table X (N, F), recording which path ran
+    ("cholesky" or "svd") and the condition number of gram = XᵀX.
+
+    Below condition 1e12 it solves the normal equations.  Otherwise (a
+    rank-deficient table, such as the full polynomial on the band) it returns
+    the minimum-norm solution from gram's eigenvectors when `_gram_min_norm`
+    certifies that it drops exactly the directions lstsq would, and calls
+    np.linalg.lstsq(X, Y, rcond=None) when it does not.  Without the
+    certificate a Gram pseudo-inverse would drop singular values between about
+    1e-13 and 1e-7 of the largest that lstsq keeps, and so change the fit on
+    near-band tables."""
     gram = X.T @ X
     cond = float(np.linalg.cond(gram))
     if np.isfinite(cond) and cond < 1e12:
         coef = np.linalg.solve(gram, X.T @ Y)
         solver = "cholesky"
     else:
-        coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
+        coef = _gram_min_norm(X, Y, gram)
+        if coef is None:
+            coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
         solver = "svd"
     return FitModel(coefficients=coef, solver=solver, condition=cond)
 
@@ -334,8 +367,12 @@ def exp_compgen(config: dict | None = None,
                             "degree": 1})
     _check_preset_orders("order", [cfg["order"]])
     check_numbers(fields, ("band_width", "ratio_required", "cpe_mse_limit", "pair_tol"))
-    if not cfg["band_width"] >= 0:
-        raise ValueError(f"band_width must be at least 0, got {cfg['band_width']!r}")
+    # below these bounds a gate passes every seed (ratio_required) or fails every one
+    for name in ("band_width", "cpe_mse_limit", "pair_tol"):
+        if not cfg[name] >= 0:
+            raise ValueError(f"{name} must be at least 0, got {cfg[name]!r}")
+    if not cfg["ratio_required"] > 0:
+        raise ValueError(f"ratio_required must be greater than 0, got {cfg['ratio_required']!r}")
     if cfg["support_kind"] not in ("band", "box"):
         raise ValueError(f"support_kind must be 'band' or 'box', got {cfg['support_kind']!r}")
     t0 = time.time()

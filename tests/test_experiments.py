@@ -9,6 +9,7 @@ import pytest
 from asymlab import cli
 from asymlab.experiments import (
     ExperimentResult,
+    _gram_min_norm,
     _merge_defaults,
     config_hash,
     constrained_features,
@@ -21,7 +22,7 @@ from asymlab.experiments import (
     fit_linear,
     full_poly_features,
 )
-from asymlab.generators import GraphBand, default_partition, preset_generator, sample_cpe
+from asymlab.generators import Box, GraphBand, default_partition, preset_generator, sample_cpe
 from asymlab.multiindex import SlotPartition, monomials
 from asymlab.tensorio import load_json, load_tensor
 
@@ -87,6 +88,69 @@ def test_fit_linear_solver_switch():
     assert fit2.condition > 1e12
 
 
+def _band_fit_inputs(width: float, seed: int = 5):
+    """The baseline table, targets, CPE table and CPE targets of one compgen seed."""
+    part, feats = default_partition(2), full_poly_features(4, 3)
+    support = GraphBand(width)
+    rng = np.random.default_rng(seed)
+    gt = preset_generator(2, rng_seed=seed, partition=part, include_trig=False)
+    Z = support.sample(rng, 400)
+    Z_cpe = sample_cpe(support, part, rng, 400)
+    return monomials(Z, feats), gt(Z), monomials(Z_cpe, feats), gt(Z_cpe)
+
+
+def _lstsq_forbidden(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_linear fell back to lstsq")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+
+
+def test_fit_linear_gram_path_matches_lstsq_on_the_band(monkeypatch):
+    X, Y, X_cpe, Y_cpe = _band_fit_inputs(0.0)
+    ref, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    assert rank < X.shape[1]
+    _lstsq_forbidden(monkeypatch)
+    fit = fit_linear(X, Y)
+    assert fit.solver == "svd"
+    # same rank: nothing along the directions lstsq drops as null
+    null = np.linalg.svd(X)[2][rank:]
+    assert np.max(np.abs(null @ fit.coefficients)) <= 1e-9 * np.max(np.abs(ref))
+    np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+    cpe, cpe_ref = (np.mean((X_cpe @ c - Y_cpe) ** 2) for c in (fit.coefficients, ref))
+    assert cpe == pytest.approx(cpe_ref, rel=1e-9)
+
+
+def test_fit_linear_gram_path_matches_lstsq_underdetermined(monkeypatch):
+    Z = Box(4).sample(np.random.default_rng(0), 20)
+    X = monomials(Z, full_poly_features(4, 3))
+    Y = np.sin(Z)
+    ref, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    assert rank == 20 < X.shape[1]
+    _lstsq_forbidden(monkeypatch)
+    fit = fit_linear(X, Y)
+    assert fit.solver == "svd"
+    np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(X @ fit.coefficients, Y, rtol=0, atol=1e-9)
+
+
+def test_fit_linear_near_band_is_lstsq_bit_for_bit():
+    # singular values between the Gram cutoff and lstsq's: the certificate must refuse
+    X, Y, *_ = _band_fit_inputs(1e-9)
+    assert _gram_min_norm(X, Y, X.T @ X) is None
+    fit = fit_linear(X, Y)
+    assert fit.solver == "svd"
+    assert np.array_equal(fit.coefficients, np.linalg.lstsq(X, Y, rcond=None)[0])
+
+
+@pytest.mark.parametrize("width, passed", [
+    (0.0, True), (1e-12, True), (1e-10, False), (1e-8, False), (1e-6, False), (1e-4, False),
+])
+def test_exp_compgen_verdict_by_band_width(width, passed):
+    # from 1e-10 up lstsq keeps the small singular values of the band's thickness, so the
+    # baseline extrapolates too and its ratio gate fails; dropping them would pass
+    assert exp_compgen({"band_width": width}).passed is passed
+
+
 @pytest.mark.parametrize("order, degree", [(2, 3), (2, 1)])
 def test_shared_design_table_fits_bit_for_bit(order, degree):
     # at degree 1 the constrained cross monomials are not in the baseline set
@@ -123,6 +187,11 @@ def test_exp_compgen_repeats_in_one_process():
     ("band_width", -1, "band_width must be at least 0, got -1"),
     ("band_width", "0.1", "band_width must be a number, got '0.1'"),
     ("pair_tol", None, "pair_tol must be a number, got None"),
+    # unchecked, these gates passed every seed or failed every one
+    ("ratio_required", -1, "ratio_required must be greater than 0, got -1"),
+    ("ratio_required", 0, "ratio_required must be greater than 0, got 0"),
+    ("cpe_mse_limit", -1, "cpe_mse_limit must be at least 0, got -1"),
+    ("pair_tol", -1e-8, "pair_tol must be at least 0, got -1e-08"),
     # preset generators exist at orders 0, 1 and 2 only
     ("order", 3, "order must be among the preset orders (0, 1, 2), got 3"),
     ("order", -1, "order must be at least 0, got -1"),
