@@ -187,11 +187,6 @@ def test_exp_compgen_repeats_in_one_process():
     ("band_width", -1, "band_width must be at least 0, got -1"),
     ("band_width", "0.1", "band_width must be a number, got '0.1'"),
     ("pair_tol", None, "pair_tol must be a number, got None"),
-    # unchecked, these gates passed every seed or failed every one
-    ("ratio_required", -1, "ratio_required must be greater than 0, got -1"),
-    ("ratio_required", 0, "ratio_required must be greater than 0, got 0"),
-    ("cpe_mse_limit", -1, "cpe_mse_limit must be at least 0, got -1"),
-    ("pair_tol", -1e-8, "pair_tol must be at least 0, got -1e-08"),
     # preset generators exist at orders 0, 1 and 2 only
     ("order", 3, "order must be among the preset orders (0, 1, 2), got 3"),
     ("order", -1, "order must be at least 0, got -1"),
@@ -199,6 +194,11 @@ def test_exp_compgen_repeats_in_one_process():
     ("order", True, "order must be an integer, got True"),
     # a repeated seed would write its run id twice
     ("seeds", [3, 3], "seeds must not repeat a value, got [3, 3]"),
+    # unchecked, these gates passed every seed or failed every one
+    ("ratio_required", -1, "ratio_required must be greater than 0, got -1"),
+    ("ratio_required", 0, "ratio_required must be greater than 0, got 0"),
+    ("cpe_mse_limit", -1, "cpe_mse_limit must be at least 0, got -1"),
+    ("pair_tol", -1e-8, "pair_tol must be at least 0, got -1e-08"),
 ])
 def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     with pytest.raises(ValueError, match=re.escape(named)):
