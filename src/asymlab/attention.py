@@ -66,19 +66,11 @@ def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
     return A @ V, A
 
 
-def attend_backward(g_out, A, Q, K, V, scale: float, g_A=None):
+def attend_backward(g_out, A, Q, K, V, scale: float):
     """Gradients (gQ, gK, gV) of attend, each in its input's shape, from the
-    gradient on its output and, if given, g_A on the weights (broadcast
-    against A); queries with fewer batch axes than the keys get theirs
-    summed over them."""
-    gA = g_out @ np.swapaxes(V, -1, -2)
-    if g_A is not None:
-        gA += g_A
-    g_logits = _softmax_backward(gA, A, scale)
-    gQ = g_logits @ K
-    if gQ.ndim > Q.ndim:
-        gQ = np.sum(gQ, axis=tuple(range(gQ.ndim - Q.ndim)))
-    return gQ, np.swapaxes(g_logits, -1, -2) @ Q, np.swapaxes(A, -1, -2) @ g_out
+    gradient on its output; Q, K and V share their batch axes."""
+    g_logits = _softmax_backward(g_out @ np.swapaxes(V, -1, -2), A, scale)
+    return g_logits @ K, np.swapaxes(g_logits, -1, -2) @ Q, np.swapaxes(A, -1, -2) @ g_out
 
 
 def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Encoder: a per-patch linear embedder, a stack of slot-query cross-attention
 mixing layers with per-slot feed-forward updates, then per-slot mean and
 log-variance heads.  Its slots attend over patches through the attention
-module's attend/attend_backward, the primitive the decoder's layers use too.
+module's attend/attend_backward.
 Decoder: the cross-attention decoder from the attention module.  Loss:
 reconstruction + beta * KL to a unit Gaussian + alpha * attention overlap.
 Everything is numpy with hand-written reverse-mode gradients so the gradient

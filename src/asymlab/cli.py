@@ -18,7 +18,6 @@ from . import experiments, tensorio
 from .asymmetry import certify
 from .autoencoder import TrainingDiverged
 from .generators import GeneratorSpec
-from .sprites import DataConfig
 
 
 class UsageError(Exception):
@@ -96,10 +95,34 @@ def _cmd_check(args) -> int:
     return 0 if passed else 1
 
 
-def _run_experiment(fn, config, out_path, force) -> int:
-    out = _prepare_out(out_path, force)
+# command -> (driver, help, None or (flag, help, its config value from the count given));
+# a flag given sets the config key it is named after, over the config file's
+EXPERIMENTS = {
+    "compgen": (experiments.exp_compgen, "band-support extrapolation contest", None),
+    "train": (experiments.exp_train, "single autoencoder training run", None),
+    "ablate": (experiments.exp_train_ablation, "regularizer ablation grid",
+               ("seeds", "number of seeds per cell", lambda n: list(range(n)))),
+    "jac-check": (experiments.exp_jacobian_check, "decoder Jacobian verification",
+                  ("trials", "random instances to test", int)),
+    "characterize": (experiments.exp_characterization,
+                     "preset generator certification suite", None),
+}
+
+
+def _cmd_experiment(args) -> int:
+    driver, _, flag = EXPERIMENTS[args.command]
+    if driver is experiments.exp_train_ablation:
+        try:
+            experiments.pool_size()  # a bad ASYMLAB_THREADS is not the config's fault
+        except ValueError as e:
+            raise UsageError(str(e)) from e
+    config = _load_json(args.config) if args.config else {}
+    count = getattr(args, flag[0]) if flag else None
+    if count is not None:
+        config[flag[0]] = flag[2](count)
+    out = _prepare_out(args.out, args.force)
     try:
-        result = fn(config, out=out)
+        result = driver(config or None, out=out)
     except TrainingDiverged as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
@@ -110,51 +133,14 @@ def _run_experiment(fn, config, out_path, force) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_compgen(args) -> int:
-    config = _load_json(args.config) if args.config else None
-    return _run_experiment(experiments.exp_compgen, config, args.out, args.force)
-
-
-def _cmd_train(args) -> int:
-    config = _load_json(args.config) if args.config else None
-    return _run_experiment(experiments.exp_train, config, args.out, args.force)
-
-
-def _cmd_ablate(args) -> int:
-    try:
-        experiments.pool_size()  # a bad ASYMLAB_THREADS is not the config's fault
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-    config = _load_json(args.config) if args.config else {}
-    if args.seeds is not None:
-        config["seeds"] = list(range(args.seeds))
-    return _run_experiment(experiments.exp_train_ablation, config or None,
-                           args.out, args.force)
-
-
-def _cmd_jac_check(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    if args.trials is not None:
-        config["trials"] = args.trials
-    return _run_experiment(experiments.exp_jacobian_check, config or None,
-                           args.out, args.force)
-
-
-def _cmd_characterize(args) -> int:
-    config = _load_json(args.config) if args.config else None
-    return _run_experiment(experiments.exp_characterization, config,
-                           args.out, args.force)
-
-
 def _cmd_gen_data(args) -> int:
     out = _prepare_out(args.out, args.force)
     raw = _load_json(args.config) if args.config else None
     try:
-        cfg = DataConfig.from_json(raw) if raw else DataConfig()
-        result = experiments.exp_gen_data(cfg.to_json(), out=out)
+        result = experiments.exp_gen_data(raw, out=out)
     except (ValueError, TypeError) as e:
         raise UsageError(f"bad configuration: {e}") from e
-    print(f"gen-data: wrote {cfg.count} scenes to {out}")
+    print(f"gen-data: wrote {result.config['count']} scenes to {out}")
     return 0 if result.passed else 1
 
 
@@ -180,32 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_check)
 
-    sp = sub.add_parser("compgen", help="band-support extrapolation contest")
-    sp.add_argument("--config", help="config JSON (optional)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_compgen)
-
-    sp = sub.add_parser("train", help="single autoencoder training run")
-    sp.add_argument("--config", help="config JSON (optional)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_train)
-
-    sp = sub.add_parser("ablate", help="regularizer ablation grid")
-    sp.add_argument("--config", help="config JSON (optional)")
-    sp.add_argument("--seeds", type=int, help="number of seeds per cell")
-    common(sp)
-    sp.set_defaults(fn=_cmd_ablate)
-
-    sp = sub.add_parser("jac-check", help="decoder Jacobian verification")
-    sp.add_argument("--config", help="config JSON (optional)")
-    sp.add_argument("--trials", type=int, help="random instances to test")
-    common(sp)
-    sp.set_defaults(fn=_cmd_jac_check)
-
-    sp = sub.add_parser("characterize", help="preset generator certification suite")
-    sp.add_argument("--config", help="config JSON (optional)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_characterize)
+    for command, (_, help_text, flag) in EXPERIMENTS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="config JSON (optional)")
+        if flag:
+            sp.add_argument(f"--{flag[0]}", type=int, help=flag[1])
+        common(sp)
+        sp.set_defaults(fn=_cmd_experiment)
 
     sp = sub.add_parser("gen-data", help="render a sprite dataset")
     sp.add_argument("--config", help="data config JSON (optional)")

@@ -114,6 +114,18 @@ class ExperimentResult:
             "extras": self.extras,
         }
 
+    def finish(self, t0: float, out: str | os.PathLike | None,
+               passed: bool | None = None) -> "ExperimentResult":
+        """Set the verdict, if one is given, and the wall time since t0 (a
+        time.perf_counter reading); write results.json and metrics.csv into out,
+        if there is one."""
+        if passed is not None:
+            self.passed = passed
+        self.wall_clock = time.perf_counter() - t0
+        if out is not None:
+            self.write(out)
+        return self
+
     def write(self, out: str | os.PathLike) -> None:
         out = Path(out)
         tensorio.save_json(out / "results.json", self.to_json())
@@ -125,14 +137,31 @@ class ExperimentResult:
         )
 
 
-def _merge_defaults(config: dict | None, defaults: dict) -> dict:
+def _merge_defaults(config: dict | None, defaults: dict, integers: dict | None = None,
+                    numbers: tuple[str, ...] = ()) -> dict:
+    """defaults updated by config.  ValueError naming an unknown key, a section whose
+    default is a JSON object but whose value is not, or a field that fails
+    check_integers (at least its minimum in integers) or check_numbers."""
     merged = dict(defaults)
     if config:
         unknown = set(config) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(config)
+    for name, default in defaults.items():
+        if isinstance(default, dict) and not isinstance(merged[name], dict):
+            raise ValueError(f"{name} must be a JSON object, got {merged[name]!r}")
+    fields = SimpleNamespace(**merged)
+    check_integers(fields, integers or {})
+    check_numbers(fields, numbers)
     return merged
+
+
+def _check_model_keys(model: dict, reserved: set[str], whose: str) -> None:
+    """ValueError naming the model config keys a driver sets itself."""
+    bad = sorted(reserved & set(model))
+    if bad:
+        raise ValueError(f"{whose} model config must not set {', '.join(bad)}")
 
 
 def _check_list(cfg: dict, name: str, integers: bool = True) -> None:
@@ -168,11 +197,9 @@ def _record_divergence(result: ExperimentResult, out, t0: float, e: TrainingDive
     divergence (plus where, e.g. the ablation cell) in out, if there is one."""
     if out is None:
         return
-    result.passed = False
     result.extras["divergence"] = {**where, "iteration": e.iteration, "cause": e.args[0],
                                    "group": e.group}
-    result.wall_clock = time.time() - t0
-    result.write(out)
+    result.finish(t0, out, passed=False)
     tensorio.save_csv(Path(out) / "log.csv", header, log_rows)
 
 
@@ -192,13 +219,10 @@ def exp_characterization(config: dict | None = None,
         "equiv_samples": 3,
         "seed": 0,
         "probe_scale": 0.8,
-    })
+    }, {"presets_per_n": 1, "probes": 1, "equiv_samples": 0, "seed": 0}, ("probe_scale",))
     _check_list(cfg, "orders")
     _check_preset_orders("orders", cfg["orders"])
-    fields = SimpleNamespace(**cfg)
-    check_integers(fields, {"presets_per_n": 1, "probes": 1, "equiv_samples": 0, "seed": 0})
-    check_numbers(fields, ("probe_scale",))
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = ExperimentResult("characterization", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
     all_ok = True
@@ -232,11 +256,7 @@ def exp_characterization(config: dict | None = None,
             result.add_metric(run_id, "sufficient_independence_pass_fraction",
                               sind.pass_fraction)
             all_ok &= sind.passed
-    result.passed = all_ok
-    result.wall_clock = time.time() - t0
-    if out is not None:
-        result.write(out)
-    return result
+    return result.finish(t0, out, passed=all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +380,10 @@ def exp_compgen(config: dict | None = None,
         "ratio_required": 10.0,
         "cpe_mse_limit": 1e-8,
         "pair_tol": 1e-8,
-    })
+    }, {"order": 0, "n_train": 1, "n_eval_cpe": 1, "n_eval_support": 1, "degree": 1},
+        ("band_width", "ratio_required", "cpe_mse_limit", "pair_tol"))
     _check_list(cfg, "seeds")
-    fields = SimpleNamespace(**cfg)
-    check_integers(fields, {"order": 0, "n_train": 1, "n_eval_cpe": 1, "n_eval_support": 1,
-                            "degree": 1})
     _check_preset_orders("order", [cfg["order"]])
-    check_numbers(fields, ("band_width", "ratio_required", "cpe_mse_limit", "pair_tol"))
     # below these bounds a gate passes every seed (ratio_required) or fails every one
     for name in ("band_width", "cpe_mse_limit", "pair_tol"):
         if not cfg[name] >= 0:
@@ -375,7 +392,7 @@ def exp_compgen(config: dict | None = None,
         raise ValueError(f"ratio_required must be greater than 0, got {cfg['ratio_required']!r}")
     if cfg["support_kind"] not in ("band", "box"):
         raise ValueError(f"support_kind must be 'band' or 'box', got {cfg['support_kind']!r}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = ExperimentResult("compgen", cfg, int(cfg["seeds"][0]))
     part = default_partition(cfg["order"])
     support = (GraphBand(cfg["band_width"]) if cfg["support_kind"] == "band"
@@ -443,11 +460,7 @@ def exp_compgen(config: dict | None = None,
         result.add_metric(run_id, "constructed_pair_support_agreement", agree_sup)
         result.add_metric(run_id, "constructed_pair_cpe_agreement", agree_cpe)
         all_ok &= ok_pair
-    result.passed = all_ok
-    result.wall_clock = time.time() - t0
-    if out is not None:
-        result.write(out)
-    return result
+    return result.finish(t0, out, passed=all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +556,13 @@ def exp_train_ablation(config: dict | None = None,
     slot shares per cell, dump per-slot Jacobian heat maps, and compare the
     regularized corner against the unregularized one.  A diverged cell leaves
     log.csv and a failed results.json naming it, then raises TrainingDiverged."""
-    cfg = _merge_defaults(config, _default_ablation_config())
+    cfg = _merge_defaults(config, _default_ablation_config(), {"eval_images": 1})
     _check_list(cfg, "alphas", integers=False)
     _check_list(cfg, "betas", integers=False)
     _check_list(cfg, "seeds")
-    check_integers(SimpleNamespace(**cfg), {"eval_images": 1})
     # each cell sets these itself, from its seed and the image size
-    reserved = sorted({"seed", "height", "width"} & set(cfg["model"]))
-    if reserved:
-        raise ValueError(f"the ablation's model config must not set {', '.join(reserved)}")
-    t0 = time.time()
+    _check_model_keys(cfg["model"], {"seed", "height", "width"}, "the ablation's")
+    t0 = time.perf_counter()
     result = ExperimentResult("train_ablation", cfg, int(cfg["seeds"][0]))
     jobs = [
         {"alpha": a, "beta": b, "seed": s, "data": cfg["data"],
@@ -625,9 +635,8 @@ def exp_train_ablation(config: dict | None = None,
         result.add_metric("grid", "regularized_interact_drop",
                           base["interact_mean"] - reg["interact_mean"])
         result.passed = bool(ok_jis and ok_int)
-    result.wall_clock = time.time() - t0
+    result.finish(t0, out)
     if out is not None:
-        result.write(out)
         tensorio.save_csv(Path(out) / "log.csv", ["run_id"] + _LOG_HEADER, log_rows)
     return result
 
@@ -675,11 +684,8 @@ def exp_jacobian_check(config: dict | None = None,
         "zero_tol": 1e-8,
         "zero_trials": 10,
         "battery": 2000,
-    })
-    fields = SimpleNamespace(**cfg)
-    check_integers(fields, {"trials": 1, "zero_trials": 1, "battery": 1, "seed": 0})
-    check_numbers(fields, ("rel_tol", "zero_tol"))
-    t0 = time.time()
+    }, {"trials": 1, "zero_trials": 1, "battery": 1, "seed": 0}, ("rel_tol", "zero_tol"))
+    t0 = time.perf_counter()
     result = ExperimentResult("jacobian_check", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
@@ -727,11 +733,8 @@ def exp_jacobian_check(config: dict | None = None,
     result.add_metric("l_interact", "uniform_pair_value", half)
     result.add_metric("l_interact", "uniform_triple_value", third)
 
-    result.passed = bool(ok_fd and ok_zero and false_verdicts == 0 and ok_vals)
-    result.wall_clock = time.time() - t0
-    if out is not None:
-        result.write(out)
-    return result
+    return result.finish(
+        t0, out, passed=bool(ok_fd and ok_zero and false_verdicts == 0 and ok_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +748,10 @@ def exp_train(config: dict | None = None,
         "model": {},
         "train": {},
         "eval_images": 8,
-    })
-    check_integers(SimpleNamespace(**cfg), {"eval_images": 1})
-    t0 = time.time()
+    }, {"eval_images": 1})
+    # set from the image size; seed is the model's own
+    _check_model_keys(cfg["model"], {"height", "width"}, "the train driver's")
+    t0 = time.perf_counter()
     data_cfg = DataConfig.from_json(cfg["data"])
     dataset = make_dataset(data_cfg)
     eval_idx = _held_out(dataset, cfg["eval_images"])
@@ -769,10 +773,8 @@ def exp_train(config: dict | None = None,
     jari_vals, jis_vals, *_ = _score_held_out(model, dataset, eval_idx)
     result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
     result.add_metric("eval", "jis", float(np.mean(jis_vals)))
-    result.passed = bool(log[-1].rec < log[0].rec)
-    result.wall_clock = time.time() - t0
+    result.finish(t0, out, passed=bool(log[-1].rec < log[0].rec))
     if out is not None:
-        result.write(out)
         tensorio.save_csv(Path(out) / "log.csv", _LOG_HEADER, _log_rows(log))
         tdir = Path(out) / "tensors"
         manifest = {"model_config": mc.to_json(), "train_config": tc.to_json(),
@@ -789,14 +791,13 @@ def exp_gen_data(config: dict | None = None,
                  out: str | os.PathLike | None = None,
                  preview: int = 8) -> ExperimentResult:
     cfg = DataConfig.from_json(config) if config else DataConfig()
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = ExperimentResult("gen_data", cfg.to_json(), cfg.seed)
     dataset = make_dataset(cfg)
     labels = dataset.owner.astype(float)  # object index per pixel, -1 on background
     result.add_metric("dataset", "scenes", float(cfg.count))
     result.add_metric("dataset", "mean_foreground_fraction",
                       float(np.mean(labels >= 0)))
-    result.wall_clock = time.time() - t0
     if out is not None:
         out = Path(out)
         tensorio.save_tensor(out / "tensors" / "images.atns", dataset.images)
@@ -805,5 +806,4 @@ def exp_gen_data(config: dict | None = None,
         for i in range(min(preview, cfg.count)):
             tensorio.save_ppm(out / "images" / f"scene_{i:04d}.ppm",
                               dataset.images[i])
-        result.write(out)
-    return result
+    return result.finish(t0, out)

@@ -246,6 +246,15 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     ("characterize", "orders", [1, 1], "orders must not repeat a value, got [1, 1]"),
     # 0 and 0.0 are one grid value: the copies would pool into one cell
     ("ablate", "alphas", [0, 0.0], "alphas must not repeat a value, got [0, 0.0]"),
+    # a section that is not a JSON object, named instead of a TypeError from **
+    ("train", "train", [1], "train must be a JSON object, got [1]"),
+    ("train", "model", "x", "model must be a JSON object, got 'x'"),
+    ("train", "data", 5, "data must be a JSON object, got 5"),
+    ("ablate", "model", ["seed"], "model must be a JSON object, got ['seed']"),
+    # the driver sets these from the image size
+    ("train", "model", {"height": 8}, "the train driver's model config must not set height"),
+    ("train", "model", {"width": 8, "height": 8},
+     "the train driver's model config must not set height, width"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -254,6 +263,21 @@ def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     err = capsys.readouterr().err
     assert rc == 2 and "bad configuration" in err and named in err, err
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_cli_flag_overrides_config_file(tmp_path):
+    # --trials and --seeds win over the keys they name in the config file
+    jac = tmp_path / "jac.json"
+    jac.write_text(json.dumps({"trials": 50, "zero_trials": 1, "battery": 10}))
+    ablate = tmp_path / "ablate.json"
+    ablate.write_text(json.dumps({"alphas": [0.0], "betas": [0.0], "seeds": [0, 1, 2],
+                                  "iterations": 2, "batch_size": 4, "warmup": 1,
+                                  "eval_images": 1, "data": {"count": 10, "seed": 4}}))
+    for argv, key, want in ((["jac-check", "--trials", "2", "--config", str(jac)], "trials", 2),
+                            (["ablate", "--seeds", "1", "--config", str(ablate)], "seeds", [0])):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "results.json").read_text())["config"][key] == want
 
 
 def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
