@@ -21,7 +21,9 @@ softmax over the slot axis -2, queries ([B,] n_heads, head_dim, P), tokens
 (B, C, P).  So every max, sum and broadcast over the K slots adds whole
 pixel rows, and every product has P as its long axis.  The public functions
 keep the (P, K) and (P, C) conventions: they return transposed views and
-take such views back without a copy.
+take such views back without a copy.  The single-layer, single-head closed
+form factors the slot Jacobian as A^T (K, P), M^T (s, P) and the head's
+derivative times [W_V | V^T - token], (C, s+K, P), pixel-last too.
 
 All forward/backward routines accept either a single slot set (K, slot_dim)
 or a batch (B, K, slot_dim).
@@ -354,8 +356,8 @@ def l_interact_grad(A_sum: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_factors(layer: CrossAttentionLayer, head: PixelHead, z_hat: np.ndarray):
-    """Checks, then weights A^T (K, P), queries through W_K M (P, s), F (C, s+K, P) =
-    dpsi_d [W_V | V^T] and mix (C, P) = dpsi_d token_d; dpsi_d = W2 diag(tanh') W1 at pixel d."""
+    """Checks, then weights A^T (K, P), queries through W_K M^T (s, P) and
+    F (C, s+K, P) = dpsi_d [W_V | V^T - token_d]; dpsi_d = W2 diag(tanh') W1 at pixel d."""
     if layer.n_heads != 1:
         raise ValueError("closed form covers single-head layers only")
     if layer.query_inputs is None:
@@ -363,17 +365,19 @@ def _closed_form_factors(layer: CrossAttentionLayer, head: PixelHead, z_hat: np.
     z = np.asarray(z_hat, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected an unbatched (K, slot_dim) slot array")
-    Q = layer.query_inputs @ layer.W_Q.T
     root = np.sqrt(layer.d_q) if layer.scaling else 1.0
-    M, V = Q @ layer.W_K / root, z @ layer.W_V.T
-    AT = softmax_rows((z @ layer.W_K.T) @ Q.T / root, axis=-2)
-    s, K, P = M.shape[1], V.shape[0], M.shape[0]
-    h = head.W1 @ (AT.T @ V).T
-    dtanh = 1.0 - np.tanh(h + head.b1[:, None]) ** 2
-    mix = head.W2 @ (dtanh * h)
-    rows = (head.W1 @ np.hstack([layer.W_V, V.T])).T  # times W2 and tanh': dpsi [W_V | V^T]
+    MT = (layer.W_K.T @ layer.W_Q / root) @ layer.query_inputs.T
+    AT = softmax_rows(z @ MT, axis=-2)
+    s, K, P = MT.shape[0], z.shape[0], MT.shape[1]
+    rows = (head.W1 @ np.hstack([layer.W_V, layer.W_V @ z.T])).T  # (s+K, hidden): W1 [W_V | V^T]
+    # W1 token_d + b1 = (W1 V^T + b1 1^T) A_d, the weights summing to 1; then tanh' in place
+    dtanh = (rows[s:] + head.b1).T @ AT
+    np.tanh(dtanh, out=dtanh)
+    np.subtract(1.0, np.square(dtanh, out=dtanh), out=dtanh)
     F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
-    return AT, M, F, mix
+    Fv = F[:, s:]  # dpsi_d V^T, less its weighted mix dpsi_d token_d = sum_k A_dk dpsi_d V_k
+    Fv -= np.sum(Fv * AT, axis=1, keepdims=True)
+    return AT, MT, F
 
 
 def analytic_slot_jacobian(layer: CrossAttentionLayer, head: PixelHead,
@@ -390,23 +394,22 @@ def analytic_slot_jacobian(layer: CrossAttentionLayer, head: PixelHead,
     so a slot with A_dm = 0 contributes an exactly zero block.  When scaling
     is on, M_d carries the same 1/sqrt(d_q) factor as the logits.
     """
-    AT, M, F, mix = _closed_form_factors(layer, head, z_hat)
-    s = M.shape[1]
-    u = np.moveaxis(F[:, s:], 0, -1) - mix.T  # (K, P, C): dpsi_d (W_V z_m - token_d)
-    return AT[:, :, None, None] * (np.moveaxis(F[:, :s], -1, 0) + u[..., None] * M[:, None, :])
+    AT, MT, F = _closed_form_factors(layer, head, z_hat)
+    s = MT.shape[0]
+    u = np.moveaxis(F[:, s:], 0, -1)  # (K, P, C): dpsi_d (W_V z_m - token_d)
+    return AT[:, :, None, None] * (np.moveaxis(F[:, :s], -1, 0) + u[..., None] * MT.T[:, None, :])
 
 
 def analytic_slot_jacobian_norms(layer: CrossAttentionLayer, head: PixelHead,
                                  z_hat: np.ndarray) -> np.ndarray:
     """(n_pixels, K) L1 norms of analytic_slot_jacobian's blocks, not formed: block (m, d) is
-    A_dm (dpsi_d W_V + u_md M_d), u_md = dpsi_d (V_m - token_d), and A_dm >= 0 factors out."""
-    AT, M, F, mix = _closed_form_factors(layer, head, z_hat)
-    s, (K, P) = M.shape[1], AT.shape
-    MT, buf, acc = np.ascontiguousarray(M.T)[:, None], np.empty((s, K, P)), np.zeros(K * P)
-    for c in range(F.shape[0]):
-        np.multiply(F[c, s:] - mix[c], MT, out=buf)  # u_md M_d
-        buf += F[c, :s, None]
-        acc += np.ones(s) @ np.abs(buf, out=buf).reshape(s, -1)
+    A_dm (dpsi_d W_V + u_md M_d), u_md = dpsi_d (V_m - token_d), and A_dm >= 0 factors out.
+    All channels in one (C, s, K, P) pass, summed over (C, s) as a product with ones."""
+    AT, MT, F = _closed_form_factors(layer, head, z_hat)
+    s, (K, P) = MT.shape[0], AT.shape
+    buf = F[:, None, s:] * MT[:, None]  # u_md M_d
+    buf += F[:, :s, None]
+    acc = np.ones(buf.size // (K * P)) @ np.abs(buf, out=buf).reshape(-1, K * P)
     return (acc.reshape(K, P) * AT).T
 
 

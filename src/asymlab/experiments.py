@@ -510,6 +510,16 @@ def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list, li
     return jari_vals, jis_vals, excluded, norms, fg
 
 
+def _cell_configs(args: dict, data_cfg: DataConfig) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of one ablation cell; ValueError naming a bad field."""
+    mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
+                     seed=args["seed"], **args["model"])
+    tc = TrainConfig(alpha=args["alpha"], beta=args["beta"], lr=args["lr"],
+                     iterations=args["iterations"], batch_size=args["batch_size"],
+                     warmup=args["warmup"], seed=args["seed"])
+    return mc, tc
+
+
 def _run_ablation_cell(args: dict) -> dict:
     """One (alpha, beta, seed) training run; self-contained for the pool.  A
     diverged run returns its TrainingDiverged under "diverged" and its
@@ -518,11 +528,7 @@ def _run_ablation_cell(args: dict) -> dict:
     dataset = make_dataset(data_cfg)
     train_images = dataset.split("train")
     eval_idx = _held_out(dataset, args["eval_images"])
-    mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
-                     seed=args["seed"], **args["model"])
-    tc = TrainConfig(alpha=args["alpha"], beta=args["beta"], lr=args["lr"],
-                     iterations=args["iterations"], batch_size=args["batch_size"],
-                     warmup=args["warmup"], seed=args["seed"])
+    mc, tc = _cell_configs(args, data_cfg)
     cell = {"alpha": args["alpha"], "beta": args["beta"], "seed": args["seed"]}
     try:
         model, log = train(build_autoencoder(mc), train_images, tc)
@@ -571,6 +577,9 @@ def exp_train_ablation(config: dict | None = None,
          "warmup": cfg["warmup"], "eval_images": cfg["eval_images"]}
         for a in cfg["alphas"] for b in cfg["betas"] for s in cfg["seeds"]
     ]
+    data_cfg = DataConfig.from_json(cfg["data"])
+    for job in jobs:  # every cell's configs, before any dataset is drawn or pool started
+        _cell_configs(job, data_cfg)
     workers = min(pool_size(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -753,11 +762,11 @@ def exp_train(config: dict | None = None,
     _check_model_keys(cfg["model"], {"height", "width"}, "the train driver's")
     t0 = time.perf_counter()
     data_cfg = DataConfig.from_json(cfg["data"])
-    dataset = make_dataset(data_cfg)
-    eval_idx = _held_out(dataset, cfg["eval_images"])
     mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
                      **cfg["model"])
     tc = TrainConfig(**cfg["train"])
+    dataset = make_dataset(data_cfg)
+    eval_idx = _held_out(dataset, cfg["eval_images"])
     result = ExperimentResult("train", cfg, tc.seed)
     model = build_autoencoder(mc)
     try:

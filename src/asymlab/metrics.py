@@ -1,7 +1,8 @@
 """Disentanglement metrics and Jacobian-structure detectors.
 
-ARI compares pixel labelings through the contingency table; J-ARI labels
-pixels by the slot whose Jacobian block moves them most; JIS measures how
+ARI compares pixel labelings through the contingency table, its pair counts
+exact integers; J-ARI labels pixels by the slot whose Jacobian block moves
+them most, and scores them on the same core; JIS measures how
 concentrated each pixel's slot influence is; the position-only index
 measures how often a pixel keeps its slot from image to image, and the slot
 shares how the foreground splits between slots.  J-ARI and JIS also take
@@ -76,30 +77,33 @@ class MetricResult:
         return self.value
 
 
-def _comb2(x: np.ndarray) -> np.ndarray:
-    return x * (x - 1) / 2.0
-
-
 def ari(a: PixelAssignment, b: PixelAssignment) -> float:
     """Adjusted Rand index between two labelings on their shared foreground;
     1 for identical partitions (up to relabeling) and for fewer than two
     shared pixels, about 0 for independent ones."""
     fg = a.foreground & b.foreground
-    if not np.any(fg):
-        raise ValueError("empty shared foreground")
-    la, lb = a.labels[fg].astype(np.int64), b.labels[fg].astype(np.int64)
+    return _ari(a.labels[fg], b.labels[fg])
+
+
+def _ari(la: np.ndarray, lb: np.ndarray) -> float:
+    """ari of two aligned integer label arrays, the shared foreground only."""
     n = la.size
+    if not n:
+        raise ValueError("empty shared foreground")
     if n < 2:  # no pair of pixels to disagree on
         return 1.0
-    # one bincount over the combined label codes, empty rows and columns dropped
-    la, lb = la - la.min(), lb - lb.min()
+    # one bincount over the combined label codes; then the pair counts C(n_ij, 2) over
+    # cells, rows and columns as exact integers, in Python (empty rows and columns dropped)
+    la, lb = la.astype(np.int64), lb.astype(np.int64)
+    la -= la.min()
+    lb -= lb.min()
     width = int(lb.max()) + 1
     table = np.bincount(la * width + lb, minlength=(int(la.max()) + 1) * width).reshape(-1, width)
-    table = table[table.any(axis=1)][:, table.any(axis=0)]
-    sum_cells = float(np.sum(_comb2(table)))
-    sum_rows = float(np.sum(_comb2(table.sum(axis=1))))
-    sum_cols = float(np.sum(_comb2(table.sum(axis=0))))
-    expected = sum_rows * sum_cols / _comb2(np.array(n))
+    table = table[table.any(axis=1)][:, table.any(axis=0)].tolist()
+    sum_cells = float(sum(x * (x - 1) for row in table for x in row) // 2)
+    sum_rows = float(sum(r * (r - 1) for r in map(sum, table)) // 2)
+    sum_cols = float(sum(c * (c - 1) for c in map(sum, zip(*table))) // 2)
+    expected = sum_rows * sum_cols / (n * (n - 1) / 2.0)
     max_index = 0.5 * (sum_rows + sum_cols)
     if max_index == expected:
         # both labelings constant (single cluster each): perfect agreement
@@ -159,11 +163,9 @@ def j_ari_from_norms(norms: np.ndarray, gt: PixelAssignment) -> MetricResult:
     counted."""
     if norms.shape[0] != gt.labels.shape[0]:
         raise ValueError("pixel counts disagree")
-    nonzero = np.sum(norms, axis=1) > ZERO_TOL
-    fg = gt.foreground & nonzero
-    excluded = int(np.sum(gt.foreground & ~nonzero))
-    pred = PixelAssignment(labels=np.argmax(norms, axis=1), foreground=fg)
-    value = ari(pred, PixelAssignment(labels=gt.labels, foreground=fg))
+    fg = gt.foreground & (np.sum(norms, axis=1) > ZERO_TOL)
+    excluded = int(np.count_nonzero(gt.foreground)) - int(np.count_nonzero(fg))
+    value = _ari(np.argmax(norms, axis=1)[fg], gt.labels[fg])
     return MetricResult(value=value, excluded_pixels=excluded)
 
 
@@ -183,14 +185,15 @@ def jis_from_norms(norms: np.ndarray, foreground: np.ndarray | None = None) -> M
     if foreground.shape != norms.shape[:1]:
         raise ValueError("pixel counts disagree")
     totals = np.sum(norms, axis=1)
-    nonzero = totals > ZERO_TOL
-    use = foreground & nonzero
-    excluded = int(np.sum(foreground & ~nonzero))
-    if not np.any(use):
+    use = foreground & (totals > ZERO_TOL)
+    n_use = int(np.count_nonzero(use))
+    if not n_use:
         raise ValueError("no usable foreground pixels")
-    shares = norms[use] / totals[use, None]
-    return MetricResult(value=float(np.mean(np.max(shares, axis=1))),
-                        excluded_pixels=excluded)
+    # each row's largest share is its maximum over its total: division by a positive
+    # total keeps the order of the rounded quotients
+    shares = np.max(norms, axis=1)[use] / totals[use]
+    return MetricResult(value=float(np.mean(shares)),
+                        excluded_pixels=int(np.count_nonzero(foreground)) - n_use)
 
 
 def position_only_index(norms: np.ndarray) -> float:

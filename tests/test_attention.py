@@ -260,6 +260,21 @@ def test_analytic_jacobian_norms_match_full_jacobian(scaling, K):
                                rtol=1e-12, atol=0)
 
 
+def test_analytic_jacobian_norms_at_the_model_shapes():
+    # the trained decoder's shapes: 256 pixels, 3 slots of width 8, d_q 16, 24 hidden, scaled
+    from asymlab.autoencoder import ModelConfig, build_autoencoder
+
+    model = build_autoencoder(ModelConfig(seed=0))
+    layer, head = model.dec_layers[0], model.dec_head
+    assert layer.query_inputs.shape[0] == 256 and layer.scaling
+    assert (layer.slot_dim, layer.d_q, head.b1.size) == (8, 16, 24)
+    z = np.random.default_rng(0).normal(size=(3, 8))
+    norms = analytic_slot_jacobian_norms(layer, head, z)
+    assert norms.shape == (256, 3)
+    np.testing.assert_allclose(norms, _norms_of_full_jacobian(layer, head, z),
+                               rtol=1e-12, atol=0)
+
+
 def test_analytic_jacobian_norms_saturated_decoder():
     # keys this large push some softmax weights below exp(-745): exactly 0
     layers, head = random_decoder(4, n_pixels=12, K=3, slot_dim=5, scaling=True)

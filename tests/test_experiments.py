@@ -537,6 +537,32 @@ def test_cli_names_bad_train_config(tmp_path, capsys):
         assert not (tmp_path / cmd / "log.csv").exists()
 
 
+def test_drivers_check_configs_before_drawing_data(tmp_path, monkeypatch, capsys):
+    # a bad model or training field is named before any dataset is rendered or pool started
+    from asymlab import experiments
+
+    def refuse(config):
+        raise AssertionError("a dataset was drawn before the configs were checked")
+
+    monkeypatch.setattr(experiments, "make_dataset", refuse)
+    for bad, named in (({"model": {"slot_dim": 0}}, "slot_dim must be at least 1, got 0"),
+                       ({"train": {"batch_size": 0}}, "batch_size must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=named):
+            exp_train(bad)
+    for bad, named in (({"model": {"n_slots": 3, "slot_dim": 0}},
+                        "slot_dim must be at least 1, got 0"),
+                       ({"warmup": -5}, "warmup must be at least 0, got -5")):
+        with pytest.raises(ValueError, match=named):
+            experiments.exp_train_ablation(bad)
+    monkeypatch.setenv("ASYMLAB_THREADS", "2")
+    path = tmp_path / "ablate.json"
+    path.write_text(json.dumps({"model": {"n_slots": 3, "slot_dim": 0},
+                                "data": {"count": 2000, "seed": 7}}))
+    rc = cli.main(["ablate", "--config", str(path), "--out", str(tmp_path / "ab")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "bad configuration" in err and "slot_dim must be at least 1, got 0" in err
+
+
 def test_cli_names_non_integer_train_fields(tmp_path, capsys):
     # a float count is a configuration error naming the field, not a TypeError from numpy
     train = tmp_path / "train.json"

@@ -15,6 +15,7 @@ from asymlab.generators import (
     preset_generator,
 )
 from asymlab.metrics import (
+    ZERO_TOL,
     MetricResult,
     PixelAssignment,
     ari,
@@ -120,6 +121,53 @@ def test_ari_bincount_table_equals_unique_table():
         fgx[:2] = fgy[:2] = True  # at least two shared pixels
         a, b = labels(x, fgx), labels(y, fgy)
         assert ari(a, b) == np_unique_ari(a, b)
+
+
+def _norm_table(rng, n_pixels, K):
+    """Random (n_pixels, K) norms with tied rows, all-zero rows, rows summing to ZERO_TOL and
+    subnormal entries, as a transposed view of a (K, n_pixels) array, the closed form's layout."""
+    norms = rng.exponential(size=(n_pixels, K))
+    kind = rng.integers(0, 6, size=n_pixels)
+    norms[kind == 0] = 0.0
+    norms[kind == 1] = rng.exponential()  # every slot tied
+    norms[kind == 2, : (K + 1) // 2] = 1.5  # a tie for the largest
+    sub = kind == 3
+    norms[sub] *= np.where(rng.random((int(sub.sum()), K)) < 0.5, 1e-310, 1.0)
+    norms[kind == 4] = np.eye(K)[0] * ZERO_TOL  # excluded: the total must exceed ZERO_TOL
+    return np.ascontiguousarray(norms.T).T
+
+
+def test_metric_cores_equal_the_per_row_formulas():
+    # JIS as division first, then row maximum; J-ARI through two PixelAssignments and
+    # the np.unique table; both bitwise
+    rng = np.random.default_rng(11)
+    pools = [np.array([0, 1, 2]), np.array([-1, 0, 7, 40]), np.arange(5) * 100 - 250]
+    for trial in range(300):
+        n, K = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        norms = _norm_table(rng, n, K)
+        fg = rng.random(n) < 0.7
+        if trial % 10 == 0:  # a one-pixel foreground
+            fg[:] = False
+            fg[rng.integers(n)] = True
+        gt = labels(rng.choice(pools[trial % 3], size=n), fg)
+        totals = np.sum(norms, axis=1)
+        nonzero = totals > ZERO_TOL
+        use = fg & nonzero
+        if not np.any(use):
+            with pytest.raises(ValueError):
+                jis_from_norms(norms, fg)
+            with pytest.raises(ValueError):
+                j_ari_from_norms(norms, gt)
+            continue
+        shares = norms[use] / totals[use, None]
+        got = jis_from_norms(norms, fg)
+        assert got.value == float(np.mean(np.max(shares, axis=1)))
+        assert got.excluded_pixels == int(np.sum(fg & ~nonzero))
+        pred = PixelAssignment(labels=np.argmax(norms, axis=1), foreground=use)
+        want = 1.0 if np.sum(use) < 2 else np_unique_ari(pred, labels(gt.labels, use))
+        got = j_ari_from_norms(norms, gt)
+        assert got.value == want
+        assert got.excluded_pixels == int(np.sum(fg & ~nonzero))
 
 
 def test_ari_one_shared_pixel_is_perfect():
