@@ -17,6 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -157,13 +158,6 @@ def _merge_defaults(config: dict | None, defaults: dict, integers: dict | None =
     return merged
 
 
-def _check_model_keys(model: dict, reserved: set[str], whose: str) -> None:
-    """ValueError naming the model config keys a driver sets itself."""
-    bad = sorted(reserved & set(model))
-    if bad:
-        raise ValueError(f"{whose} model config must not set {', '.join(bad)}")
-
-
 def _check_list(cfg: dict, name: str, integers: bool = True) -> None:
     """ValueError naming a config field, and its value, that is not a non-empty list of
     integers (with integers=False, of numbers) at least 0, or that repeats a value (0 and
@@ -175,6 +169,13 @@ def _check_list(cfg: dict, name: str, integers: bool = True) -> None:
                          f"{'integers' if integers else 'numbers'} at least 0, got {v!r}")
     if len(set(v)) < len(v):
         raise ValueError(f"{name} must not repeat a value, got {v!r}")
+
+
+def _check_at_least_zero(cfg: dict, names: tuple[str, ...]) -> None:
+    """ValueError naming a config field, and its value, below 0 or NaN."""
+    for name in names:
+        if not cfg[name] >= 0:
+            raise ValueError(f"{name} must be at least 0, got {cfg[name]!r}")
 
 
 def _check_preset_orders(name: str, orders) -> None:
@@ -233,8 +234,13 @@ def exp_characterization(config: dict | None = None,
             part = spec.partition
             probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
                                  size=(cfg["probes"], part.latent_dim))
-            reports = certify(spec, part, n, probes, equiv_samples=cfg["equiv_samples"],
-                              rng_seed=cfg["seed"] + i)
+            try:
+                # the engine names a non-finite value itself; numpy's warnings add nothing
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    reports = certify(spec, part, n, probes, equiv_samples=cfg["equiv_samples"],
+                                      rng_seed=cfg["seed"] + i)
+            except FloatingPointError as e:  # a generator that overflows at a stencil point
+                raise ValueError(f"cannot certify {run_id} at order {n}: {e}") from e
             rep = reports["cross"]
             result.add_report(run_id, rep)
             ok = rep.passed
@@ -385,9 +391,7 @@ def exp_compgen(config: dict | None = None,
     _check_list(cfg, "seeds")
     _check_preset_orders("order", [cfg["order"]])
     # below these bounds a gate passes every seed (ratio_required) or fails every one
-    for name in ("band_width", "cpe_mse_limit", "pair_tol"):
-        if not cfg[name] >= 0:
-            raise ValueError(f"{name} must be at least 0, got {cfg[name]!r}")
+    _check_at_least_zero(cfg, ("band_width", "cpe_mse_limit", "pair_tol"))
     if not cfg["ratio_required"] > 0:
         raise ValueError(f"ratio_required must be greater than 0, got {cfg['ratio_required']!r}")
     if cfg["support_kind"] not in ("band", "box"):
@@ -483,18 +487,29 @@ def _default_ablation_config() -> dict:
     }
 
 
-def _held_out(dataset, eval_images: int) -> list[int]:
-    """The first eval_images test-split indices (a shorter split whole); ValueError when
-    there are none, so that a run never passes with nothing scored."""
+def _model_config(data_cfg: DataConfig, model: dict, whose: str, **driver_set) -> ModelConfig:
+    """The model config of a run on data_cfg's images: height and width from the image
+    size, driver_set (the ablation's seed) from the driver, the rest from model.
+    ValueError naming the keys model sets of those, or a bad field."""
+    bad = sorted({"height", "width", *driver_set} & set(model))
+    if bad:
+        raise ValueError(f"{whose} model config must not set {', '.join(bad)}")
+    return ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
+                       **driver_set, **model)
+
+
+def _train_and_score(data_cfg: DataConfig, mc: ModelConfig, tc: TrainConfig,
+                     eval_images: int) -> tuple:
+    """Draw the dataset, train a fresh model on its train split, and score the first
+    eval_images test-split images (a shorter split whole), each from one slot Jacobian.
+    Returns (model, log, scores), scores being per-image J-ARI, JIS, the summed J-ARI
+    exclusions, per-image (n_pixels, K) norms and foregrounds.  ValueError before
+    training when no image is held out, so that a run never passes with nothing scored."""
+    dataset = make_dataset(data_cfg)
     eval_idx = dataset.manifest["splits"]["test"][:eval_images]
     if not eval_idx:
         raise ValueError("no held-out image to score: the test split or eval_images is empty")
-    return eval_idx
-
-
-def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list, list]:
-    """Encode and score each held-out image from one slot Jacobian.  Returns per-image
-    J-ARI, JIS, the summed J-ARI exclusions, per-image (n_pixels, K) norms and foregrounds."""
+    model, log = train(build_autoencoder(mc), dataset.split("train"), tc)
     decoder = (model.dec_layers, model.dec_head)
     jari_vals, jis_vals, excluded, norms, fg = [], [], 0, [], []
     for idx in eval_idx:
@@ -507,37 +522,21 @@ def _score_held_out(model, dataset, eval_idx) -> tuple[list, list, int, list, li
         excluded += r.excluded_pixels
         jis_vals.append(jis_from_norms(norms[-1], gt.foreground).value)
         fg.append(gt.foreground)
-    return jari_vals, jis_vals, excluded, norms, fg
+    return model, log, (jari_vals, jis_vals, excluded, norms, fg)
 
 
-def _cell_configs(args: dict, data_cfg: DataConfig) -> tuple[ModelConfig, TrainConfig]:
-    """The model and training configs of one ablation cell; ValueError naming a bad field."""
-    mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
-                     seed=args["seed"], **args["model"])
-    tc = TrainConfig(alpha=args["alpha"], beta=args["beta"], lr=args["lr"],
-                     iterations=args["iterations"], batch_size=args["batch_size"],
-                     warmup=args["warmup"], seed=args["seed"])
-    return mc, tc
-
-
-def _run_ablation_cell(args: dict) -> dict:
+def _run_ablation_cell(data_cfg: DataConfig, mc: ModelConfig, tc: TrainConfig,
+                       eval_images: int) -> dict:
     """One (alpha, beta, seed) training run; self-contained for the pool.  A
     diverged run returns its TrainingDiverged under "diverged" and its
     partial log, so the driver can name the cell."""
-    data_cfg = DataConfig.from_json(args["data"])
-    dataset = make_dataset(data_cfg)
-    train_images = dataset.split("train")
-    eval_idx = _held_out(dataset, args["eval_images"])
-    mc, tc = _cell_configs(args, data_cfg)
-    cell = {"alpha": args["alpha"], "beta": args["beta"], "seed": args["seed"]}
+    cell = {"alpha": tc.alpha, "beta": tc.beta, "seed": tc.seed}
     try:
-        model, log = train(build_autoencoder(mc), train_images, tc)
+        model, log, scores = _train_and_score(data_cfg, mc, tc, eval_images)
     except TrainingDiverged as e:
         return dict(cell, diverged=e, log_rows=_log_rows(e.log))
 
-    jari_vals, jis_vals, excl, norms, fg = _score_held_out(model, dataset, eval_idx)
-    side = data_cfg.image_size
-    heatmaps = [norms[0][:, k].reshape(side, side) for k in range(mc.n_slots)]
+    jari_vals, jis_vals, excl, norms, fg = scores
     # convergence-window mean smooths single-batch noise
     tail = log[-50:]
     return {
@@ -546,12 +545,12 @@ def _run_ablation_cell(args: dict) -> dict:
         "position_only_index": position_only_index(norms),
         "slot_shares": slot_shares(norms, fg),
         "excluded": excl,
-        "images_scored": len(eval_idx),
+        "images_scored": len(jari_vals),
         "final_interact": float(np.mean([b.interact for b in tail])),
         "final_rec": float(np.mean([b.rec for b in tail])),
         "initial_rec": log[0].rec,
         "log_rows": _log_rows(log),
-        "heatmaps": heatmaps,
+        "heatmaps": [norms[0][:, k].reshape(mc.height, mc.width) for k in range(mc.n_slots)],
     }
 
 
@@ -562,30 +561,30 @@ def exp_train_ablation(config: dict | None = None,
     slot shares per cell, dump per-slot Jacobian heat maps, and compare the
     regularized corner against the unregularized one.  A diverged cell leaves
     log.csv and a failed results.json naming it, then raises TrainingDiverged."""
-    cfg = _merge_defaults(config, _default_ablation_config(), {"eval_images": 1})
+    cfg = _merge_defaults(config, _default_ablation_config(), {"eval_images": 1},
+                          ("jis_margin",))
     _check_list(cfg, "alphas", integers=False)
     _check_list(cfg, "betas", integers=False)
     _check_list(cfg, "seeds")
-    # each cell sets these itself, from its seed and the image size
-    _check_model_keys(cfg["model"], {"seed", "height", "width"}, "the ablation's")
+    if np.isnan(cfg["jis_margin"]):  # a NaN margin fails every grid
+        raise ValueError(f"jis_margin must not be NaN, got {cfg['jis_margin']!r}")
     t0 = time.perf_counter()
     result = ExperimentResult("train_ablation", cfg, int(cfg["seeds"][0]))
-    jobs = [
-        {"alpha": a, "beta": b, "seed": s, "data": cfg["data"],
-         "model": cfg["model"], "iterations": cfg["iterations"],
-         "batch_size": cfg["batch_size"], "lr": cfg["lr"],
-         "warmup": cfg["warmup"], "eval_images": cfg["eval_images"]}
-        for a in cfg["alphas"] for b in cfg["betas"] for s in cfg["seeds"]
-    ]
+    # every cell's configs, before any dataset is drawn or pool started
     data_cfg = DataConfig.from_json(cfg["data"])
-    for job in jobs:  # every cell's configs, before any dataset is drawn or pool started
-        _cell_configs(job, data_cfg)
-    workers = min(pool_size(), len(jobs))
+    train_fields = {k: cfg[k] for k in ("iterations", "batch_size", "lr", "warmup")}
+    mcs, tcs = zip(*[
+        (_model_config(data_cfg, cfg["model"], "the ablation's", seed=s),
+         TrainConfig(alpha=a, beta=b, seed=s, **train_fields))
+        for a in cfg["alphas"] for b in cfg["betas"] for s in cfg["seeds"]
+    ])
+    run_cell = partial(_run_ablation_cell, data_cfg, eval_images=cfg["eval_images"])
+    workers = min(pool_size(), len(mcs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_ablation_cell, jobs))
+            rows = list(pool.map(run_cell, mcs, tcs))
     else:
-        rows = [_run_ablation_cell(j) for j in jobs]
+        rows = list(map(run_cell, mcs, tcs))
 
     def run_id(row):
         return f"a{row['alpha']}_b{row['beta']}_s{row['seed']}"
@@ -694,6 +693,7 @@ def exp_jacobian_check(config: dict | None = None,
         "zero_trials": 10,
         "battery": 2000,
     }, {"trials": 1, "zero_trials": 1, "battery": 1, "seed": 0}, ("rel_tol", "zero_tol"))
+    _check_at_least_zero(cfg, ("rel_tol", "zero_tol"))  # below 0 no run passes
     t0 = time.perf_counter()
     result = ExperimentResult("jacobian_check", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
@@ -758,19 +758,14 @@ def exp_train(config: dict | None = None,
         "train": {},
         "eval_images": 8,
     }, {"eval_images": 1})
-    # set from the image size; seed is the model's own
-    _check_model_keys(cfg["model"], {"height", "width"}, "the train driver's")
     t0 = time.perf_counter()
     data_cfg = DataConfig.from_json(cfg["data"])
-    mc = ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
-                     **cfg["model"])
+    mc = _model_config(data_cfg, cfg["model"], "the train driver's")  # seed is the model's own
     tc = TrainConfig(**cfg["train"])
-    dataset = make_dataset(data_cfg)
-    eval_idx = _held_out(dataset, cfg["eval_images"])
     result = ExperimentResult("train", cfg, tc.seed)
-    model = build_autoencoder(mc)
     try:
-        model, log = train(model, dataset.split("train"), tc)
+        model, log, (jari_vals, jis_vals, *_) = _train_and_score(data_cfg, mc, tc,
+                                                                 cfg["eval_images"])
     except TrainingDiverged as e:
         _record_divergence(result, out, t0, e, _LOG_HEADER, _log_rows(e.log))
         raise
@@ -779,7 +774,6 @@ def exp_train(config: dict | None = None,
     result.add_metric("train", "final_interact", log[-1].interact)
     result.add_metric("train", "rec_improved", float(log[-1].rec < log[0].rec))
 
-    jari_vals, jis_vals, *_ = _score_held_out(model, dataset, eval_idx)
     result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
     result.add_metric("eval", "jis", float(np.mean(jis_vals)))
     result.finish(t0, out, passed=bool(log[-1].rec < log[0].rec))

@@ -255,6 +255,15 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     ("train", "model", {"height": 8}, "the train driver's model config must not set height"),
     ("train", "model", {"width": 8, "height": 8},
      "the train driver's model config must not set height, width"),
+    # appended last, so the ids of the cases above keep their indices
+    # below 0, or NaN, no run can pass the gate
+    ("jac-check", "rel_tol", -1, "rel_tol must be at least 0, got -1"),
+    ("jac-check", "rel_tol", float("nan"), "rel_tol must be at least 0, got nan"),
+    ("jac-check", "zero_tol", -1e-8, "zero_tol must be at least 0, got -1e-08"),
+    ("jac-check", "zero_tol", float("nan"), "zero_tol must be at least 0, got nan"),
+    # unchecked, a string margin failed only after every cell had trained
+    ("ablate", "jis_margin", "x", "jis_margin must be a number, got 'x'"),
+    ("ablate", "jis_margin", float("nan"), "jis_margin must not be NaN, got nan"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -262,7 +271,7 @@ def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     rc = cli.main([cmd, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2 and "bad configuration" in err and named in err, err
-    assert not (tmp_path / "out" / "results.json").exists()
+    assert list((tmp_path / "out").iterdir()) == []  # refused before anything is written
 
 
 def test_cli_flag_overrides_config_file(tmp_path):
@@ -319,6 +328,22 @@ def test_cli_check_names_an_overflowing_generator(tmp_path, capsys):
     assert err.startswith("error: cannot certify at order 1: "
                           "non-finite function value at stencil point [")
     assert err.count("\n") == 1
+
+
+def test_cli_characterize_names_an_overflowing_preset(tmp_path, capsys):
+    # probes this far out overflow the preset's monomials: one error line naming the
+    # preset and the stencil point, exit 2, no numpy warning and no results.json
+    path = tmp_path / "charac.json"
+    path.write_text(json.dumps({"probe_scale": 1e200, "presets_per_n": 1, "orders": [1]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["characterize", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: bad configuration: cannot certify n1_preset0 at order 1: "
+                          "non-finite function value at stencil point ["), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 def test_cli_ablate_rejects_zero_seeds_flag(tmp_path, capsys):
@@ -646,6 +671,19 @@ def test_exp_train_deterministic(tmp_path):
     assert runs[0] == runs[1]
 
 
+def _ablation_cell_configs(**train):
+    """The default ablation's data config, and the model and training configs of its
+    (0, 0, seed 0) cell with the training fields train."""
+    from asymlab.autoencoder import TrainConfig
+    from asymlab.experiments import _default_ablation_config, _model_config
+    from asymlab.sprites import DataConfig
+
+    cfg = _default_ablation_config()
+    data_cfg = DataConfig.from_json(cfg["data"])
+    mc = _model_config(data_cfg, cfg["model"], "the ablation's", seed=0)
+    return data_cfg, mc, TrainConfig(alpha=0.0, beta=0.0, seed=0, **train)
+
+
 def test_scoring_takes_one_slot_jacobian_per_image(monkeypatch):
     from asymlab import experiments
 
@@ -664,10 +702,8 @@ def test_scoring_takes_one_slot_jacobian_per_image(monkeypatch):
     assert {m["metric"] for m in r.metrics} >= {"j_ari", "jis"}
     calls.clear()
     # the ablation cell also draws its heat maps from the first image's norms
-    cfg = experiments._default_ablation_config()
-    row = experiments._run_ablation_cell({
-        "alpha": 0.0, "beta": 0.0, "seed": 0, "data": cfg["data"], "model": cfg["model"],
-        "iterations": 2, "batch_size": 4, "lr": 1e-3, "warmup": 1, "eval_images": 3})
+    data_cfg, mc, tc = _ablation_cell_configs(iterations=2, batch_size=4, lr=1e-3, warmup=1)
+    row = experiments._run_ablation_cell(data_cfg, mc, tc, 3)
     assert len(calls) == row["images_scored"] == 3
     assert len(row["heatmaps"]) == 3
     assert 0.0 < row["position_only_index"] <= 1.0
@@ -703,21 +739,48 @@ def test_ablation_rejects_reserved_model_keys():
         exp_train_ablation({"model": {"n_slots": 3, "seed": 1, "height": 16}})
 
 
-def test_ablation_results_independent_of_pool_size(monkeypatch):
+def test_ablation_results_independent_of_pool_size(tmp_path, monkeypatch):
     from asymlab.experiments import exp_train_ablation
 
     # eval_images within the 7-image test split of the default data
     cfg = {"alphas": [0.0, 0.05], "betas": [0.0], "seeds": [0],
            "iterations": 20, "warmup": 10, "eval_images": 4}
-    runs = []
+    runs, written = [], []
     for threads in ("1", "2"):
         monkeypatch.setenv("ASYMLAB_THREADS", threads)
-        obj = exp_train_ablation(cfg).to_json()
+        out = tmp_path / f"threads{threads}"
+        obj = exp_train_ablation(cfg, out=out).to_json()
         obj.pop("wall_clock")
         runs.append(obj)
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+                 if p.is_file() and p.name != "results.json"}
+        on_disk = json.loads((out / "results.json").read_text())
+        on_disk.pop("wall_clock")
+        files["results.json"] = json.dumps(on_disk, sort_keys=True).encode()
+        written.append(files)
     assert runs[0] == runs[1]
+    assert set(written[0]) == {"results.json", "metrics.csv", "log.csv"} | {
+        f"images/a{a}_b0.0_s0_slot{k}_jacobian.ppm" for a in (0.0, 0.05) for k in (1, 2, 3)}
+    assert written[0] == written[1]
     assert runs[0]["extras"]["cells"]["a0.0_b0.0"]["images_scored"] == 4
     assert len(runs[0]["extras"]["cells"]["a0.0_b0.0"]["slot_shares"]) == 3
+
+
+def test_train_and_one_cell_ablation_score_alike():
+    from asymlab.experiments import exp_train_ablation
+
+    # one data draw, model, training run and seed: the two drivers share one run path
+    data, fields = {"count": 30, "seed": 4}, {"lr": 1e-3, "iterations": 30,
+                                               "batch_size": 16, "warmup": 10}
+    single = exp_train({"data": data, "eval_images": 3,
+                        "model": {"n_slots": 3, "slot_dim": 8, "seed": 1},
+                        "train": dict(fields, alpha=0.05, beta=0.0, seed=1)})
+    grid = exp_train_ablation({"data": data, "eval_images": 3,
+                               "model": {"n_slots": 3, "slot_dim": 8},
+                               "alphas": [0.05], "betas": [0.0], "seeds": [1], **fields})
+    scores = [{m["metric"]: m["value"] for m in r.metrics if m["metric"] in ("j_ari", "jis")}
+              for r in (single, grid)]
+    assert scores[0] == scores[1] and len(scores[0]) == 2
 
 
 def test_ablation_verdict_finds_integer_zero_cell():
@@ -750,16 +813,19 @@ def test_ablation_scores_held_out_images_only(monkeypatch):
         return encode(model, images)
 
     monkeypatch.setattr(experiments, "encode", spy)
-    row = experiments._run_ablation_cell({
-        "alpha": 0.0, "beta": 0.0, "seed": 0, "data": cfg["data"], "model": cfg["model"],
-        "iterations": 2, "batch_size": 4, "lr": 1e-3, "warmup": 1,
-        "eval_images": cfg["eval_images"]})
+    data_cfg, mc, tc = _ablation_cell_configs(iterations=2, batch_size=4, lr=1e-3, warmup=1)
+    row = experiments._run_ablation_cell(data_cfg, mc, tc, cfg["eval_images"])
     splits = dataset.manifest["splits"]
     assert set(scored) <= set(splits["test"])
     assert not set(scored) & set(splits["train"])
     assert len(scored) == row["images_scored"] == len(splits["test"]) == 7
+
+    def refuse(*args):
+        raise AssertionError("trained with no held-out image to score")
+
+    monkeypatch.setattr(experiments, "train", refuse)
     with pytest.raises(ValueError, match="no held-out image"):
-        experiments._run_ablation_cell({"seed": 0, "data": cfg["data"], "eval_images": 0})
+        experiments._run_ablation_cell(data_cfg, mc, tc, 0)
 
 
 def _count_engine_requests(monkeypatch) -> list:
