@@ -19,8 +19,10 @@ equivalents' as one ((S + 1) N, ...) stack on the probe axis, computes every
 (probe, split) margin and tolerance in one pass, and cuts each table's
 report from its own N-row block.
 
-One code path serves every order n >= 0; only the n = 0 cross bound, a
-condition on shared outputs rather than derivatives, is check_no_interaction.
+One code path serves every order n >= 0: at n = 0 the cross bound and
+within-slot richness read n = 1's order-2 multi-indices, valuing e_i + e_j by
+the first-order interaction D_i f (.) D_j f read off J, not by a differenced
+D^alpha f.  A within-slot split is judged by its largest candidate.
 The rank checks take their columns from multiindex.independence_groups (the
 rule generators.required_output_dim counts), stack them for every probe into
 one (N, d_x, columns) array and take each rank over the whole stack.  The
@@ -164,52 +166,40 @@ def _witness(z: np.ndarray, index, value) -> dict:
     return {"point": [float(v) for v in z], "index": index, "value": float(value)}
 
 
-def _cross_pairs(partition: SlotPartition):
-    for k, j in itertools.combinations(range(partition.K), 2):
-        for i1 in partition.blocks[k]:
-            for i2 in partition.blocks[j]:
-                yield i1, i2
-
-
 def _cross_alphas(partition: SlotPartition, n: int) -> list[MultiIndex]:
-    """The cross bound's order-(n+1) multi-indices (none at n = 0: J alone)."""
+    """The cross bound's multi-indices, of order max(n, 1) + 1."""
     if n < 0:
         raise ValueError(f"interaction order must be >= 0, got {n}")
-    return interaction_indices(partition, n + 1) if n else []
+    return interaction_indices(partition, max(n, 1) + 1)
 
 
-def _judge_no_interaction(t: _Table, partition: SlotPartition) -> CheckReport:
-    J = t.J
-    tol_z = active_tolerance(J)
-    pairs = list(_cross_pairs(partition))
-    # |D_i1 f * D_i2 f| per probe, flattened pair-major so argmax finds the
-    # first pair (then the first output) reaching the maximum
-    prods = np.abs(np.stack([J[:, :, i1] * J[:, :, i2] for i1, i2 in pairs], axis=1)
-                   if pairs else np.zeros((len(J), 1, 1))).reshape(len(J), -1)
-    worst = prods.max(axis=1)
-    where = prods.argmax(axis=1)
-    witnesses = []
-    rows = np.nonzero(worst > tol_z)[0]
-    for p, z in zip(rows, t.points(rows)):
-        (i1, i2), l = pairs[where[p] // J.shape[1]], where[p] % J.shape[1]
-        witnesses.append(_witness(z, (i1 + 1, i2 + 1, int(l) + 1), worst[p]))
-    return _report("no_interaction", t, np.min(tol_z - worst), witnesses,
-                   len(J) - len(witnesses))
+def _differenced(alphas: Sequence[MultiIndex], n: int) -> Sequence[MultiIndex]:
+    """What the engine differences for alphas at order n: none at n = 0 (see _peaks)."""
+    return alphas if n else ()
+
+
+def _peaks(tables: Sequence[_Table], alphas: Sequence[MultiIndex], n: int) -> np.ndarray:
+    """Each multi-index's largest |value| over outputs at every probe of the
+    tables stacked on the probe axis, (N, n_alphas): D^alpha f at n >= 1; at
+    n = 0, where every alpha is e_i + e_j, D_i f (.) D_j f."""
+    if n:
+        return np.abs(np.concatenate([t.get(alphas) for t in tables])).max(axis=2)
+    J = np.concatenate([t.J for t in tables])
+    i, j = np.array([[c for c, m in enumerate(a) for _ in range(m)] for a in alphas],
+                    dtype=int).reshape(-1, 2).T
+    return np.abs(J[:, :, i] * J[:, :, j]).max(axis=1)
 
 
 def _judge_order(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
-    if n == 0:
-        return _judge_no_interaction(t, partition)
     alphas = _cross_alphas(partition, n)
     tol_z = active_tolerance(t.J)
-    vals = np.concatenate([np.zeros((len(t.J), 1)), np.max(np.abs(t.get(alphas)), axis=2)],
-                          axis=1)
-    worst = vals.max(axis=1)
+    vals = _peaks([t], alphas, n)
+    worst = vals.max(axis=1, initial=0.0)
     rows = np.nonzero(worst > tol_z)[0]
-    witnesses = [_witness(z, list(alphas[vals[p].argmax() - 1]), worst[p])
+    witnesses = [_witness(z, list(alphas[vals[p].argmax()]), worst[p])
                  for p, z in zip(rows, t.points(rows))]
-    return _report(f"order_at_most_{n}", t, np.min(tol_z - worst), witnesses,
-                   len(t.J) - len(witnesses), multi_indices_checked=len(alphas))
+    return _report(f"order_at_most_{n}" if n else "no_interaction", t, np.min(tol_z - worst),
+                   witnesses, len(t.J) - len(witnesses), multi_indices_checked=len(alphas))
 
 
 def check_no_interaction(
@@ -217,9 +207,9 @@ def check_no_interaction(
     partition: SlotPartition,
     probes,
 ) -> CheckReport:
-    """No interaction across slots: D_i f (.) D_j f = 0 elementwise for every
-    cross-block coordinate pair (Hadamard product of Jacobian columns)."""
-    return _judge_no_interaction(_request(f, probes, ()), partition)
+    """No interaction across slots, the cross bound at n = 0: D_i f (.) D_j f = 0
+    elementwise for every cross-block coordinate pair."""
+    return check_order_at_most_n(f, partition, 0, probes)
 
 
 def check_order_at_most_n(
@@ -230,10 +220,11 @@ def check_order_at_most_n(
 ) -> CheckReport:
     """At most n-th order interaction across slots: every order-(n+1)
     multi-index touching two or more blocks has D^alpha f = 0.  At n = 0 the
-    condition is about shared outputs, not derivatives, and this returns
-    check_no_interaction's report.  Orders the derivative engine cannot
+    order-2 ones are valued by the first-order interaction instead, and the
+    report is check_no_interaction's.  Orders the derivative engine cannot
     difference raise ValueError."""
-    return _judge_order(_request(f, probes, _cross_alphas(partition, n)), partition, n)
+    alphas = _differenced(_cross_alphas(partition, n), n)
+    return _judge_order(_request(f, probes, alphas), partition, n)
 
 
 def _slot_splits(block: Sequence[int]):
@@ -250,16 +241,15 @@ def _slot_splits(block: Sequence[int]):
 
 @lru_cache(maxsize=256)
 def _within_plan(partition: SlotPartition, n: int):
-    """Every slot's 2-part splits (k, A, B), each split's order-(n+1)
-    candidates (none at n = 0: J alone) as positions in their sorted union,
-    and that union."""
+    """Every slot's 2-part splits (k, A, B), each split's candidates of order
+    max(n, 1) + 1 as positions in their sorted union, and that union."""
     if n < 0:
         raise ValueError(f"interaction order must be >= 0, got {n}")
     if any(len(b) > 6 for b in partition.blocks):
         raise ValueError("slot too large to enumerate splits (max 6)")
     splits = [(k, A, B) for k, block in enumerate(partition.blocks)
               for A, B in _slot_splits(block)]
-    candidates = [split_interaction_indices(partition, k, A, B, n + 1) if n else []
+    candidates = [split_interaction_indices(partition, k, A, B, max(n, 1) + 1)
                   for k, A, B in splits]
     union = sorted({a for c in candidates for a in c})
     position = {a: i for i, a in enumerate(union)}
@@ -273,27 +263,10 @@ def _judge_within(tables: Sequence[_Table], partition: SlotPartition, n: int) ->
     """One within-slot report per table, all judged in one pass over the
     tables stacked on the probe axis; every table holds the same probe count."""
     splits, positions, union = _within_plan(partition, n)
-    J = np.concatenate([t.J for t in tables])
-    tol_z = active_tolerance(J)[:, None]
-    best = np.zeros((len(J), len(splits)))
-    if n == 0:
-        # first-order interaction is the shared-output condition: some
-        # output moved from both sides of the split
-        for s, (k, A, B) in enumerate(splits):
-            for iA in A:
-                for iB in B:
-                    best[:, s] = np.maximum(
-                        best[:, s], np.max(np.abs(J[:, :, iA] * J[:, :, iB]), axis=1))
-    else:
-        vals = np.abs(np.concatenate([t.get(union) for t in tables])).max(axis=2)
-        for s, cand in enumerate(positions):
-            if len(cand):
-                # the first candidate above tolerance decides the split;
-                # without one, the largest candidate is the margin
-                v = vals[:, cand]
-                above = v > tol_z
-                first = v[np.arange(len(J)), above.argmax(axis=1)]
-                best[:, s] = np.where(above.any(axis=1), first, v.max(axis=1))
+    tol_z = active_tolerance(np.concatenate([t.J for t in tables]))[:, None]
+    vals = _peaks(tables, union, n)
+    # a split's best value is its largest candidate
+    best = np.stack([vals[:, cand].max(axis=1) for cand in positions], axis=1)
     N = len(tables[0].J)
     margins = (best - tol_z).reshape(len(tables), -1).min(axis=1)
     passed = (best > tol_z).all(axis=1).reshape(len(tables), N).sum(axis=1)
@@ -321,14 +294,16 @@ def check_within_slot_order(
     probes,
 ) -> CheckReport:
     """Within-slot richness: every 2-part split of every slot shows an active
-    order-(n+1) derivative with mass on both sides.
+    order-(n+1) derivative with mass on both sides (at n = 0, an output that
+    both sides move).
 
     Candidate multi-indices are restricted to the slot's own coordinates;
     when the cross-slot bound at order n holds (the companion check), any
     order-(n+1) index straddling the slot boundary vanishes anyway, so the
     restriction loses nothing.
     """
-    return _judge_within([_request(f, probes, _within_plan(partition, n)[2])], partition, n)[0]
+    alphas = _differenced(_within_plan(partition, n)[2], n)
+    return _judge_within([_request(f, probes, alphas)], partition, n)[0]
 
 
 @lru_cache(maxsize=256)
@@ -378,8 +353,8 @@ def _asymmetry(f: VectorFn, partition: SlotPartition, n: int, probes,
     asymmetry reports judged from it."""
     if equiv_samples < 0:
         raise ValueError(f"equiv_samples must be at least 0, got {equiv_samples}")
-    t = _request(f, probes, [*_cross_alphas(partition, n), *_chain_rule(partition, n + 1)[0],
-                             *extra])
+    t = _request(f, probes, [*_differenced(_cross_alphas(partition, n), n),
+                             *_chain_rule(partition, n + 1)[0], *extra])
     within = _judge_within([t, *_equivalents(f, t, partition, n, equiv_samples, rng_seed)],
                            partition, n)
     sub = [("cross", _judge_order(t, partition, n)), ("within", within[0])]

@@ -50,15 +50,16 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_check(args) -> int:
-    for flag, value, least in (("--probes", args.probes, 1), ("--equiv", args.equiv, 0)):
+    for flag, value, least in (("--probes", args.probes, 1), ("--equiv", args.equiv, 0),
+                               ("--seed", args.seed, 0)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
-    out = _prepare_out(args.out, args.force)
     spec_json = _load_json(args.generator)
     try:
         spec = GeneratorSpec.from_json(spec_json)
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad generator file: {e}") from e
+    out = _prepare_out(args.out, args.force)
     part = spec.partition
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-0.8, 0.8, size=(args.probes, part.latent_dim))

@@ -498,17 +498,23 @@ def _model_config(data_cfg: DataConfig, model: dict, whose: str, **driver_set) -
                        **driver_set, **model)
 
 
+def _check_held_out(data_cfg: DataConfig, eval_images: int) -> None:
+    """ValueError when a run would score no held-out image, so that it never passes
+    with nothing scored; the test split's size follows from data_cfg alone."""
+    if not min(data_cfg.split_sizes()[2], eval_images):
+        raise ValueError("no held-out image to score: the test split or eval_images is empty")
+
+
 def _train_and_score(data_cfg: DataConfig, mc: ModelConfig, tc: TrainConfig,
                      eval_images: int) -> tuple:
     """Draw the dataset, train a fresh model on its train split, and score the first
     eval_images test-split images (a shorter split whole), each from one slot Jacobian.
     Returns (model, log, scores), scores being per-image J-ARI, JIS, the summed J-ARI
     exclusions, per-image (n_pixels, K) norms and foregrounds.  ValueError before
-    training when no image is held out, so that a run never passes with nothing scored."""
+    drawing data when no image is held out (_check_held_out)."""
+    _check_held_out(data_cfg, eval_images)
     dataset = make_dataset(data_cfg)
     eval_idx = dataset.manifest["splits"]["test"][:eval_images]
-    if not eval_idx:
-        raise ValueError("no held-out image to score: the test split or eval_images is empty")
     model, log = train(build_autoencoder(mc), dataset.split("train"), tc)
     decoder = (model.dec_layers, model.dec_head)
     jari_vals, jis_vals, excluded, norms, fg = [], [], 0, [], []
@@ -572,6 +578,7 @@ def exp_train_ablation(config: dict | None = None,
     result = ExperimentResult("train_ablation", cfg, int(cfg["seeds"][0]))
     # every cell's configs, before any dataset is drawn or pool started
     data_cfg = DataConfig.from_json(cfg["data"])
+    _check_held_out(data_cfg, cfg["eval_images"])
     train_fields = {k: cfg[k] for k in ("iterations", "batch_size", "lr", "warmup")}
     mcs, tcs = zip(*[
         (_model_config(data_cfg, cfg["model"], "the ablation's", seed=s),

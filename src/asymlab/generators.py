@@ -165,9 +165,16 @@ class GeneratorSpec:
     def __post_init__(self):
         if len(self.slot_functions) != self.partition.K:
             raise ValueError("one slot function per block required")
-        for sf in self.slot_functions:
+        for k, (sf, block) in enumerate(zip(self.slot_functions, self.partition.blocks)):
+            if sf.slot_index != k:
+                raise ValueError(f"slot function {k + 1} has slot_index {sf.slot_index + 1}")
             if sf.coefficients.shape[0] != self.out_dim:
                 raise ValueError("slot function output dimension mismatch")
+            for feat in sf.features:
+                size = len(feat.exponents if feat.kind == "mon" else feat.weights)
+                if size != len(block):
+                    raise ValueError(f"slot {k + 1} has a {feat.kind} feature of length "
+                                     f"{size}, expected {len(block)}")
         if self.interactions.terms:
             admissible = set(
                 interaction_indices(self.partition, self.interactions.order_bound, upto=True)

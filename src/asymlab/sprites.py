@@ -167,6 +167,12 @@ class DataConfig:
         if not 0 < self.train_fraction + self.val_fraction <= 1:
             raise ValueError("split fractions malformed")
 
+    def split_sizes(self) -> tuple[int, int, int]:
+        """The train, val and test split sizes make_dataset draws."""
+        n_train = int(round(self.train_fraction * self.count))
+        n_val = min(int(round(self.val_fraction * self.count)), self.count - n_train)
+        return n_train, n_val, self.count - n_train - n_val
+
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -207,8 +213,7 @@ def make_dataset(cfg: DataConfig) -> SpriteDataset:
         latents.append(objs)
     images, masks, owner, scenes = render_scenes(latents, side)
     order = rng.permutation(cfg.count)
-    n_train = int(round(cfg.train_fraction * cfg.count))
-    n_val = int(round(cfg.val_fraction * cfg.count))
+    n_train, n_val, _ = cfg.split_sizes()
     manifest = {
         "config": cfg.to_json(),
         "splits": {

@@ -8,6 +8,7 @@ from asymlab.asymmetry import (
     CheckReport,
     _chain_rule,
     _cross_alphas,
+    _differenced,
     _equivalents,
     _independence_alphas,
     _independence_stack,
@@ -195,9 +196,11 @@ def first_order_only(z):
 @pytest.mark.parametrize("f, n", [(preset_generator(2, rng_seed=32), 2),
                                   (first_order_only, 0), (bilinear_cross, 1)])
 def test_stacked_within_reports_equal_each_table_judged_alone(f, n):
-    # f and its equivalents judged as one stack on the probe axis, against
-    # the within judge run on each of their tables alone
-    table = _request(f, PROBES, [*_cross_alphas(PART, n), *_chain_rule(PART, n + 1)[0]])
+    # f and its equivalents, from the request check_interaction_asymmetry
+    # makes, judged as one stack on the probe axis, against the within judge
+    # run on each of their tables alone
+    table = _request(f, PROBES, [*_differenced(_cross_alphas(PART, n), n),
+                                 *_chain_rule(PART, n + 1)[0]])
     tables = [table, *_equivalents(f, table, PART, n, 3, 2)]
     stacked = _judge_within(tables, PART, n)
     rep = check_interaction_asymmetry(f, PART, n, PROBES, equiv_samples=3, rng_seed=2)
@@ -211,6 +214,39 @@ def test_stacked_within_reports_equal_each_table_judged_alone(f, n):
         verdicts.append(alone.passed)
     if f is first_order_only:
         assert verdicts == [False, True, True, True]
+
+
+def _reference_margins(f, n):
+    """The within-slot and cross margins at PROBES from first principles: every
+    order-(max(n, 1) + 1) multi-index valued by max |D^alpha f| over outputs,
+    or at n = 0, alpha = e_i + e_j, by max |D_i f * D_j f|; each split's best is
+    its largest candidate.  Each slot of PART has two coordinates: one split."""
+    order = max(n, 1) + 1
+    alphas = sorted({tuple(axes.count(i) for i in range(4))
+                     for axes in itertools.combinations_with_replacement(range(4), order)})
+    values, _ = partials(f, PROBES, unit_indices(4) + (tuple(alphas) if n else ()))
+    J = values[:, :4]  # (N, d_z, d_x)
+    tol = 1e-5 * (1 + np.max(np.abs(J), axis=(1, 2)))
+
+    def peak(alpha):
+        if n:
+            return np.max(np.abs(values[:, 4 + alphas.index(alpha)]), axis=1)
+        i, j = [c for c in range(4) for _ in range(alpha[c])]
+        return np.max(np.abs(J[:, i] * J[:, j]), axis=1)
+
+    within = [np.max([peak(a) for a in alphas if a[i] and a[j] and a[i] + a[j] == order],
+                     axis=0) - tol for i, j in PART.blocks]
+    cross = np.max([peak(a) for a in alphas if a[0] + a[1] and a[2] + a[3]], axis=0)
+    return float(np.min(within)), float(np.min(tol - cross))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("f", [preset_generator(2, rng_seed=32), first_order_only])
+def test_margins_equal_a_reference_from_the_partials(f, n):
+    within, cross = _reference_margins(f, n)
+    for rep, want in ((check_within_slot_order(f, PART, n, PROBES), within),
+                      (check_order_at_most_n(f, PART, n, PROBES), cross)):
+        assert abs(rep.margin - want) <= 1e-6 * (1 + abs(want)), (rep.name, rep.margin, want)
 
 
 def test_group_ranks_skipped_only_where_the_whole_matrix_has_full_rank():

@@ -298,6 +298,7 @@ def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
     ("--probes", "0", "--probes must be at least 1, got 0"),
     ("--probes", "-1", "--probes must be at least 1, got -1"),
     ("--equiv", "-1", "--equiv must be at least 0, got -1"),
+    ("--seed", "-1", "--seed must be at least 0, got -1"),
 ])
 def test_cli_check_rejects_bad_counts(tmp_path, capsys, flag, value, named):
     # refused before any probe is drawn: no numpy traceback, no output directory
@@ -570,13 +571,17 @@ def test_drivers_check_configs_before_drawing_data(tmp_path, monkeypatch, capsys
         raise AssertionError("a dataset was drawn before the configs were checked")
 
     monkeypatch.setattr(experiments, "make_dataset", refuse)
+    no_test_split = ({"data": {"count": 10, "seed": 4, "train_fraction": 0.9,
+                               "val_fraction": 0.1}}, "no held-out image to score")
     for bad, named in (({"model": {"slot_dim": 0}}, "slot_dim must be at least 1, got 0"),
-                       ({"train": {"batch_size": 0}}, "batch_size must be at least 1, got 0")):
+                       ({"train": {"batch_size": 0}}, "batch_size must be at least 1, got 0"),
+                       no_test_split):
         with pytest.raises(ValueError, match=named):
             exp_train(bad)
     for bad, named in (({"model": {"n_slots": 3, "slot_dim": 0}},
                         "slot_dim must be at least 1, got 0"),
-                       ({"warmup": -5}, "warmup must be at least 0, got -5")):
+                       ({"warmup": -5}, "warmup must be at least 0, got -5"),
+                       no_test_split):
         with pytest.raises(ValueError, match=named):
             experiments.exp_train_ablation(bad)
     monkeypatch.setenv("ASYMLAB_THREADS", "2")

@@ -1,8 +1,11 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
+from asymlab import cli
 from asymlab.derivatives import derivative_by_multiindex
 from asymlab.generators import (
     Box,
@@ -69,6 +72,30 @@ def test_preset_json_roundtrip():
         z = rng.uniform(-1, 1, size=spec.partition.latent_dim)
         assert np.allclose(spec(z), clone(z), atol=1e-12)
     assert clone.order_bound == spec.order_bound
+
+
+def test_spec_refuses_misplaced_slot_functions_and_misfit_features(tmp_path, capsys):
+    # slot functions are placed by position, so a file listing them out of
+    # slot_index order, or a feature not fitting its slot, would certify a
+    # generator other than the file's
+    spec = preset_generator(1, rng_seed=0).to_json()
+    cases = [(dict(spec, slot_functions=spec["slot_functions"][::-1]),
+              "slot function 1 has slot_index 2")]
+    for kind, key, named in (("mon", "exponents", "slot 2 has a mon feature of length 3"),
+                             ("sin", "weights", "slot 2 has a sin feature of length 3")):
+        bad = copy.deepcopy(spec)
+        feat = next(f for f in bad["slot_functions"][1]["features"] if f["kind"] == kind)
+        feat[key] = [0, 1, 0]
+        cases.append((bad, f"{named}, expected 2"))
+    for bad, named in cases:
+        with pytest.raises(ValueError, match=named):
+            GeneratorSpec.from_json(bad)
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(bad))
+        rc = cli.main(["check", "--generator", str(gen), "--order", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2 and f"bad generator file: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_random_equivalence_pushes_points():
