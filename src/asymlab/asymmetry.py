@@ -11,13 +11,15 @@ evaluated the function at for the request the report was judged from.
 
 Each public check requests exactly its own multi-indices; certify judges all
 of a generator's order-n reports from one request, each recording its points.
-The equivalent generators f_bar = f o L^-1 (L = diag(M_k), drawn by
-generators.random_equivalence) add none: by the chain rule J_bar = J L^-1,
-and their order-(n+1) within-slot partials are f's slot tensors contracted
-with M_k^-1 on every axis.  The within-slot judge takes f's table and the S
-equivalents' as one ((S + 1) N, ...) stack on the probe axis, computes every
-(probe, split) margin and tolerance in one pass, and cuts each table's
-report from its own N-row block.
+The equivalent generators f_bar = f o L^-1 (L = diag(M_k); all S inverses
+drawn by one generators.random_basis_changes call, the same bits as S
+generators.random_equivalence calls) add none: by the chain rule
+J_bar = J L^-1, and their order-(n+1) within-slot partials are f's slot
+tensors contracted with M_k^-1 on every axis, formed for all S in one
+product each.  The within-slot judge takes f's table and the S equivalents'
+as one ((S + 1) N, ...) stack on the probe axis, computes every (probe,
+split) margin and tolerance in one pass, and cuts each table's report from
+its own N-row block.
 
 One code path serves every order n >= 0: at n = 0 the cross bound and
 within-slot richness read n = 1's order-2 multi-indices, valuing e_i + e_j by
@@ -25,7 +27,9 @@ the first-order interaction D_i f (.) D_j f read off J, not by a differenced
 D^alpha f.  A within-slot split is judged by its largest candidate.
 The rank checks take their columns from multiindex.independence_groups (the
 rule generators.required_output_dim counts), stack them for every probe into
-one (N, d_x, columns) array and take each rank over the whole stack.  The
+one (N, d_x, columns) array and take each rank over the whole stack: a
+Cholesky certificate proves full rank for a whole stack without an SVD
+(_full_rank), and any stack it cannot prove takes one SVD call.  The
 column groups are ranked only at probes where the whole matrix W is
 column-rank-deficient: a group G is a column subset of W, so sigma_max(G) <=
 sigma_max(W) and, by interlacing, sigma_min(G) >= sigma_min(W); where W has
@@ -56,7 +60,7 @@ import numpy as np
 
 from .derivatives import partials
 from .derivatives import jacobian  # noqa: F401  (re-exported for existing callers)
-from .generators import compose_slotwise, random_equivalence
+from .generators import compose_slotwise, linear_equivalence, random_basis_changes
 from .multiindex import (
     MultiIndex,
     SlotPartition,
@@ -329,21 +333,21 @@ def _chain_rule(partition: SlotPartition, order: int):
 
 def _equivalents(f: VectorFn, t: _Table, partition: SlotPartition, n: int,
                  samples: int, rng_seed: int):
-    """Tables of `samples` equivalent generators drawn by random_equivalence,
-    each from f's table by the chain rule; witnesses name the probes pushed
-    to y by the composed pair's latent map."""
+    """Tables of `samples` equivalent generators f o L^-1, every L^-1 drawn
+    by one random_basis_changes call, each table from f's by the chain rule
+    with every sample's R and J L^-1 formed in one product; witnesses name the
+    probes pushed to y by the composed pair's latent map, built on demand."""
     alphas, column, index, gather = _chain_rule(partition, n + 1)
-    D = t.get(alphas)
     d = partition.latent_dim
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(samples):
-        eq = random_equivalence(partition, rng)
-        L_inv = np.zeros((d, d))
-        for b, m in zip(partition.blocks, eq.maps):
-            L_inv[np.ix_(b, b)] = m.matrix
-        R = np.prod(L_inv.ravel()[index], axis=-1) @ gather
-        pushed = lambda rows, eq=eq: compose_slotwise(f, eq, partition).latent_map(t.points(rows))
-        yield _Table(R @ D, column, t.evaluations, pushed, t.J @ L_inv)
+    L_inv = random_basis_changes(partition, np.random.default_rng(rng_seed), samples)
+    R = np.prod(L_inv.reshape(samples, d * d)[:, index], axis=-1) @ gather
+    values = R[:, None] @ t.get(alphas)
+    J = t.J @ L_inv[:, None]
+    for L, v, J_bar in zip(L_inv, values, J):
+        def pushed(rows, L=L):
+            pair = compose_slotwise(f, linear_equivalence(partition, L), partition)
+            return pair.latent_map(t.points(rows))
+        yield _Table(v, column, t.evaluations, pushed, J_bar)
 
 
 def _asymmetry(f: VectorFn, partition: SlotPartition, n: int, probes,
@@ -408,12 +412,50 @@ def certify(
 # rank conditions
 
 
+def _full_rank(M: np.ndarray) -> bool:
+    """True only when every matrix of the stack M (..., m, n) provably has
+    sigma_min > 2 RANK_TOL sigma_max, so that its SVD counts every singular
+    value: with W in its tall orientation and F = ||W||_F^2, a Cholesky
+    factorization of W^T W - tau I with tau = (4 RANK_TOL^2 + 8 (m + n)^2
+    eps) F succeeds for every matrix.  By Higham's backward-error bound
+    (Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3) the
+    rounding of the Gram product, the shift and the factorization moves the
+    smallest eigenvalue by at most about (m + n) eps F, well inside tau's
+    8 (m + n)^2 eps F, so lambda_min(W^T W) > 4 RANK_TOL^2 F >= 4 RANK_TOL^2
+    sigma_max^2.  The computed singular values are within a few eps sigma_max
+    of the exact ones, far inside that factor of 2.  F must lie in the
+    normal range, where every rounding error is relative as the bound
+    assumes; a stack outside it, or one factorization that fails, proves
+    nothing."""
+    if M.shape[-2] < M.shape[-1]:
+        M = M.swapaxes(-2, -1)
+    m, n = M.shape[-2:]
+    with np.errstate(all="ignore"):  # an overflow or underflow fails the range test below
+        G = M.swapaxes(-2, -1) @ M
+        F = np.trace(G, axis1=-2, axis2=-1)
+    if not np.all((F > 2.0 ** -900) & (F < 2.0 ** 900)):
+        return False
+    tau = (4 * RANK_TOL ** 2 + 8 * (m + n) ** 2 * np.finfo(float).eps) * F
+    try:
+        np.linalg.cholesky(G - tau[..., None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def numerical_rank(M: np.ndarray):
     """Numerical rank of a matrix (m, n) as an int, or of every matrix of a
-    stack (..., m, n) as an int array, from one SVD call."""
+    stack (..., m, n) as an int array: the count of singular values above
+    RANK_TOL * sigma_max.  A stack _full_rank proves gets min(m, n) without
+    an SVD; any other stack takes one SVD call.  A single matrix goes straight
+    to its SVD: on the small matrices that checks such as irreducibility_check
+    rank one at a time, the certificate's extra numpy calls cost more than the
+    SVD they would save."""
     M = np.asarray(M, dtype=float)
     if M.shape[-1] == 0 or M.shape[-2] == 0:
         ranks = np.zeros(M.shape[:-2], dtype=int)
+    elif M.ndim > 2 and _full_rank(M):
+        ranks = np.full(M.shape[:-2], min(M.shape[-2:]))
     else:
         s = np.linalg.svd(M, compute_uv=False)
         ranks = np.sum(s > RANK_TOL * s[..., :1], axis=-1)
@@ -474,7 +516,7 @@ def sufficient_independence_check(
 ) -> CheckReport:
     """Rank additivity of the order-n derivative groups at every probe:
     rank(whole) must equal the sum of per-group ranks, each rank taken over
-    the probe stack in one SVD call."""
+    the probe stack at once (see numerical_rank)."""
     t = _request(f, probes, _independence_alphas(partition, n), jacobian=False)
     return _judge_independence(t, partition, n)
 

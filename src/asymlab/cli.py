@@ -24,7 +24,9 @@ class UsageError(Exception):
     pass
 
 
-def _prepare_out(path: str, force: bool) -> Path:
+def _check_out(path: str, force: bool) -> Path:
+    """The output directory, refused when it is a file, or not empty without
+    --force; not created."""
     out = Path(path)
     if out.exists():
         if not out.is_dir():
@@ -32,8 +34,12 @@ def _prepare_out(path: str, force: bool) -> Path:
         if any(out.iterdir()) and not force:
             raise UsageError(
                 f"output directory {out} is not empty; pass --force to reuse it")
-    else:
-        out.mkdir(parents=True)
+    return out
+
+
+def _prepare_out(path: str, force: bool) -> Path:
+    out = _check_out(path, force)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -59,7 +65,7 @@ def _cmd_check(args) -> int:
         spec = GeneratorSpec.from_json(spec_json)
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad generator file: {e}") from e
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     part = spec.partition
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-0.8, 0.8, size=(args.probes, part.latent_dim))
@@ -72,6 +78,7 @@ def _cmd_check(args) -> int:
         # an order the engine cannot difference, an all-zero matrix, or a
         # generator that overflows at a stencil point
         raise UsageError(f"cannot certify at order {args.order}: {e}") from e
+    out.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory
     reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
                "sufficient_independence": certs["independence"]}
     if args.equiv > 0:

@@ -267,21 +267,29 @@ class SlotMap:
     cubic: np.ndarray | None = None
 
     def __post_init__(self):
+        names = {"affine": ("matrix", "offset"), "cubic": ("linear", "cubic")}.get(self.kind)
+        if names is None:
+            raise ValueError(f"unknown slot map kind {self.kind!r}")
+        for name in names:
+            if getattr(self, name) is None:  # np.asarray(None, dtype=float) is nan
+                raise ValueError(f"{self.kind} slot map needs {name}")
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.kind == "affine":
-            m = np.asarray(self.matrix, dtype=float)
+            m, offset = self.matrix, self.offset
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"affine slot map matrix must be square, got shape {m.shape}")
+            if offset.shape != (len(m),):
+                raise ValueError(f"affine slot map offset has shape {offset.shape}, "
+                                 f"expected ({len(m)},)")
             if abs(np.linalg.det(m)) <= 1e-8:
                 raise ValueError("affine slot map is numerically singular")
-            object.__setattr__(self, "matrix", m)
-            object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
-        elif self.kind == "cubic":
-            lin = np.asarray(self.linear, dtype=float)
-            cub = np.asarray(self.cubic, dtype=float)
+        else:
+            lin, cub = self.linear, self.cubic
+            if lin.ndim != 1 or cub.shape != lin.shape:
+                raise ValueError(f"cubic slot map needs linear and cubic of one size, "
+                                 f"got shapes {lin.shape} and {cub.shape}")
             if np.any(lin <= 0) or np.any(cub < 0):
                 raise ValueError("cubic slot map needs linear > 0 and cubic >= 0")
-            object.__setattr__(self, "linear", lin)
-            object.__setattr__(self, "cubic", cub)
-        else:
-            raise ValueError(f"unknown slot map kind {self.kind!r}")
 
     @property
     def dim(self) -> int:
@@ -399,24 +407,61 @@ def compose_slotwise(spec, diffeo: SlotwiseDiffeoSpec,
     return ComposedPair(spec, partition, diffeo)
 
 
+def random_basis_changes(partition: SlotPartition, rng: np.random.Generator,
+                         samples: int) -> np.ndarray:
+    """The inverses L^-1 = diag(M_1^-1, ..., M_K^-1) of `samples` random
+    slot-wise basis changes y_{B_k} = M_k z_{B_k}, as one (samples, d_z, d_z)
+    array.  M_k = I + 0.5 * G with G uniform in [-1, 1], drawn sample by
+    sample and slot by slot, each resampled until its condition number is at
+    most 50 (keeps the family well-behaved and every draw reproducible from
+    the generator state).
+
+    When every slot has one size, all samples * K candidates come from one
+    uniform call, are checked by one batched SVD and inverted by one batched
+    inv.  A rejected candidate, or slots of different sizes, restore the
+    generator and take the loop that redraws each rejected candidate in its
+    turn; so every matrix and the generator's final state are the same bits
+    either way."""
+    L_inv = np.zeros((samples, partition.latent_dim, partition.latent_dim))
+    sizes = {len(b) for b in partition.blocks}
+    if samples and len(sizes) == 1:
+        d = sizes.pop()
+        state = rng.bit_generator.state
+        m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(samples, partition.K, d, d))
+        s = np.linalg.svd(m, compute_uv=False)  # s[0] / s[-1] is np.linalg.cond(m)
+        if np.all(s[..., 0] / s[..., -1] <= 50.0):
+            inv = np.linalg.inv(m)
+            for k, b in enumerate(partition.blocks):
+                L_inv[(slice(None), *np.ix_(b, b))] = inv[:, k]
+            return L_inv
+        rng.bit_generator.state = state
+    for L in L_inv:
+        for b in partition.blocks:
+            while True:
+                m = np.eye(len(b)) + 0.5 * rng.uniform(-1, 1, size=(len(b), len(b)))
+                s = np.linalg.svd(m, compute_uv=False)
+                if s[0] / s[-1] <= 50.0:
+                    L[np.ix_(b, b)] = np.linalg.inv(m)
+                    break
+    return L_inv
+
+
+def linear_equivalence(partition: SlotPartition, L_inv: np.ndarray) -> SlotwiseDiffeoSpec:
+    """The reparametrization whose slot k map is L_inv's diagonal block on B_k,
+    with no offset and no slot permutation: composed with f it is the
+    equivalent generator f_bar(y) = f(L_inv y), and its latent map pushes z to
+    y = L z."""
+    return SlotwiseDiffeoSpec(
+        tuple(SlotMap(kind="affine", matrix=L_inv[np.ix_(b, b)], offset=np.zeros(len(b)))
+              for b in partition.blocks),
+        tuple(range(partition.K)))
+
+
 def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> SlotwiseDiffeoSpec:
     """A random slot-wise linear basis change y_{B_k} = M_k z_{B_k}, as the
-    reparametrization whose slot maps are M_k^{-1}, with no offset and no
-    slot permutation: composed with f it is the equivalent generator
-    f_bar(y) = f(M_1^{-1} y_{B_1}, ...), and its latent map pushes z to y.
-    M_k = I + 0.5 * G with G uniform in [-1, 1], resampled until the
-    condition number is at most 50 (keeps the family well-behaved and every
-    draw reproducible from the generator state)."""
-    maps = []
-    for b in partition.blocks:
-        d = len(b)
-        while True:
-            m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(d, d))
-            s = np.linalg.svd(m, compute_uv=False)  # s[0] / s[-1] is np.linalg.cond(m)
-            if s[0] / s[-1] <= 50.0:
-                maps.append(SlotMap(kind="affine", matrix=np.linalg.inv(m), offset=np.zeros(d)))
-                break
-    return SlotwiseDiffeoSpec(tuple(maps), tuple(range(partition.K)))
+    linear_equivalence of its inverse: random_basis_changes with one sample,
+    so S calls draw what one random_basis_changes call of S samples draws."""
+    return linear_equivalence(partition, random_basis_changes(partition, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------

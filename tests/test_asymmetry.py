@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from asymlab.asymmetry import (
     _cross_alphas,
     _differenced,
     _equivalents,
+    _full_rank,
     _independence_alphas,
     _independence_stack,
     _judge_independence,
@@ -31,6 +33,7 @@ from asymlab.asymmetry import (
     sufficient_nonlinearity_check,
 )
 from asymlab.derivatives import partials
+from asymlab.experiments import exp_characterization
 from asymlab.generators import compose_slotwise, preset_generator, random_equivalence
 from asymlab.multiindex import (SlotPartition, independence_groups, multiindices_within_block,
                                 unit_indices)
@@ -327,6 +330,58 @@ def test_numerical_rank_of_a_stack_equals_the_loop():
     assert ranks.shape == (2, 3)
     assert ranks.tolist() == [[rank_of_one(m) for m in row] for row in stack]
     assert ranks.ravel().tolist() == [0, 1, 2, 3, 4, 2]
+
+
+def _scaled_columns(rng, rows, scales):
+    """A (rows, len(scales)) matrix with orthonormal columns times scales: its
+    singular values are the scales."""
+    q, _ = np.linalg.qr(rng.normal(size=(rows, len(scales))))
+    return q * np.asarray(scales)
+
+
+def test_numerical_rank_equals_an_svd_of_each_matrix():
+    def rank_of_one(M):
+        s = np.linalg.svd(M, compute_uv=False)
+        return int(np.sum(s > 1e-7 * s[0]))
+
+    rng = np.random.default_rng(11)
+    full = rng.normal(size=(5, 12, 10))
+    deficient = rng.normal(size=(5, 12, 7)) @ rng.normal(size=(5, 7, 10))
+    ratios = [3e-7, 1e-7 * (1 - 1e-3), 1e-7 * (1 + 1e-3)]
+    near_floor = np.stack([_scaled_columns(rng, 12, [1.0] * 9 + [r]) for r in ratios])
+    zero_column = full.copy()
+    zero_column[:, :, 4] = 0.0
+    one_by_one = np.array([2.5, -1e-300, 0.0, 5e-324, 1e300]).reshape(5, 1, 1)
+    stacks = {"full": full, "deficient": deficient, "near floor": near_floor,
+              "zero column": zero_column, "wide": full.transpose(0, 2, 1),
+              "one by one": one_by_one, "one by one, nonzero": np.array([2.5, -0.75]).reshape(2, 1, 1),
+              "mixed": np.concatenate([full, deficient[:1], near_floor[:1], full])}
+    # subnormal entries, or a Gram matrix outside the normal range, where its
+    # rounding is no longer relative: a rank-one matrix can pass a Cholesky there
+    for scale in (1e-310, 1e-160, 1e-100, 1e100, 1e160):
+        stacks[f"full x {scale:g}"] = full * scale
+        stacks[f"deficient x {scale:g}"] = deficient * scale
+    stacks["rank one x 1e-160"] = np.outer([0.7, 0.5, -0.2], [1.0, 3.0])[None] * 1e-160
+    for name, stack in stacks.items():
+        assert numerical_rank(stack).tolist() == [rank_of_one(M) for M in stack], name
+    assert [rank_of_one(M) for M in near_floor] == [10, 9, 10]
+    # which stacks the certificate proves; every other one takes the SVD
+    proved = [name for name, stack in stacks.items() if _full_rank(stack)]
+    assert proved == ["full", "wide", "one by one, nonzero", "full x 1e-100", "full x 1e+100"]
+
+
+def test_a_characterization_round_ranks_without_an_svd(monkeypatch):
+    # every preset's stack is proved of full column rank; one SVD per preset
+    # checks its batch of equivalence draws
+    callers, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    exp_characterization({"seed": 0})
+    assert callers == ["random_basis_changes"] * 21
 
 
 def test_sufficient_independence_on_presets():

@@ -299,9 +299,11 @@ def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
     ("--probes", "-1", "--probes must be at least 1, got -1"),
     ("--equiv", "-1", "--equiv must be at least 0, got -1"),
     ("--seed", "-1", "--seed must be at least 0, got -1"),
+    ("--order", "3", "cannot certify at order 3: unsupported derivative order"),
+    ("--order", "-1", "cannot certify at order -1: interaction order must be >= 0, got -1"),
 ])
 def test_cli_check_rejects_bad_counts(tmp_path, capsys, flag, value, named):
-    # refused before any probe is drawn: no numpy traceback, no output directory
+    # refused with exit 2 and the value named, leaving no output directory
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
     rc = cli.main(["check", "--generator", str(gen), "--order", "1", flag, value,
@@ -329,6 +331,7 @@ def test_cli_check_names_an_overflowing_generator(tmp_path, capsys):
     assert err.startswith("error: cannot certify at order 1: "
                           "non-finite function value at stencil point [")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_characterize_names_an_overflowing_preset(tmp_path, capsys):

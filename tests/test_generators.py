@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from asymlab.generators import (
     monomial_features,
     preset_family,
     preset_generator,
+    random_basis_changes,
     random_equivalence,
     required_output_dim,
     sample_cpe,
@@ -138,6 +140,61 @@ def test_slotmap_cubic_invert():
 def test_slotmap_singular_rejected():
     with pytest.raises(ValueError):
         SlotMap(kind="affine", matrix=np.zeros((2, 2)), offset=np.zeros(2))
+    # a missing or misfit field is named, never stored as nan
+    for kwargs, named in (
+            ({"kind": "affine", "matrix": np.eye(2)}, "affine slot map needs offset"),
+            ({"kind": "affine", "offset": np.zeros(2)}, "affine slot map needs matrix"),
+            ({"kind": "affine", "matrix": np.eye(2), "offset": np.zeros(3)},
+             "affine slot map offset has shape (3,), expected (2,)"),
+            ({"kind": "affine", "matrix": np.ones((2, 3)), "offset": np.zeros(2)},
+             "affine slot map matrix must be square, got shape (2, 3)"),
+            ({"kind": "cubic", "linear": [1, 1]}, "cubic slot map needs cubic"),
+            ({"kind": "cubic", "cubic": [0, 0]}, "cubic slot map needs linear"),
+            ({"kind": "cubic", "linear": [1, 1], "cubic": [0.0]},
+             "cubic slot map needs linear and cubic of one size, got shapes (2,) and (1,)")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SlotMap(**kwargs)
+
+
+def _reference_draws(partition, rng, samples):
+    """Every slot's M_k^-1 of `samples` equivalences, one candidate drawn and
+    checked at a time, and the count of rejected candidates."""
+    draws, rejected = [], 0
+    for _ in range(samples):
+        draws.append([])
+        for b in partition.blocks:
+            while True:
+                m = np.eye(len(b)) + 0.5 * rng.uniform(-1, 1, size=(len(b), len(b)))
+                if np.linalg.cond(m) <= 50.0:
+                    draws[-1].append(np.linalg.inv(m))
+                    break
+                rejected += 1
+    return draws, rejected
+
+
+@pytest.mark.parametrize("blocks, samples, seed, rejects", [
+    (((0, 1), (2, 3)), 3, 0, False),  # the default partition
+    (((0,), (1, 2)), 4, 1, False),  # unequal slots: drawn one at a time
+    ((tuple(range(6)), tuple(range(6, 12))), 12, 1, True),  # 6-d slots, a rejection
+    (((0, 1), (2, 3)), 0, 0, False),  # no sample
+])
+def test_batched_draws_equal_sequential_calls(blocks, samples, seed, rejects):
+    part = SlotPartition(blocks=blocks, latent_dim=sum(map(len, blocks)))
+    ref_rng, seq_rng, batch_rng = (np.random.default_rng(seed) for _ in range(3))
+    want, rejected = _reference_draws(part, ref_rng, samples)
+    assert (rejected > 0) == rejects
+    L_inv = random_basis_changes(part, batch_rng, samples)
+    assert L_inv.shape == (samples, part.latent_dim, part.latent_dim)
+    for s in range(samples):
+        eq = random_equivalence(part, seq_rng)
+        off_blocks = np.ones_like(L_inv[s], dtype=bool)
+        for k, b in enumerate(blocks):
+            assert L_inv[s][np.ix_(b, b)].tobytes() == want[s][k].tobytes()
+            assert eq.maps[k].matrix.tobytes() == want[s][k].tobytes()
+            off_blocks[np.ix_(b, b)] = False
+        assert not L_inv[s][off_blocks].any()
+    assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert seq_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_composed_pair_roundtrip_and_permutation():
