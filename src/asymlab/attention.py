@@ -31,6 +31,8 @@ or a batch (B, K, slot_dim).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,18 +45,18 @@ def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     decoder takes it over the slot axis -2 of pixel-last weights (..., K, P),
     where the max and the sum add whole contiguous pixel rows."""
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise FloatingPointError("softmax input must be finite")
-    e = logits - np.max(logits, axis=axis, keepdims=True)
+    e = logits - logits.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
 def _softmax_backward(gA: np.ndarray, A: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
     """Gradient on the logits of A = softmax_rows(scale * logits, axis) from
     the gradient gA on A, written into gA."""
-    gA -= np.sum(gA * A, axis=axis, keepdims=True)
+    gA -= (gA * A).sum(axis=axis, keepdims=True)
     gA *= A
     gA *= scale
     return gA
@@ -64,15 +66,15 @@ def attend(Q: np.ndarray, K: np.ndarray, V: np.ndarray, scale: float):
     """Softmax attention of queries (..., n, d) over keys (..., m, d) mixing
     values (..., m, e); leading axes broadcast.  Returns (out, A) with
     A = softmax over the key axis of scale * Q K^T and out = A V."""
-    A = softmax_rows(scale * (Q @ np.swapaxes(K, -1, -2)))
+    A = softmax_rows(scale * (Q @ K.swapaxes(-1, -2)))
     return A @ V, A
 
 
 def attend_backward(g_out, A, Q, K, V, scale: float):
     """Gradients (gQ, gK, gV) of attend, each in its input's shape, from the
     gradient on its output; Q, K and V share their batch axes."""
-    g_logits = _softmax_backward(g_out @ np.swapaxes(V, -1, -2), A, scale)
-    return g_logits @ K, np.swapaxes(g_logits, -1, -2) @ Q, np.swapaxes(A, -1, -2) @ g_out
+    g_logits = _softmax_backward(g_out @ V.swapaxes(-1, -2), A, scale)
+    return g_logits @ K, g_logits.swapaxes(-1, -2) @ Q, A.swapaxes(-1, -2) @ g_out
 
 
 def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -80,19 +82,28 @@ def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     x (..., T, in): g^T x per leading index, summed.  One product over all
     rows at once would be large enough for a threaded BLAS to split, which
     slows down training runs that share the cores with each other."""
-    return np.sum(np.swapaxes(g, -1, -2) @ x, axis=tuple(range(g.ndim - 2)))
+    return (g.swapaxes(-1, -2) @ x).sum(axis=tuple(range(g.ndim - 2)))
 
 
 def _pixel_weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """weight_gradient for pixel-last g (..., out, P) and x (..., in, P):
     g x^T per leading index, summed."""
-    return weight_gradient(np.swapaxes(g, -1, -2), np.swapaxes(x, -1, -2))
+    return weight_gradient(g.swapaxes(-1, -2), x.swapaxes(-1, -2))
+
+
+@functools.lru_cache(maxsize=16)
+def _ones(n: int) -> np.ndarray:
+    """n ones, read-only and kept between calls: the vector that sums a matrix's
+    rows as a product."""
+    v = np.ones(n)
+    v.flags.writeable = False
+    return v
 
 
 def bias_gradient(g: np.ndarray) -> np.ndarray:
     """Gradient of a bias from g (..., out): g summed over its leading axes, as
     a product with ones (np.sum over two leading axes runs about 7x slower)."""
-    return np.ones(g.size // g.shape[-1]) @ g.reshape(-1, g.shape[-1])
+    return _ones(g.size // g.shape[-1]) @ g.reshape(-1, g.shape[-1])
 
 
 @dataclass
@@ -216,17 +227,17 @@ class ForwardCache:
 
 def _split_heads(X: np.ndarray, n_heads: int) -> np.ndarray:
     """(..., T, n_heads * d) -> (..., n_heads, T, d)."""
-    return np.swapaxes(X.reshape(X.shape[:-1] + (n_heads, -1)), -2, -3)
+    return X.reshape(X.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
 
 def _merge_heads(X: np.ndarray) -> np.ndarray:
     """(..., n_heads, T, d) -> (..., T, n_heads * d)."""
-    X = np.swapaxes(X, -2, -3)
+    X = X.swapaxes(-2, -3)
     return X.reshape(X.shape[:-2] + (-1,))
 
 
 def _scale(layer: CrossAttentionLayer) -> float:
-    return 1.0 / np.sqrt(layer.head_dim) if layer.scaling else 1.0
+    return 1.0 / math.sqrt(layer.head_dim) if layer.scaling else 1.0
 
 
 def _scratch(buffers: dict | None, name: str, shape: tuple) -> np.ndarray | None:
@@ -258,7 +269,7 @@ def cross_attention_forward(
     if not layers:
         raise ValueError("need at least one layer")
     z = np.asarray(z_hat, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise FloatingPointError("slot vectors must be finite")
     batched = z.ndim == 3
     if not batched:
@@ -282,17 +293,17 @@ def cross_attention_forward(
         Q = (ly.W_Q @ q_in).reshape(q_in.shape[:-2] + (ly.n_heads, -1, P))
         Kk, V = (_split_heads(z @ W.T, ly.n_heads) for W in (ly.W_K, ly.W_V))
         A = softmax_rows((_scale(ly) * Kk) @ Q, axis=-2)
-        A_heads = np.swapaxes(np.moveaxis(A, 1, 0), -1, -2)
+        A_heads = A.transpose(1, 0, 3, 2)
         attn_all.append(A_heads if batched else A_heads[:, 0])
         cache.per_layer.append({"q_in": q_in, "Q": Q, "K": Kk, "V": V, "A": A})
         if li < len(layers) - 1:
-            q_in = (np.swapaxes(V, -1, -2) @ A).reshape(B, -1, P)
+            q_in = (V.swapaxes(-1, -2) @ A).reshape(B, -1, P)
     # the last layer's tokens V_h^T A_h are not formed: hidden = sum_h (W1_h V_h^T) A_h + b1,
     # W1_h the head-h columns of W1, is one product [VW | b1] @ [A; 1] over the (head, slot)
     # pairs and a row of ones, (B, hidden, H*K + 1) @ (B, H*K + 1, P), into the kept array
     H = A.shape[1]
     VWb = np.empty((B, head.b1.size, H * K + 1))
-    VWb[..., :-1] = np.moveaxis(_split_heads(head.W1, H) @ np.swapaxes(V, -1, -2), 1, 2).reshape(
+    VWb[..., :-1] = (_split_heads(head.W1, H) @ V.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(
         B, -1, H * K)
     VWb[..., -1] = head.b1
     A1 = np.concatenate([A.reshape(B, H * K, P), np.ones((B, 1, P))], axis=1)
@@ -301,7 +312,7 @@ def cross_attention_forward(
     cache.head_hidden = np.tanh(hidden, out=hidden)
     pixels = head.W2 @ hidden
     pixels += head.b2[:, None]
-    pixels = np.swapaxes(pixels, -1, -2)
+    pixels = pixels.swapaxes(-1, -2)
     if not batched:
         pixels = pixels[0]
     if with_cache:
@@ -321,9 +332,9 @@ def aggregate_attention(attention) -> np.ndarray:
 def _interact(A: np.ndarray, grad_scale: float | None = None):
     """l_interact of pixel-last weights A (B, K, P), unchecked; given grad_scale,
     also grad_scale times l_interact_grad's gradient, pixel-last."""
-    row_sum = np.sum(A, axis=-2, keepdims=True)
-    pair = row_sum[:, 0] ** 2 - np.sum(A**2, axis=-2)  # twice each pixel's pairwise products
-    value = 0.5 * float(np.mean(np.sum(pair, axis=-1)))
+    row_sum = A.sum(axis=-2, keepdims=True)
+    pair = row_sum[:, 0] ** 2 - (A**2).sum(axis=-2)  # twice each pixel's pairwise products
+    value = 0.5 * float(pair.sum(axis=-1).mean())
     if grad_scale is None:
         return value
     g = row_sum - A
@@ -365,18 +376,19 @@ def _closed_form_factors(layer: CrossAttentionLayer, head: PixelHead, z_hat: np.
     z = np.asarray(z_hat, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected an unbatched (K, slot_dim) slot array")
-    root = np.sqrt(layer.d_q) if layer.scaling else 1.0
+    root = math.sqrt(layer.d_q) if layer.scaling else 1.0
     MT = (layer.W_K.T @ layer.W_Q / root) @ layer.query_inputs.T
     AT = softmax_rows(z @ MT, axis=-2)
     s, K, P = MT.shape[0], z.shape[0], MT.shape[1]
-    rows = (head.W1 @ np.hstack([layer.W_V, layer.W_V @ z.T])).T  # (s+K, hidden): W1 [W_V | V^T]
+    # (s+K, hidden): W1 [W_V | V^T]
+    rows = (head.W1 @ np.concatenate((layer.W_V, layer.W_V @ z.T), axis=1)).T
     # W1 token_d + b1 = (W1 V^T + b1 1^T) A_d, the weights summing to 1; then tanh' in place
     dtanh = (rows[s:] + head.b1).T @ AT
     np.tanh(dtanh, out=dtanh)
     np.subtract(1.0, np.square(dtanh, out=dtanh), out=dtanh)
     F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
     Fv = F[:, s:]  # dpsi_d V^T, less its weighted mix dpsi_d token_d = sum_k A_dk dpsi_d V_k
-    Fv -= np.sum(Fv * AT, axis=1, keepdims=True)
+    Fv -= (Fv * AT).sum(axis=1, keepdims=True)
     return AT, MT, F
 
 
@@ -396,8 +408,8 @@ def analytic_slot_jacobian(layer: CrossAttentionLayer, head: PixelHead,
     """
     AT, MT, F = _closed_form_factors(layer, head, z_hat)
     s = MT.shape[0]
-    u = np.moveaxis(F[:, s:], 0, -1)  # (K, P, C): dpsi_d (W_V z_m - token_d)
-    return AT[:, :, None, None] * (np.moveaxis(F[:, :s], -1, 0) + u[..., None] * MT.T[:, None, :])
+    u = F[:, s:].transpose(1, 2, 0)  # (K, P, C): dpsi_d (W_V z_m - token_d)
+    return AT[:, :, None, None] * (F[:, :s].transpose(2, 0, 1) + u[..., None] * MT.T[:, None, :])
 
 
 def analytic_slot_jacobian_norms(layer: CrossAttentionLayer, head: PixelHead,
@@ -409,7 +421,7 @@ def analytic_slot_jacobian_norms(layer: CrossAttentionLayer, head: PixelHead,
     s, (K, P) = MT.shape[0], AT.shape
     buf = F[:, None, s:] * MT[:, None]  # u_md M_d
     buf += F[:, :s, None]
-    acc = np.ones(buf.size // (K * P)) @ np.abs(buf, out=buf).reshape(-1, K * P)
+    acc = _ones(buf.size // (K * P)) @ np.abs(buf, out=buf).reshape(-1, K * P)
     return (acc.reshape(K, P) * AT).T
 
 
@@ -434,28 +446,28 @@ def decoder_backward(
     hh, cache.head_hidden = cache.head_hidden, None
     if hh is None:
         raise ValueError("this forward cache was consumed by an earlier backward pass")
-    g_out = np.swapaxes(np.asarray(grad_pixels, dtype=float), -1, -2).reshape(
+    g_out = np.asarray(grad_pixels, dtype=float).swapaxes(-1, -2).reshape(
         -1, head.b2.size, hh.shape[-1])
     head_grads = {"W2": _pixel_weight_gradient(g_out, hh),
-                  "b2": np.ones(len(g_out)) @ (g_out @ np.ones(g_out.shape[-1]))}
+                  "b2": _ones(len(g_out)) @ (g_out @ _ones(g_out.shape[-1]))}
     g_pre = np.subtract(1.0, np.square(hh, out=hh), out=hh)  # (1 - hh^2) (W2^T g_out), into hh
     g_pre *= np.matmul(head.W2.T, g_out, out=_scratch(cache.buffers, "g_hidden", hh.shape))
 
     B, H, K, P = cache.per_layer[-1]["A"].shape
     g_A = None
     if grad_attention is not None:  # as (B, 1, K, P): the same for every head
-        g_A = np.swapaxes(np.asarray(grad_attention, dtype=float), -1, -2).reshape(B, 1, K, P)
+        g_A = np.asarray(grad_attention, dtype=float).swapaxes(-1, -2).reshape(B, 1, K, P)
 
     # the last layer through hidden = [VW | b1] [A; 1], VW_h = W1_h V_h^T: with
     # [G | g_b1] = g_pre [A; 1]^T, b1 gets sum_b g_b1, W1_h gets sum_b G_h V_h,
     # A_h gets VW_h^T g_pre and V_h gets G_h^T W1_h
     c = cache.per_layer[-1]
-    G1 = g_pre @ np.swapaxes(c["A1"], -1, -2)
-    head_grads["b1"] = np.ones(B) @ G1[..., -1]
-    G = np.moveaxis(G1[..., :-1].reshape(B, -1, H, K), 2, 1)
-    head_grads["W1"] = _merge_heads(np.sum(G @ c["V"], axis=0))
-    gA = (np.swapaxes(c["VWb"][..., :-1], -1, -2) @ g_pre).reshape(B, H, K, P)
-    gV = np.swapaxes(G, -1, -2) @ _split_heads(head.W1, H)
+    G1 = g_pre @ c["A1"].swapaxes(-1, -2)
+    head_grads["b1"] = _ones(B) @ G1[..., -1]
+    G = G1[..., :-1].reshape(B, -1, H, K).transpose(0, 2, 1, 3)
+    head_grads["W1"] = _merge_heads((G @ c["V"]).sum(axis=0))
+    gA = (c["VWb"][..., :-1].swapaxes(-1, -2) @ g_pre).reshape(B, H, K, P)
+    gV = G.swapaxes(-1, -2) @ _split_heads(head.W1, H)
 
     g_slots = np.zeros_like(z)
     layer_grads: list[dict[str, np.ndarray]] = [None] * len(layers)
@@ -466,18 +478,18 @@ def decoder_backward(
         if li < len(layers) - 1:  # through the tokens V_h^T A_h the next layer queried
             g_tok = (layers[li + 1].W_Q.T @ gQ).reshape(B, H, hd, P)
             gA = V @ g_tok
-            gV = A @ np.swapaxes(g_tok, -1, -2)
+            gV = A @ g_tok.swapaxes(-1, -2)
         if g_A is not None:
             gA += g_A
         g_logits = _softmax_backward(gA, A, _scale(ly), axis=-2)
         if li:
-            gK = g_logits @ np.swapaxes(Q, -1, -2)
-            gQ = (np.swapaxes(Kk, -1, -2) @ g_logits).reshape(B, -1, P)
+            gK = g_logits @ Q.swapaxes(-1, -2)
+            gQ = (Kk.swapaxes(-1, -2) @ g_logits).reshape(B, -1, P)
         else:  # queries shared by the batch: one product per head over (example, slot) pairs
-            rows = np.moveaxis(g_logits, 0, 1).reshape(H, B * K, P)
-            keys = np.moveaxis(Kk, 0, 1).reshape(H, B * K, hd)
-            gK = np.moveaxis((rows @ np.swapaxes(Q, -1, -2)).reshape(H, B, K, hd), 0, 1)
-            gQ = (np.swapaxes(keys, -1, -2) @ rows).reshape(-1, P)
+            rows = g_logits.transpose(1, 0, 2, 3).reshape(H, B * K, P)
+            keys = Kk.transpose(1, 0, 2, 3).reshape(H, B * K, hd)
+            gK = (rows @ Q.swapaxes(-1, -2)).reshape(H, B, K, hd).transpose(1, 0, 2, 3)
+            gQ = (keys.swapaxes(-1, -2) @ rows).reshape(-1, P)
         gK, gV = _merge_heads(gK), _merge_heads(gV)
         layer_grads[li] = {"W_K": weight_gradient(gK, z), "W_V": weight_gradient(gV, z),
                            "W_Q": _pixel_weight_gradient(gQ, c["q_in"])}

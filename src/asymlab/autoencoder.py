@@ -251,7 +251,7 @@ def encode(model: SlotAutoencoder, images: np.ndarray, with_cache: bool = False)
     patches = _patchify(model, images)
     T = patches @ model.embed_W.T + model.embed_b + model.patch_pos
     B = T.shape[0]
-    S = np.broadcast_to(model.slot_queries, (B,) + model.slot_queries.shape).copy()
+    S = model.slot_queries[None].repeat(B, axis=0)
     scale = 1.0 / math.sqrt(c.d_embed)
     cache = {"patches": patches, "T": T, "layers": []}
     for ly in model.enc_layers:
@@ -266,9 +266,9 @@ def encode(model: SlotAutoencoder, images: np.ndarray, with_cache: bool = False)
     cache["S_final"] = S
     mu = S @ model.W_mu.T + model.b_mu
     lv_raw = S @ model.W_lv.T + model.b_lv
-    lv = np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX)
-    cache["lv_inside"] = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
+    lv = lv_raw.clip(LOGVAR_MIN, LOGVAR_MAX)
     if with_cache:
+        cache["lv_inside"] = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
         return mu, lv, cache
     return mu, lv
 

@@ -4,6 +4,8 @@ Exit codes: 0 when every expected verdict held, 1 when a check or
 experiment reported a mismatch or training diverged, 2 for usage or
 configuration errors.
 An existing non-empty output directory is refused unless --force is given.
+The output directory is made by the first file written into it, so a
+refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ def _check_out(path: str, force: bool) -> Path:
         if any(out.iterdir()) and not force:
             raise UsageError(
                 f"output directory {out} is not empty; pass --force to reuse it")
-    return out
-
-
-def _prepare_out(path: str, force: bool) -> Path:
-    out = _check_out(path, force)
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -78,7 +74,6 @@ def _cmd_check(args) -> int:
         # an order the engine cannot difference, an all-zero matrix, or a
         # generator that overflows at a stencil point
         raise UsageError(f"cannot certify at order {args.order}: {e}") from e
-    out.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory
     reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
                "sufficient_independence": certs["independence"]}
     if args.equiv > 0:
@@ -128,7 +123,7 @@ def _cmd_experiment(args) -> int:
     count = getattr(args, flag[0]) if flag else None
     if count is not None:
         config[flag[0]] = flag[2](count)
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     try:
         result = driver(config or None, out=out)
     except TrainingDiverged as e:
@@ -142,7 +137,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     raw = _load_json(args.config) if args.config else None
     try:
         result = experiments.exp_gen_data(raw, out=out)

@@ -60,7 +60,7 @@ def assignment_from_masks(masks: np.ndarray) -> PixelAssignment:
     if m.ndim != 3:
         raise ValueError("expected (objects, height, width) masks")
     flat = m.reshape(m.shape[0], -1)
-    if np.any(np.sum(flat, axis=0) > 1):
+    if (flat.sum(axis=0) > 1).any():
         raise ValueError("masks must be disjoint")
     labels = np.full(flat.shape[1], -1, dtype=int)
     for k in range(flat.shape[0]):
@@ -94,9 +94,7 @@ def _ari(la: np.ndarray, lb: np.ndarray) -> float:
         return 1.0
     # one bincount over the combined label codes; then the pair counts C(n_ij, 2) over
     # cells, rows and columns as exact integers, in Python (empty rows and columns dropped)
-    la, lb = la.astype(np.int64), lb.astype(np.int64)
-    la -= la.min()
-    lb -= lb.min()
+    la, lb = np.subtract(la, la.min(), dtype=np.int64), np.subtract(lb, lb.min(), dtype=np.int64)
     width = int(lb.max()) + 1
     table = np.bincount(la * width + lb, minlength=(int(la.max()) + 1) * width).reshape(-1, width)
     table = table[table.any(axis=1)][:, table.any(axis=0)].tolist()
@@ -163,9 +161,9 @@ def j_ari_from_norms(norms: np.ndarray, gt: PixelAssignment) -> MetricResult:
     counted."""
     if norms.shape[0] != gt.labels.shape[0]:
         raise ValueError("pixel counts disagree")
-    fg = gt.foreground & (np.sum(norms, axis=1) > ZERO_TOL)
+    fg = gt.foreground & (norms.sum(axis=1) > ZERO_TOL)
     excluded = int(np.count_nonzero(gt.foreground)) - int(np.count_nonzero(fg))
-    value = _ari(np.argmax(norms, axis=1)[fg], gt.labels[fg])
+    value = _ari(norms.argmax(axis=1)[fg], gt.labels[fg])
     return MetricResult(value=value, excluded_pixels=excluded)
 
 
@@ -184,15 +182,15 @@ def jis_from_norms(norms: np.ndarray, foreground: np.ndarray | None = None) -> M
     foreground = np.asarray(foreground, dtype=bool)
     if foreground.shape != norms.shape[:1]:
         raise ValueError("pixel counts disagree")
-    totals = np.sum(norms, axis=1)
+    totals = norms.sum(axis=1)
     use = foreground & (totals > ZERO_TOL)
     n_use = int(np.count_nonzero(use))
     if not n_use:
         raise ValueError("no usable foreground pixels")
     # each row's largest share is its maximum over its total: division by a positive
     # total keeps the order of the rounded quotients
-    shares = np.max(norms, axis=1)[use] / totals[use]
-    return MetricResult(value=float(np.mean(shares)),
+    shares = norms.max(axis=1)[use] / totals[use]
+    return MetricResult(value=float(shares.mean()),
                         excluded_pixels=int(np.count_nonzero(foreground)) - n_use)
 
 

@@ -28,6 +28,26 @@ def test_softmax_rows_stochastic():
     assert np.all(A >= 0)
 
 
+@pytest.mark.parametrize("shape, axis", [
+    ((16, 1, 3, 256), -2),  # the decoder's training weights, over the slot axis
+    ((3, 256), -2),  # the scorer's closed-form weights
+    ((16, 3, 16), -1),  # the encoder's weights, over the patch axis
+])
+def test_softmax_rows_equals_its_formula_bitwise(shape, axis):
+    x = np.random.default_rng(len(shape)).normal(scale=3.0, size=shape)
+    lines = np.moveaxis(x, axis, -1)  # a view, one softmax line per leading index
+    index = list(np.ndindex(lines.shape[:-1]))
+    for i in index[::3]:  # a maximum tied between two entries
+        lines[i][[0, -1]] = lines[i].max() + 1.0
+    for i in index[1::3]:  # one dominant logit: every other weight underflows to 0
+        lines[i][1] = lines[i].max() + 800.0
+    e = np.exp(x - x.max(axis, keepdims=True))
+    want = e / e.sum(axis, keepdims=True)
+    got = softmax_rows(x, axis=axis)
+    assert np.array_equal(got, want)
+    assert np.any(got == 0.0) and np.any(got == 1.0)
+
+
 @given(arrays(float, (4, 3), elements=st.floats(-50, 50)))
 def test_softmax_rows_property(logits):
     A = softmax_rows(logits)

@@ -208,7 +208,7 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     rc = cli.main(["compgen", "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2 and "bad configuration" in err and named in err, err
-    assert not (tmp_path / "out" / "results.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cmd, field, bad, named", [
@@ -264,6 +264,8 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     # unchecked, a string margin failed only after every cell had trained
     ("ablate", "jis_margin", "x", "jis_margin must be a number, got 'x'"),
     ("ablate", "jis_margin", float("nan"), "jis_margin must not be NaN, got nan"),
+    # gen-data refuses its config the same way
+    ("gen-data", "count", 0, "count must be at least 1, got 0"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -271,7 +273,7 @@ def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     rc = cli.main([cmd, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2 and "bad configuration" in err and named in err, err
-    assert list((tmp_path / "out").iterdir()) == []  # refused before anything is written
+    assert not (tmp_path / "out").exists()  # refused before anything is written
 
 
 def test_cli_flag_overrides_config_file(tmp_path):

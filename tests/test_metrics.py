@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.attention import analytic_slot_jacobian, cross_attention_forward, random_decoder
+from asymlab.attention import (
+    analytic_slot_jacobian,
+    analytic_slot_jacobian_norms,
+    cross_attention_forward,
+    random_decoder,
+)
 from asymlab.generators import (
     SlotMap,
     SlotwiseDiffeoSpec,
@@ -209,6 +214,101 @@ def test_assignment_from_masks():
     pa = assignment_from_masks(masks)
     assert pa.labels.tolist() == [0, 0, -1, -1, -1, 1]
     assert pa.foreground.tolist() == [True, True, False, False, False, True]
+
+
+def _np_function_softmax(logits, axis):
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("softmax input must be finite")
+    e = logits - np.max(logits, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
+
+
+def _np_function_norms(layer, head, z):
+    """analytic_slot_jacobian_norms and its closed-form factors in numpy's function
+    forms (np.sum, np.max, np.hstack, np.sqrt, a new np.ones), as they were written
+    before the ndarray-method forms: the reference for bitwise equality."""
+    root = np.sqrt(layer.d_q) if layer.scaling else 1.0
+    MT = (layer.W_K.T @ layer.W_Q / root) @ layer.query_inputs.T
+    AT = _np_function_softmax(z @ MT, axis=-2)
+    s, K, P = MT.shape[0], z.shape[0], MT.shape[1]
+    rows = (head.W1 @ np.hstack([layer.W_V, layer.W_V @ z.T])).T
+    dtanh = (rows[s:] + head.b1).T @ AT
+    np.tanh(dtanh, out=dtanh)
+    np.subtract(1.0, np.square(dtanh, out=dtanh), out=dtanh)
+    F = ((head.W2[:, None, :] * rows).reshape(-1, rows.shape[1]) @ dtanh).reshape(-1, s + K, P)
+    Fv = F[:, s:]
+    Fv -= np.sum(Fv * AT, axis=1, keepdims=True)
+    buf = F[:, None, s:] * MT[:, None]
+    buf += F[:, :s, None]
+    acc = np.ones(buf.size // (K * P)) @ np.abs(buf, out=buf).reshape(-1, K * P)
+    return (acc.reshape(K, P) * AT).T
+
+
+def _np_function_ari(la, lb):
+    n = la.size
+    if n < 2:
+        return 1.0
+    la, lb = la.astype(np.int64), lb.astype(np.int64)
+    la -= la.min()
+    lb -= lb.min()
+    width = int(lb.max()) + 1
+    table = np.bincount(la * width + lb, minlength=(int(la.max()) + 1) * width).reshape(-1, width)
+    table = table[table.any(axis=1)][:, table.any(axis=0)].tolist()
+    sum_cells = float(sum(x * (x - 1) for row in table for x in row) // 2)
+    sum_rows = float(sum(r * (r - 1) for r in map(sum, table)) // 2)
+    sum_cols = float(sum(c * (c - 1) for c in map(sum, zip(*table))) // 2)
+    expected = sum_rows * sum_cols / (n * (n - 1) / 2.0)
+    max_index = 0.5 * (sum_rows + sum_cols)
+    if max_index == expected:
+        return 1.0
+    return float((sum_cells - expected) / (max_index - expected))
+
+
+def _np_function_j_ari_and_jis(norms, gt):
+    fg = gt.foreground & (np.sum(norms, axis=1) > ZERO_TOL)
+    j_ari_value = _np_function_ari(np.argmax(norms, axis=1)[fg], gt.labels[fg])
+    totals = np.sum(norms, axis=1)
+    use = gt.foreground & (totals > ZERO_TOL)
+    jis_value = float(np.mean(np.max(norms, axis=1)[use] / totals[use]))
+    excluded = int(np.count_nonzero(gt.foreground)) - int(np.count_nonzero(use))
+    return (j_ari_value, excluded), (jis_value, excluded)
+
+
+def _assert_scores_equal_np_function_forms(layer, head, zs, gts):
+    for z, gt in zip(zs, gts):
+        norms = analytic_slot_jacobian_norms(layer, head, z)
+        assert np.array_equal(norms, _np_function_norms(layer, head, z))
+        want_jari, want_jis = _np_function_j_ari_and_jis(norms, gt)
+        got = j_ari_from_norms(norms, gt)
+        assert (got.value, got.excluded_pixels) == want_jari
+        got = jis_from_norms(norms, gt.foreground)
+        assert (got.value, got.excluded_pixels) == want_jis
+
+
+def test_scoring_path_equals_np_function_forms_at_the_model_shapes():
+    from asymlab.autoencoder import ModelConfig, build_autoencoder
+    from asymlab.sprites import DataConfig, make_dataset
+
+    model = build_autoencoder(ModelConfig(seed=0))
+    scenes = make_dataset(DataConfig(count=6, seed=7)).scenes
+    rng = np.random.default_rng(5)
+    zs = [rng.normal(scale=scale, size=(3, 8)) for scale in (0.1, 1.0, 3.0, 10.0, 30.0, 100.0)]
+    gts = [assignment_from_masks(scene.masks) for scene in scenes]
+    _assert_scores_equal_np_function_forms(model.dec_layers[0], model.dec_head, zs, gts)
+
+
+def test_scoring_path_equals_np_function_forms_on_a_saturated_decoder():
+    # keys this large push some softmax weights to exactly 0, and the norms with them
+    layers, head = random_decoder(4, n_pixels=12, K=3, slot_dim=5, scaling=True)
+    layers[0].W_K *= 300.0
+    rng = np.random.default_rng(3)
+    zs = [rng.normal(scale=3.0, size=(3, 5)) for _ in range(4)]
+    gts = [labels(rng.integers(0, 3, size=12), rng.random(12) < 0.8) for _ in zs]
+    assert sum(np.count_nonzero(analytic_slot_jacobian_norms(layers[0], head, z) == 0.0)
+               for z in zs) > 10
+    _assert_scores_equal_np_function_forms(layers[0], head, zs, gts)
 
 
 def test_slot_jacobian_norms_analytic_vs_fd():
