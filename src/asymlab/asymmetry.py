@@ -16,10 +16,15 @@ drawn by one generators.random_basis_changes call, the same bits as S
 generators.random_equivalence calls) add none: by the chain rule
 J_bar = J L^-1, and their order-(n+1) within-slot partials are f's slot
 tensors contracted with M_k^-1 on every axis, formed for all S in one
-product each.  The within-slot judge takes f's table and the S equivalents'
-as one ((S + 1) N, ...) stack on the probe axis, computes every (probe,
-split) margin and tolerance in one pass, and cuts each table's report from
-its own N-row block.
+product each.
+
+certify_all certifies every generator of one order in one pass; certify and
+check_interaction_asymmetry are its one-generator calls.  Each generator
+keeps its own request, and each table is reduced as soon as it is made to
+what its judges read (_peaks, _independence_stack), so that no table stays
+alive.  The cross, below and within judges then run once each over every
+reduction stacked on the probe axis, and cut each table's report from its
+own N-row block.  The independence judge ranks each table alone.
 
 One code path serves every order n >= 0: at n = 0 the cross bound and
 within-slot richness read n = 1's order-2 multi-indices, valuing e_i + e_j by
@@ -135,14 +140,17 @@ def active_tolerance(J: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Table:
-    """Partials (N, n_alphas, d_x) at every probe, a column per multi-index;
-    J (N, d_x, d_z) if requested; points(rows), the points witnesses name."""
+    """Partials (N, n_alphas, d_x) at every probe, a column per multi-index,
+    or what one judge reads of them (_peaks, _independence_stack); J (N, d_x,
+    d_z) and tol, its active_tolerance at every probe, if requested;
+    points(rows), the points witnesses name."""
 
     values: np.ndarray
     column: dict
     evaluations: int
     points: Callable[[np.ndarray], np.ndarray]
     J: np.ndarray | None = None
+    tol: np.ndarray | None = None
 
     def get(self, alphas: Sequence[MultiIndex]) -> np.ndarray:
         return self.values[:, [self.column[a] for a in alphas]]
@@ -157,7 +165,7 @@ def _request(f: VectorFn, probes, alphas: Sequence[MultiIndex], jacobian: bool =
     values, evaluations = partials(f, probes, request)
     J = values[:, :len(units)].transpose(0, 2, 1) if jacobian else None
     return _Table(values, {a: c for c, a in enumerate(request)}, evaluations,
-                  probes.__getitem__, J)
+                  probes.__getitem__, J, None if J is None else active_tolerance(J))
 
 
 def _report(name: str, t: _Table, margin, witnesses, passed_probes, **details) -> CheckReport:
@@ -182,28 +190,39 @@ def _differenced(alphas: Sequence[MultiIndex], n: int) -> Sequence[MultiIndex]:
     return alphas if n else ()
 
 
-def _peaks(tables: Sequence[_Table], alphas: Sequence[MultiIndex], n: int) -> np.ndarray:
-    """Each multi-index's largest |value| over outputs at every probe of the
-    tables stacked on the probe axis, (N, n_alphas): D^alpha f at n >= 1; at
-    n = 0, where every alpha is e_i + e_j, D_i f (.) D_j f."""
+def _peaks(t: _Table, alphas: Sequence[MultiIndex], n: int) -> _Table:
+    """What the cross and within judges read of t: each multi-index's largest
+    |value| over outputs at every probe, (N, n_alphas), and t's tolerance:
+    D^alpha f at n >= 1; at n = 0, where every alpha is e_i + e_j,
+    D_i f (.) D_j f."""
     if n:
-        return np.abs(np.concatenate([t.get(alphas) for t in tables])).max(axis=2)
-    J = np.concatenate([t.J for t in tables])
-    i, j = np.array([[c for c, m in enumerate(a) for _ in range(m)] for a in alphas],
-                    dtype=int).reshape(-1, 2).T
-    return np.abs(J[:, :, i] * J[:, :, j]).max(axis=1)
+        peaks = np.abs(t.get(alphas)).max(axis=2)
+    else:
+        i, j = np.array([[c for c, m in enumerate(a) for _ in range(m)] for a in alphas],
+                        dtype=int).reshape(-1, 2).T
+        peaks = np.abs(t.J[:, :, i] * t.J[:, :, j]).max(axis=1)
+    return _Table(peaks, {}, t.evaluations, t.points, tol=t.tol)
 
 
-def _judge_order(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
+def _judge_order(tables: Sequence[_Table], partition: SlotPartition, n: int) -> list[CheckReport]:
+    """One cross-bound report per table of _peaks over _cross_alphas, all
+    judged in one pass over the tables stacked on the probe axis; every table
+    holds the same probe count N."""
     alphas = _cross_alphas(partition, n)
-    tol_z = active_tolerance(t.J)
-    vals = _peaks([t], alphas, n)
+    P, N = len(tables), len(tables[0].values)
+    tol_z = np.concatenate([t.tol for t in tables])
+    vals = np.concatenate([t.values for t in tables])
     worst = vals.max(axis=1, initial=0.0)
-    rows = np.nonzero(worst > tol_z)[0]
-    witnesses = [_witness(z, list(alphas[vals[p].argmax()]), worst[p])
-                 for p, z in zip(rows, t.points(rows))]
-    return _report(f"order_at_most_{n}" if n else "no_interaction", t, np.min(tol_z - worst),
-                   witnesses, len(t.J) - len(witnesses), multi_indices_checked=len(alphas))
+    margins = (tol_z - worst).reshape(P, N).min(axis=1)
+    failed = (worst > tol_z).reshape(P, N)
+    reports = []
+    for b, t in enumerate(tables):
+        rows = b * N + np.nonzero(failed[b])[0]
+        witnesses = [_witness(z, list(alphas[vals[p].argmax()]), worst[p])
+                     for p, z in zip(rows, t.points(rows - b * N))]
+        reports.append(_report(f"order_at_most_{n}" if n else "no_interaction", t, margins[b],
+                               witnesses, N - len(witnesses), multi_indices_checked=len(alphas)))
+    return reports
 
 
 def check_no_interaction(
@@ -227,8 +246,9 @@ def check_order_at_most_n(
     order-2 ones are valued by the first-order interaction instead, and the
     report is check_no_interaction's.  Orders the derivative engine cannot
     difference raise ValueError."""
-    alphas = _differenced(_cross_alphas(partition, n), n)
-    return _judge_order(_request(f, probes, alphas), partition, n)
+    alphas = _cross_alphas(partition, n)
+    return _judge_order([_peaks(_request(f, probes, _differenced(alphas, n)), alphas, n)],
+                        partition, n)[0]
 
 
 def _slot_splits(block: Sequence[int]):
@@ -264,28 +284,28 @@ def _within_plan(partition: SlotPartition, n: int):
 
 
 def _judge_within(tables: Sequence[_Table], partition: SlotPartition, n: int) -> list[CheckReport]:
-    """One within-slot report per table, all judged in one pass over the
-    tables stacked on the probe axis; every table holds the same probe count."""
-    splits, positions, union = _within_plan(partition, n)
-    tol_z = active_tolerance(np.concatenate([t.J for t in tables]))[:, None]
-    vals = _peaks(tables, union, n)
+    """One within-slot report per table of _peaks over _within_plan's union,
+    all judged in one pass over the tables stacked on the probe axis; every
+    table holds the same probe count."""
+    splits, positions, _ = _within_plan(partition, n)
+    tol_z = np.concatenate([t.tol for t in tables])[:, None]
+    vals = np.concatenate([t.values for t in tables])
     # a split's best value is its largest candidate
     best = np.stack([vals[:, cand].max(axis=1) for cand in positions], axis=1)
-    N = len(tables[0].J)
-    margins = (best - tol_z).reshape(len(tables), -1).min(axis=1)
-    passed = (best > tol_z).all(axis=1).reshape(len(tables), N).sum(axis=1)
-    failed = best <= tol_z
+    P, N = len(tables), len(tables[0].values)
+    margins = (best - tol_z).reshape(P, -1).min(axis=1)
+    passed = (best > tol_z).all(axis=1).reshape(P, N).sum(axis=1)
+    failed = (best <= tol_z).reshape(P, N, -1)
     reports = []
     for b, t in enumerate(tables):
-        block = best[b * N:(b + 1) * N]
         # failing (probe, split) pairs in row-major order: probe by probe
-        rows, cols = np.nonzero(failed[b * N:(b + 1) * N])
+        rows, cols = np.nonzero(failed[b]) if passed[b] < N else ((), ())
         witnesses = []
         for p, s, z in zip(rows, cols, t.points(rows) if len(rows) else ()):
             k, A, B = splits[s]
             witnesses.append(_witness(z, {
                 "slot": k + 1, "split": [sorted(i + 1 for i in A), sorted(i + 1 for i in B)]},
-                block[p, s]))
+                best[b * N + p, s]))
         reports.append(_report(f"within_slot_order_{n + 1}", t, margins[b], witnesses,
                                int(passed[b])))
     return reports
@@ -306,8 +326,9 @@ def check_within_slot_order(
     order-(n+1) index straddling the slot boundary vanishes anyway, so the
     restriction loses nothing.
     """
-    alphas = _differenced(_within_plan(partition, n)[2], n)
-    return _judge_within([_request(f, probes, alphas)], partition, n)[0]
+    union = _within_plan(partition, n)[2]
+    return _judge_within([_peaks(_request(f, probes, _differenced(union, n)), union, n)],
+                         partition, n)[0]
 
 
 @lru_cache(maxsize=256)
@@ -335,40 +356,73 @@ def _equivalents(f: VectorFn, t: _Table, partition: SlotPartition, n: int,
                  samples: int, rng_seed: int):
     """Tables of `samples` equivalent generators f o L^-1, every L^-1 drawn
     by one random_basis_changes call, each table from f's by the chain rule
-    with every sample's R and J L^-1 formed in one product; witnesses name the
-    probes pushed to y by the composed pair's latent map, built on demand."""
+    with every sample's R, J L^-1 and tolerance formed in one product;
+    witnesses name the probes pushed to y by the composed pair's latent map,
+    built on demand."""
     alphas, column, index, gather = _chain_rule(partition, n + 1)
     d = partition.latent_dim
     L_inv = random_basis_changes(partition, np.random.default_rng(rng_seed), samples)
     R = np.prod(L_inv.reshape(samples, d * d)[:, index], axis=-1) @ gather
     values = R[:, None] @ t.get(alphas)
     J = t.J @ L_inv[:, None]
-    for L, v, J_bar in zip(L_inv, values, J):
+    points = t.points  # the witnesses keep f's probes alive, not f's whole table
+    for L, v, J_bar, tol in zip(L_inv, values, J, active_tolerance(J)):
         def pushed(rows, L=L):
             pair = compose_slotwise(f, linear_equivalence(partition, L), partition)
-            return pair.latent_map(t.points(rows))
-        yield _Table(v, column, t.evaluations, pushed, J_bar)
+            return pair.latent_map(points(rows))
+        yield _Table(v, column, t.evaluations, pushed, J_bar, tol)
 
 
-def _asymmetry(f: VectorFn, partition: SlotPartition, n: int, probes,
-               equiv_samples: int, rng_seed: int, extra: Sequence[MultiIndex] = ()):
-    """One request for f's Jacobian, the cross bound at n, every slot's
-    order-(n+1) partials and `extra`; its table, and the cross, within and
-    asymmetry reports judged from it."""
+def _certify(fs: Sequence[VectorFn], partition: SlotPartition, n: int, probes,
+             equiv_samples: int, rng_seeds: Sequence[int], full: bool) -> list[dict]:
+    """Each generator's cross, within and asymmetry reports, and with full its
+    below and independence reports (see certify), from one request each; see
+    certify_all and the module docstring."""
     if equiv_samples < 0:
         raise ValueError(f"equiv_samples must be at least 0, got {equiv_samples}")
-    t = _request(f, probes, [*_differenced(_cross_alphas(partition, n), n),
-                             *_chain_rule(partition, n + 1)[0], *extra])
-    within = _judge_within([t, *_equivalents(f, t, partition, n, equiv_samples, rng_seed)],
-                           partition, n)
-    sub = [("cross", _judge_order(t, partition, n)), ("within", within[0])]
-    sub += [(f"within_equiv_{s}", rep) for s, rep in enumerate(within[1:])]
-    # every sub-report passes exactly when all its probes do
-    asym = _report(f"interaction_asymmetry_n{n}", t, min(rep.margin for _, rep in sub),
-                   [{**w, "sub_check": label} for label, rep in sub for w in rep.witnesses],
-                   min(rep.probes_passed for _, rep in sub),
-                   **{label: {"passed": rep.passed, "margin": rep.margin} for label, rep in sub})
-    return t, {"cross": sub[0][1], "within": sub[1][1], "asymmetry": asym}
+    sets = [_as_probes(z) for z in probes]
+    shapes = sorted({z.shape for z in sets})
+    if not 0 < len(fs) == len(sets) == len(rng_seeds) or len(shapes) > 1 or \
+            shapes[0][1] != partition.latent_dim:
+        raise ValueError(f"need one probe set, all of one shape (N, {partition.latent_dim}), and "
+                         f"one seed per generator, got {len(fs)} generators, probe sets of "
+                         f"shapes {shapes} and {len(rng_seeds)} seeds")
+    cross_alphas, union = _cross_alphas(partition, n), _within_plan(partition, n)[2]
+    below_alphas = _cross_alphas(partition, n - 1) if full and n > 0 else []
+    alphas = [*_differenced(cross_alphas, n), *_chain_rule(partition, n + 1)[0], *below_alphas,
+              *(_independence_alphas(partition, n) if full else ())]
+    cross, within, below, matrices, d_x = [], [], [], [], 0
+    for i, (f, z, seed) in enumerate(zip(fs, sets, rng_seeds)):
+        try:
+            t = _request(f, z, alphas)
+        except FloatingPointError as e:
+            e.generator = i  # lets a caller name the generator that overflowed
+            raise
+        d_x = d_x or t.values.shape[2]
+        if t.values.shape[2] != d_x:
+            raise ValueError(f"generators must share an output dimension, got {d_x} and "
+                             f"{t.values.shape[2]}")
+        cross.append(_peaks(t, cross_alphas, n))
+        within += [_peaks(e, union, n)
+                   for e in (t, *_equivalents(f, t, partition, n, equiv_samples, seed))]
+        below += [_peaks(t, below_alphas, n - 1)] if below_alphas else []
+        matrices += [_independence_stack(t, partition, n)] if full else []
+    within = _judge_within(within, partition, n)
+    reports, S = [], equiv_samples + 1  # within reports per generator: f's, its equivalents'
+    for b, (t, rep) in enumerate(zip(cross, _judge_order(cross, partition, n))):
+        sub = [("cross", rep)] + [(f"within_equiv_{s - 1}" if s else "within", w)
+                                  for s, w in enumerate(within[b * S:(b + 1) * S])]
+        # every sub-report passes exactly when all its probes do
+        asym = _report(f"interaction_asymmetry_n{n}", t, min(x.margin for _, x in sub),
+                       [{**w, "sub_check": label} for label, x in sub for w in x.witnesses],
+                       min(x.probes_passed for _, x in sub),
+                       **{label: {"passed": x.passed, "margin": x.margin} for label, x in sub})
+        reports.append({"cross": rep, "within": sub[1][1], "asymmetry": asym})
+    for key, judged in (("below", _judge_order(below, partition, n - 1) if below else ()),
+                        ("independence", [_judge_independence(m, n) for m in matrices])):
+        for rep, r in zip(reports, judged):
+            rep[key] = r
+    return reports
 
 
 def check_interaction_asymmetry(
@@ -383,7 +437,7 @@ def check_interaction_asymmetry(
     and the within-slot richness holds for f and for equiv_samples random
     equivalent generators, all judged from one request (see the module
     docstring); a negative equiv_samples raises ValueError."""
-    return _asymmetry(f, partition, n, probes, equiv_samples, rng_seed)[1]["asymmetry"]
+    return _certify([f], partition, n, [probes], equiv_samples, [rng_seed], False)[0]["asymmetry"]
 
 
 def certify(
@@ -399,13 +453,17 @@ def certify(
     "asymmetry" (as check_interaction_asymmetry) and "independence" (as
     sufficient_independence_check).  Each records that request's
     evaluations."""
-    below = _cross_alphas(partition, n - 1) if n > 0 else []
-    t, reports = _asymmetry(f, partition, n, probes, equiv_samples, rng_seed,
-                            below + _independence_alphas(partition, n))
-    if n > 0:
-        reports["below"] = _judge_order(t, partition, n - 1)
-    reports["independence"] = _judge_independence(t, partition, n)
-    return reports
+    return certify_all([f], partition, n, [probes], equiv_samples, [rng_seed])[0]
+
+
+def certify_all(fs: Sequence[VectorFn], partition: SlotPartition, n: int, probes,
+                equiv_samples: int, rng_seeds: Sequence[int]) -> list[dict[str, CheckReport]]:
+    """certify for each fs[i] at probes[i] (probes a (P, N, d) stack) with
+    rng_seeds[i], in one pass (see the module docstring).  ValueError unless
+    the generators share the partition, a probe count and an output
+    dimension; a FloatingPointError from a request carries the position in fs
+    of its generator as `generator`."""
+    return _certify(fs, partition, n, probes, equiv_samples, rng_seeds, True)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +490,13 @@ def _full_rank(M: np.ndarray) -> bool:
     m, n = M.shape[-2:]
     with np.errstate(all="ignore"):  # an overflow or underflow fails the range test below
         G = M.swapaxes(-2, -1) @ M
-        F = np.trace(G, axis1=-2, axis2=-1)
-    if not np.all((F > 2.0 ** -900) & (F < 2.0 ** 900)):
+        F = G.trace(axis1=-2, axis2=-1)
+    if not ((F > 2.0 ** -900) & (F < 2.0 ** 900)).all():
         return False
     tau = (4 * RANK_TOL ** 2 + 8 * (m + n) ** 2 * np.finfo(float).eps) * F
+    G.reshape(*G.shape[:-2], n * n)[..., ::n + 1] -= tau[..., None]  # G - tau I, in place
     try:
-        np.linalg.cholesky(G - tau[..., None, None] * np.eye(n))
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -466,14 +525,15 @@ def _independence_alphas(partition: SlotPartition, n: int) -> list[MultiIndex]:
     return sorted({a for _, g in independence_groups(partition, n) for a in g})
 
 
-def _independence_stack(t: _Table, partition: SlotPartition,
-                        n: int) -> tuple[np.ndarray, list[tuple[str, slice]]]:
-    """The order-n matrix at every probe as one (N, d_x, columns) array with
-    independence_groups' columns in order, and the column slice of each group."""
+def _independence_stack(t: _Table, partition: SlotPartition, n: int) -> _Table:
+    """What the independence judge reads of t: the order-n matrix at every
+    probe, (N, d_x, columns), with independence_groups' columns in order, and
+    each group's column slice by name."""
     groups = independence_groups(partition, n)
     stack = t.get([a for _, g in groups for a in g]).transpose(0, 2, 1)
     ends = np.cumsum([len(g) for _, g in groups])
-    return stack, [(name, slice(end - len(g), end)) for (name, g), end in zip(groups, ends)]
+    return _Table(stack, {name: slice(end - len(g), end) for (name, g), end in zip(groups, ends)},
+                  t.evaluations, t.points)
 
 
 def _rank_sum(stack: np.ndarray, slices, r_whole: np.ndarray) -> np.ndarray:
@@ -489,12 +549,16 @@ def _rank_sum(stack: np.ndarray, slices, r_whole: np.ndarray) -> np.ndarray:
     return r_sum
 
 
-def _judge_independence(t: _Table, partition: SlotPartition, n: int) -> CheckReport:
-    stack, slices = _independence_stack(t, partition, n)
+def _judge_independence(t: _Table, n: int) -> CheckReport:
+    """The report of one _independence_stack.  Each table is ranked alone: one
+    stack of every table's matrices would be certified in fewer calls, but at
+    n = 2 (seven presets' 16 matrices of 24 x 22) that stack and its Gram and
+    Cholesky arrays take fresh pages at every call, which cost more."""
+    stack = t.values
     if not np.all(np.any(stack, axis=(1, 2))):
         raise ValueError("degenerate all-zero derivative matrix")
     r_whole = numerical_rank(stack)
-    r_sum = _rank_sum(stack, slices, r_whole)
+    r_sum = _rank_sum(stack, t.column.items(), r_whole)
     gap = np.abs(r_whole - r_sum)
     rows = np.nonzero(gap)[0]
     witnesses = [_witness(z, {"rank_whole": int(r_whole[p]), "rank_sum": int(r_sum[p])}, gap[p])
@@ -518,7 +582,7 @@ def sufficient_independence_check(
     rank(whole) must equal the sum of per-group ranks, each rank taken over
     the probe stack at once (see numerical_rank)."""
     t = _request(f, probes, _independence_alphas(partition, n), jacobian=False)
-    return _judge_independence(t, partition, n)
+    return _judge_independence(_independence_stack(t, partition, n), n)
 
 
 def rank_factorization_property(
@@ -612,7 +676,7 @@ def compositionality_check(
     t = _request(f, probes, ())
     witnesses = []
     passed_probes = 0
-    for z, J, tol_z in zip(probes, t.J, active_tolerance(t.J)):
+    for z, J, tol_z in zip(probes, t.J, t.tol):
         sets = [_active_outputs(J, partition, k, tol_z) for k in range(partition.K)]
         clash = None
         for k, j in itertools.combinations(range(partition.K), 2):
@@ -644,7 +708,7 @@ def irreducibility_check(
     witnesses = []
     margin = np.inf
     passed_probes = 0
-    for z, J, tol_z in zip(probes, t.J, active_tolerance(t.J)):
+    for z, J, tol_z in zip(probes, t.J, t.tol):
         probe_ok = True
         for k in range(partition.K):
             I_k = sorted(_active_outputs(J, partition, k, tol_z))
@@ -686,7 +750,7 @@ def sufficient_nonlinearity_check(
     probes = _as_probes(probes)
     # W(z) is the order-1 sufficient-independence matrix taken whole
     t = _request(f, probes, _independence_alphas(partition, 1), jacobian=False)
-    W, _ = _independence_stack(t, partition, 1)
+    W = _independence_stack(t, partition, 1).values
     r = numerical_rank(W)
     gap = W.shape[2] - r
     witnesses = [_witness(probes[p], {"rank": int(r[p]), "columns": W.shape[2]}, gap[p])

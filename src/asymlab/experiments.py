@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tensorio
-from .asymmetry import CheckReport, certify
+from .asymmetry import CheckReport, certify_all
 from .attention import (
     CrossAttentionLayer,
     PixelHead,
@@ -178,6 +178,18 @@ def _check_at_least_zero(cfg: dict, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be at least 0, got {cfg[name]!r}")
 
 
+# the largest w for which rng.uniform(-w, w) draws from a finite width 2 w
+MAX_HALF_WIDTH = float(np.finfo(float).max / 2)
+
+
+def _check_finite(cfg: dict, names: tuple[str, ...], most: float = np.inf) -> None:
+    """ValueError naming a config field, and its value, that is not finite or is above most."""
+    for name in names:
+        if not (-np.inf < cfg[name] < np.inf and cfg[name] <= most):  # NaN too
+            bound = f" and at most {most!r}" if most < np.inf else ""
+            raise ValueError(f"{name} must be finite{bound}, got {cfg[name]!r}")
+
+
 def _check_preset_orders(name: str, orders) -> None:
     """ValueError naming a config field that asks for an order no preset generator has."""
     bad = [n for n in orders if n not in PRESET_ORDERS]
@@ -223,24 +235,29 @@ def exp_characterization(config: dict | None = None,
     }, {"presets_per_n": 1, "probes": 1, "equiv_samples": 0, "seed": 0}, ("probe_scale",))
     _check_list(cfg, "orders")
     _check_preset_orders("orders", cfg["orders"])
+    if not cfg["probe_scale"] > 0:  # NaN too
+        raise ValueError(f"probe_scale must be greater than 0, got {cfg['probe_scale']!r}")
+    _check_finite(cfg, ("probe_scale",), MAX_HALF_WIDTH)
     t0 = time.perf_counter()
     result = ExperimentResult("characterization", cfg, cfg["seed"])
     rng = np.random.default_rng(cfg["seed"])
     all_ok = True
     for n in cfg["orders"]:
-        for i in range(cfg["presets_per_n"]):
+        presets = range(cfg["presets_per_n"])
+        specs = [preset_generator(n, rng_seed=1000 * n + i + cfg["seed"]) for i in presets]
+        part = specs[0].partition
+        # the same values as one (probes, latent_dim) draw per preset in turn
+        probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
+                             size=(len(specs), cfg["probes"], part.latent_dim))
+        try:
+            # the engine names a non-finite value itself; numpy's warnings add nothing
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                certified = certify_all(specs, part, n, probes, cfg["equiv_samples"],
+                                        [cfg["seed"] + i for i in presets])
+        except FloatingPointError as e:  # a generator that overflows at a stencil point
+            raise ValueError(f"cannot certify n{n}_preset{e.generator} at order {n}: {e}") from e
+        for i, (spec, reports) in enumerate(zip(specs, certified)):
             run_id = f"n{n}_preset{i}"
-            spec = preset_generator(n, rng_seed=1000 * n + i + cfg["seed"])
-            part = spec.partition
-            probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
-                                 size=(cfg["probes"], part.latent_dim))
-            try:
-                # the engine names a non-finite value itself; numpy's warnings add nothing
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    reports = certify(spec, part, n, probes, equiv_samples=cfg["equiv_samples"],
-                                      rng_seed=cfg["seed"] + i)
-            except FloatingPointError as e:  # a generator that overflows at a stencil point
-                raise ValueError(f"cannot certify {run_id} at order {n}: {e}") from e
             rep = reports["cross"]
             result.add_report(run_id, rep)
             ok = rep.passed
@@ -394,6 +411,9 @@ def exp_compgen(config: dict | None = None,
     _check_at_least_zero(cfg, ("band_width", "cpe_mse_limit", "pair_tol"))
     if not cfg["ratio_required"] > 0:
         raise ValueError(f"ratio_required must be greater than 0, got {cfg['ratio_required']!r}")
+    # at infinity too: every seed passes (cpe_mse_limit, pair_tol) or fails (ratio_required)
+    _check_finite(cfg, ("cpe_mse_limit", "pair_tol", "ratio_required"))
+    _check_finite(cfg, ("band_width",), MAX_HALF_WIDTH)
     if cfg["support_kind"] not in ("band", "box"):
         raise ValueError(f"support_kind must be 'band' or 'box', got {cfg['support_kind']!r}")
     t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 
 import numpy as np
@@ -16,11 +17,14 @@ from asymlab.asymmetry import (
     _independence_stack,
     _judge_independence,
     _judge_within,
+    _peaks,
     _rank_sum,
     _request,
     _Table,
+    _within_plan,
     active_tolerance,
     certify,
+    certify_all,
     check_interaction_asymmetry,
     check_no_interaction,
     check_order_at_most_n,
@@ -205,11 +209,12 @@ def test_stacked_within_reports_equal_each_table_judged_alone(f, n):
     table = _request(f, PROBES, [*_differenced(_cross_alphas(PART, n), n),
                                  *_chain_rule(PART, n + 1)[0]])
     tables = [table, *_equivalents(f, table, PART, n, 3, 2)]
-    stacked = _judge_within(tables, PART, n)
+    union = _within_plan(PART, n)[2]
+    stacked = _judge_within([_peaks(t, union, n) for t in tables], PART, n)
     rep = check_interaction_asymmetry(f, PART, n, PROBES, equiv_samples=3, rng_seed=2)
     verdicts = []
     for s, (t, got) in enumerate(zip(tables, stacked)):
-        alone = _judge_within([t], PART, n)[0]
+        alone = _judge_within([_peaks(t, union, n)], PART, n)[0]
         assert got.to_json() == alone.to_json()
         label = f"within_equiv_{s - 1}" if s else "within"
         assert rep.details[label] == {"passed": alone.passed, "margin": alone.margin}
@@ -270,12 +275,13 @@ def test_group_ranks_skipped_only_where_the_whole_matrix_has_full_rank():
         probes = rng.uniform(-1, 1, size=(len(W), 4))
         t = _Table(W.transpose(0, 2, 1).copy(), {a: c for c, a in enumerate(alphas)}, 0,
                    probes.__getitem__)
-        stack, slices = _independence_stack(t, PART, 1)
+        matrices = _independence_stack(t, PART, 1)
+        stack, slices = matrices.values, matrices.column.items()
         r_whole = numerical_rank(stack)
         r_sum = sum(numerical_rank(stack[:, :, cols]) for _, cols in slices)
         assert _rank_sum(stack, slices, r_whole).tolist() == r_sum.tolist()
         gap = np.abs(r_whole - r_sum)
-        rep = _judge_independence(t, PART, 1)
+        rep = _judge_independence(matrices, 1)
         assert (rep.passed, rep.margin, rep.probes_passed) == (
             not gap.any(), -float(gap.max()), int(np.sum(gap == 0)))
         assert rep.witnesses == [
@@ -306,6 +312,117 @@ def test_certify_judges_every_report_from_one_request():
                                                                  rep.probes_passed)
             assert len(got.witnesses) == len(rep.witnesses)
             assert abs(got.margin - rep.margin) <= 1e-6 * (1 + abs(rep.margin))
+
+
+class _Altered:
+    """A preset generator altered to fail one condition at order n, evaluated in
+    batches like the preset: "cross" adds a cross term of order n + 2 to the
+    first output, "dead" freezes slot 2, and "rank" zeroes every output past the
+    first columns - 2 of the order-n independence matrix, which so loses rank."""
+
+    batched = True
+
+    def __init__(self, spec, n, how):
+        self.spec, self.n, self.how = spec, n, how
+
+    def __call__(self, Z):
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        if self.how == "dead":
+            Z = np.concatenate([Z[:, :2], np.zeros_like(Z[:, 2:])], axis=1)
+        X = np.array(self.spec(Z), dtype=float).reshape(len(Z), -1)
+        if self.how == "cross":
+            X[:, 0] += np.prod(Z[:, [0, 2, 1, 3][:self.n + 2]], axis=1)
+        elif self.how == "rank":
+            X[:, len(_independence_alphas(PART, self.n)) - 2:] = 0.0
+        return X
+
+
+def _family(n):
+    """Two passing presets of order n and three that each fail one condition."""
+    specs = [preset_generator(n, rng_seed=70 + 10 * n + i) for i in range(5)]
+    return [specs[0], _Altered(specs[1], n, "cross"), specs[2], _Altered(specs[3], n, "dead"),
+            _Altered(specs[4], n, "rank")]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_certify_all_equals_certify_for_each_generator(n):
+    family = _family(n)
+    probes = np.random.default_rng(n).uniform(-0.7, 0.7, size=(len(family), 6, 4))
+    seeds = [3, 1, 4, 1, 5]
+    together = certify_all(family, PART, n, probes, 2, seeds)
+    assert len(together) == len(family)
+    for f, z, seed, got in zip(family, probes, seeds, together):
+        alone = certify(f, PART, n, z, equiv_samples=2, rng_seed=seed)
+        assert list(got) == list(alone)
+        assert {k: r.to_json() for k, r in got.items()} == {k: r.to_json()
+                                                            for k, r in alone.items()}
+    # the family exercises every failing path
+    passed = [{k: r.passed for k, r in reports.items()} for reports in together]
+    assert passed[0]["asymmetry"] and passed[0]["independence"]
+    assert not passed[1]["cross"]
+    assert not passed[3]["within"]
+    assert not passed[4]["independence"]
+
+
+def test_certify_all_refuses_a_mixed_family():
+    presets = [preset_generator(1, rng_seed=s) for s in (1, 2)]
+    probes = PROBES[:4]
+    wide = np.c_[probes, probes[:, :1]]  # probes for a partition of another latent dimension
+    shared = "need one probe set, all of one shape (N, 4), and one seed per generator, got "
+    cases = [
+        # probe counts
+        (presets, [probes, probes[:3]], shared + "2 generators, probe sets of shapes [(3, 4), "
+         "(4, 4)] and 2 seeds"),
+        # partitions
+        (presets, [probes, wide], shared + "2 generators, probe sets of shapes [(4, 4), (4, 5)]"),
+        (presets, np.stack([wide, wide]), shared + "2 generators, probe sets of shapes [(4, 5)]"),
+        # output dimensions
+        ([presets[0], preset_generator(1, rng_seed=3, d_x=14)], [probes, probes],
+         "generators must share an output dimension, got 12 and 14"),
+        # one probe set and one seed per generator
+        (presets, [probes], shared + "2 generators, probe sets of shapes [(4, 4)] and 2 seeds"),
+        ([], [], shared + "0 generators, probe sets of shapes [] and 0 seeds"),
+    ]
+    for fs, z, named in cases:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            certify_all(fs, PART, 1, z, 1, [0] * len(fs))
+    with pytest.raises(ValueError, match=re.escape(shared + "2 generators, probe sets of shapes "
+                                                   "[(4, 4)] and 1 seeds")):
+        certify_all(presets, PART, 1, [probes, probes], 1, [0])
+
+
+def test_certify_all_names_the_generator_that_overflows():
+    def overflowing(z):
+        return np.exp(np.exp(np.exp(z * 10.0)))
+
+    family = [additive_cross, overflowing, additive_cross]
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite function value") as e:
+            certify_all(family, PART, 1, np.stack([PROBES] * 3), 0, [0, 0, 0])
+    assert e.value.generator == 1
+
+
+def test_a_rank_deficient_member_is_ranked_alone(monkeypatch):
+    # the dead-slot and rank members' matrices are rank-deficient: each
+    # member's ranks are taken over its own probes, so neither sends the
+    # other members' matrices to the SVD
+    family = _family(2)
+    probes = np.random.default_rng(5).uniform(-0.7, 0.7, size=(len(family), 6, 4))
+    svd, shapes = np.linalg.svd, []
+
+    def counted(M, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "numerical_rank":
+            shapes.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    together = certify_all(family, PART, 2, probes, 1, [0] * len(family))
+    monkeypatch.undo()
+    alone = [certify(f, PART, 2, z, 1, 0)["independence"] for f, z in zip(family, probes)]
+    assert [r["independence"].to_json() for r in together] == [r.to_json() for r in alone]
+    assert [r.passed for r in alone] == [True, True, True, False, False]
+    assert {w["index"]["rank_whole"] for w in alone[4].witnesses} == {20}
+    assert shapes[0] == (6, 24, 22) and all(len(shape) == 3 and shape[0] == 6 for shape in shapes)
 
 
 def test_numerical_rank():
@@ -395,7 +512,8 @@ def test_sufficient_independence_on_presets():
 def test_independence_matrix_groups():
     spec = preset_generator(2, rng_seed=8)
     table = _request(spec, PROBES[:3], _independence_alphas(PART, 2), jacobian=False)
-    stack, slices = _independence_stack(table, PART, 2)
+    matrices = _independence_stack(table, PART, 2)
+    stack, slices = matrices.values, list(matrices.column.items())
     labels = [lab for lab, _ in slices]
     assert labels == [lab for lab, _ in independence_groups(PART, 2)]
     assert len(labels) == len(set(labels))

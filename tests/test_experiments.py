@@ -266,6 +266,21 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     ("ablate", "jis_margin", float("nan"), "jis_margin must not be NaN, got nan"),
     # gen-data refuses its config the same way
     ("gen-data", "count", 0, "count must be at least 1, got 0"),
+    # a draw width that is not finite: an OverflowError traceback from rng.uniform, or
+    # numpy's "high - low < 0" naming no field
+    ("characterize", "probe_scale", float("nan"), "probe_scale must be greater than 0, got nan"),
+    ("characterize", "probe_scale", -0.5, "probe_scale must be greater than 0, got -0.5"),
+    ("characterize", "probe_scale", 0, "probe_scale must be greater than 0, got 0"),
+    ("characterize", "probe_scale", float("inf"),
+     "probe_scale must be finite and at most 8.988465674311579e+307, got inf"),
+    ("compgen", "band_width", float("inf"),
+     "band_width must be finite and at most 8.988465674311579e+307, got inf"),
+    ("compgen", "band_width", 1e308,
+     "band_width must be finite and at most 8.988465674311579e+307, got 1e+308"),
+    # an infinite gate passes every seed (cpe_mse_limit, pair_tol) or fails every one
+    ("compgen", "cpe_mse_limit", float("inf"), "cpe_mse_limit must be finite, got inf"),
+    ("compgen", "pair_tol", float("inf"), "pair_tol must be finite, got inf"),
+    ("compgen", "ratio_required", float("inf"), "ratio_required must be finite, got inf"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -858,6 +873,45 @@ def test_characterization_runs_no_check_twice(monkeypatch):
     # per preset: one to draw it and one to certify it; the equivalent
     # generators come from the certification's partials by the chain rule
     assert len(calls) == 21 + 21
+
+
+def _characterization_reference(cfg: dict) -> tuple[list, list]:
+    """exp_characterization's reports and metrics rebuilt preset by preset:
+    each preset certified alone, at probes drawn one (N, d) block at a time."""
+    from asymlab.asymmetry import certify
+    from asymlab.generators import top_order_cross_nonzero
+
+    rng = np.random.default_rng(cfg["seed"])
+    reports, metrics = [], []
+    for n in cfg["orders"]:
+        for i in range(cfg["presets_per_n"]):
+            run_id = f"n{n}_preset{i}"
+            spec = preset_generator(n, rng_seed=1000 * n + i + cfg["seed"])
+            probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
+                                 size=(cfg["probes"], spec.partition.latent_dim))
+            reps = certify(spec, spec.partition, n, probes, cfg["equiv_samples"], cfg["seed"] + i)
+            reports.append({"run_id": run_id, **reps["cross"].to_json()})
+            metrics.append((run_id, "order_check_as_expected", float(reps["cross"].passed)))
+            if n >= 1 and top_order_cross_nonzero(spec):
+                metrics.append((run_id, "fails_below_declared_order",
+                                float(not reps["below"].passed)))
+            reports.append({"run_id": run_id, **reps["asymmetry"].to_json()})
+            metrics.append((run_id, "asymmetry_margin", reps["asymmetry"].margin))
+            reports.append({"run_id": run_id, **reps["independence"].to_json()})
+            metrics.append((run_id, "sufficient_independence_pass_fraction",
+                            reps["independence"].pass_fraction))
+    return reports, metrics
+
+
+@pytest.mark.parametrize("config", [{"seed": 0}, {"seed": 7},
+                                    {"seed": 3, "equiv_samples": 0, "probes": 5}])
+def test_characterization_equals_each_preset_certified_alone(config):
+    cfg = {"presets_per_n": 7, "orders": [0, 1, 2], "probes": 16, "equiv_samples": 3,
+           "probe_scale": 0.8, **config}
+    res = exp_characterization(config).to_json()
+    reports, metrics = _characterization_reference(cfg)
+    assert res["reports"] == reports
+    assert [(m["run_id"], m["metric"], m["value"]) for m in res["metrics"]] == metrics
 
 
 @pytest.mark.parametrize("equiv", [1, 3])
