@@ -12,11 +12,12 @@ evaluated the function at for the request the report was judged from.
 Each public check requests exactly its own multi-indices; certify judges all
 of a generator's order-n reports from one request, each recording its points.
 The equivalent generators f_bar = f o L^-1 (L = diag(M_k); all S inverses
-drawn by one generators.random_basis_changes call, the same bits as S
+drawn by one random_basis_changes call, the same bits as S
 generators.random_equivalence calls) add none: by the chain rule
 J_bar = J L^-1, and their order-(n+1) within-slot partials are f's slot
 tensors contracted with M_k^-1 on every axis, formed for all S in one
-product each.
+product each; their witnesses name probes pushed to y = L z by solving
+against L^-1's blocks, slot by slot.
 
 certify_all certifies every generator of one order in one pass; certify and
 check_interaction_asymmetry are its one-generator calls.  Each generator
@@ -43,6 +44,9 @@ below the column count W never has full column rank, and every probe is
 ranked group by group.  Orders the derivative engine cannot difference
 (above 3) raise ValueError.
 
+The prior-work checks read every slot's output set I_k(z) at every probe
+off one activity mask of J (_active).
+
 Every check uses one tolerance and the engine's one stencil
 (derivatives.StencilConfig()).  The constants: a derivative counts as
 nonzero when |value| exceeds ACTIVE_TOL_FACTOR * (1 + max |Df(z)|) with
@@ -65,7 +69,6 @@ import numpy as np
 
 from .derivatives import partials
 from .derivatives import jacobian  # noqa: F401  (re-exported for existing callers)
-from .generators import compose_slotwise, linear_equivalence, random_basis_changes
 from .multiindex import (
     MultiIndex,
     SlotPartition,
@@ -352,13 +355,51 @@ def _chain_rule(partition: SlotPartition, order: int):
     return alphas, column, index, gather
 
 
-def _equivalents(f: VectorFn, t: _Table, partition: SlotPartition, n: int,
-                 samples: int, rng_seed: int):
-    """Tables of `samples` equivalent generators f o L^-1, every L^-1 drawn
-    by one random_basis_changes call, each table from f's by the chain rule
-    with every sample's R, J L^-1 and tolerance formed in one product;
-    witnesses name the probes pushed to y by the composed pair's latent map,
-    built on demand."""
+def random_basis_changes(partition: SlotPartition, rng: np.random.Generator,
+                         samples: int) -> np.ndarray:
+    """The inverses L^-1 = diag(M_1^-1, ..., M_K^-1) of `samples` random
+    slot-wise basis changes y_{B_k} = M_k z_{B_k}, as one (samples, d_z, d_z)
+    array.  M_k = I + 0.5 * G with G uniform in [-1, 1], drawn sample by
+    sample and slot by slot, each resampled until its condition number is at
+    most 50 (keeps the family well-behaved and every draw reproducible from
+    the generator state).
+
+    When every slot has one size, all samples * K candidates come from one
+    uniform call, are checked by one batched SVD and inverted by one batched
+    inv.  A rejected candidate, or slots of different sizes, restore the
+    generator and take the loop that redraws each rejected candidate in its
+    turn; so every matrix and the generator's final state are the same bits
+    either way."""
+    L_inv = np.zeros((samples, partition.latent_dim, partition.latent_dim))
+    sizes = {len(b) for b in partition.blocks}
+    if samples and len(sizes) == 1:
+        d = sizes.pop()
+        state = rng.bit_generator.state
+        m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(samples, partition.K, d, d))
+        s = np.linalg.svd(m, compute_uv=False)  # s[0] / s[-1] is np.linalg.cond(m)
+        if np.all(s[..., 0] / s[..., -1] <= 50.0):
+            inv = np.linalg.inv(m)
+            for k, b in enumerate(partition.blocks):
+                L_inv[(slice(None), *np.ix_(b, b))] = inv[:, k]
+            return L_inv
+        rng.bit_generator.state = state
+    for L in L_inv:
+        for b in partition.blocks:
+            while True:
+                m = np.eye(len(b)) + 0.5 * rng.uniform(-1, 1, size=(len(b), len(b)))
+                s = np.linalg.svd(m, compute_uv=False)
+                if s[0] / s[-1] <= 50.0:
+                    L[np.ix_(b, b)] = np.linalg.inv(m)
+                    break
+    return L_inv
+
+
+def _equivalents(t: _Table, partition: SlotPartition, n: int, samples: int, rng_seed: int):
+    """Tables of `samples` equivalent generators f o L^-1 from f's table t,
+    every L^-1 drawn by one random_basis_changes call, each table by the chain
+    rule with every sample's R, J L^-1 and tolerance formed in one product;
+    witnesses name the probes pushed to y = L z, solved slot by slot against
+    L^-1's blocks on demand."""
     alphas, column, index, gather = _chain_rule(partition, n + 1)
     d = partition.latent_dim
     L_inv = random_basis_changes(partition, np.random.default_rng(rng_seed), samples)
@@ -368,8 +409,11 @@ def _equivalents(f: VectorFn, t: _Table, partition: SlotPartition, n: int,
     points = t.points  # the witnesses keep f's probes alive, not f's whole table
     for L, v, J_bar, tol in zip(L_inv, values, J, active_tolerance(J)):
         def pushed(rows, L=L):
-            pair = compose_slotwise(f, linear_equivalence(partition, L), partition)
-            return pair.latent_map(points(rows))
+            z = points(rows)
+            y = np.empty_like(z)
+            for b in partition.blocks:
+                y[:, b] = np.linalg.solve(L[np.ix_(b, b)], z[:, b].T).T
+            return y
         yield _Table(v, column, t.evaluations, pushed, J_bar, tol)
 
 
@@ -404,7 +448,7 @@ def _certify(fs: Sequence[VectorFn], partition: SlotPartition, n: int, probes,
                              f"{t.values.shape[2]}")
         cross.append(_peaks(t, cross_alphas, n))
         within += [_peaks(e, union, n)
-                   for e in (t, *_equivalents(f, t, partition, n, equiv_samples, seed))]
+                   for e in (t, *_equivalents(t, partition, n, equiv_samples, seed))]
         below += [_peaks(t, below_alphas, n - 1)] if below_alphas else []
         matrices += [_independence_stack(t, partition, n)] if full else []
     within = _judge_within(within, partition, n)
@@ -659,10 +703,12 @@ def rank_factorization_property(
 # prior-work conditions (unification checks)
 
 
-def _active_outputs(J: np.ndarray, partition: SlotPartition, k: int, tol_z: float) -> set[int]:
-    block = list(partition.blocks[k])
-    mask = np.max(np.abs(J[:, block]), axis=1) > tol_z
-    return set(np.nonzero(mask)[0].tolist())
+def _active(t: _Table, partition: SlotPartition) -> np.ndarray:
+    """The output-index sets I_k(z) of every slot at every probe as one mask
+    (N, d_x, K): output l is in I_k(z) when some derivative of it along slot
+    k's coordinates exceeds t's tolerance."""
+    return np.stack([np.abs(t.J[:, :, b]).max(axis=2) for b in partition.blocks],
+                    axis=2) > t.tol[:, None, None]
 
 
 def compositionality_check(
@@ -671,26 +717,18 @@ def compositionality_check(
     probes,
 ) -> CheckReport:
     """Output-index sets I_k(z) (outputs with an active slot derivative) must
-    be pairwise disjoint at every probe."""
-    probes = _as_probes(probes)
+    be pairwise disjoint at every probe.  A failing probe's witness names the
+    first clashing slot pair and their smallest shared output."""
     t = _request(f, probes, ())
+    active = _active(t, partition)
+    rows = np.nonzero((active.sum(axis=2) > 1).any(axis=1))[0]
     witnesses = []
-    passed_probes = 0
-    for z, J, tol_z in zip(probes, t.J, t.tol):
-        sets = [_active_outputs(J, partition, k, tol_z) for k in range(partition.K)]
-        clash = None
-        for k, j in itertools.combinations(range(partition.K), 2):
-            shared = sets[k] & sets[j]
-            if shared:
-                clash = (k, j, min(shared))
-                break
-        if clash is None:
-            passed_probes += 1
-        else:
-            k, j, l = clash
-            witnesses.append(_witness(z, {"slots": [k + 1, j + 1], "output": l + 1}, 0.0))
-    return _report("compositionality", t, 0.0 if passed_probes == len(probes) else -1.0,
-                   witnesses, passed_probes)
+    for p, z in zip(rows, t.points(rows)):
+        k, j, l = next((k, j, l) for k, j in itertools.combinations(range(partition.K), 2)
+                       for l in np.nonzero(active[p, :, k] & active[p, :, j])[0][:1])
+        witnesses.append(_witness(z, {"slots": [k + 1, j + 1], "output": int(l) + 1}, 0.0))
+    return _report("compositionality", t, -1.0 if len(rows) else 0.0, witnesses,
+                   len(t.values) - len(rows))
 
 
 def irreducibility_check(
@@ -704,14 +742,15 @@ def irreducibility_check(
     pass vacuously."""
     probes = _as_probes(probes)
     t = _request(f, probes, ())
+    active = _active(t, partition)
     rng = np.random.default_rng(0)
     witnesses = []
     margin = np.inf
     passed_probes = 0
-    for z, J, tol_z in zip(probes, t.J, t.tol):
+    for z, J, I in zip(probes, t.J, active):
         probe_ok = True
         for k in range(partition.K):
-            I_k = sorted(_active_outputs(J, partition, k, tol_z))
+            I_k = np.nonzero(I[:, k])[0].tolist()
             if len(I_k) < 2:
                 continue
             r_total = numerical_rank(J[I_k, :])

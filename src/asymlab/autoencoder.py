@@ -103,6 +103,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_numbers(self, ("alpha", "beta", "lr"))
+        for name in ("alpha", "beta", "lr"):  # an infinity diverges at iteration 0
+            if abs(getattr(self, name)) == math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.alpha >= 0 and self.beta >= 0):  # NaN too
             raise ValueError("loss weights must be non-negative")
         check_integers(self, {"batch_size": 1, "iterations": 0, "warmup": 0, "seed": 0})

@@ -56,7 +56,7 @@ from .multiindex import (
     monomials,
     multiindices_within_block,
 )
-from .sprites import DataConfig, check_integers, check_numbers, make_dataset
+from .sprites import PALETTE, DataConfig, check_integers, check_numbers, make_dataset
 
 IN_SUPPORT_FLOOR = 1e-14
 
@@ -509,13 +509,14 @@ def _default_ablation_config() -> dict:
 
 def _model_config(data_cfg: DataConfig, model: dict, whose: str, **driver_set) -> ModelConfig:
     """The model config of a run on data_cfg's images: height and width from the image
-    size, driver_set (the ablation's seed) from the driver, the rest from model.
-    ValueError naming the keys model sets of those, or a bad field."""
-    bad = sorted({"height", "width", *driver_set} & set(model))
+    size, channels from the renderer's RGB palette, driver_set (the ablation's seed)
+    from the driver, the rest from model.  ValueError naming the keys model sets of
+    those, or a bad field."""
+    bad = sorted({"height", "width", "channels", *driver_set} & set(model))
     if bad:
         raise ValueError(f"{whose} model config must not set {', '.join(bad)}")
     return ModelConfig(height=data_cfg.image_size, width=data_cfg.image_size,
-                       **driver_set, **model)
+                       channels=PALETTE.shape[1], **driver_set, **model)
 
 
 def _check_held_out(data_cfg: DataConfig, eval_images: int) -> None:

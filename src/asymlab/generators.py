@@ -17,7 +17,8 @@ such a pair: a random slot-wise linear basis change, slots unpermuted), and
 two latent supports (a box and a band around a graph) with one sampler for
 their Cartesian-product extension.  Generators and composed pairs take one
 latent point (d_z,) or a batch (N, d_z) and evaluate a batch with array
-operations.
+operations.  This module imports asymmetry (preset_generator's check and
+random_equivalence's draw), never the reverse.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import asymmetry
 from .derivatives import evaluate, is_batched
 from .multiindex import (
     MultiIndex,
@@ -407,61 +409,16 @@ def compose_slotwise(spec, diffeo: SlotwiseDiffeoSpec,
     return ComposedPair(spec, partition, diffeo)
 
 
-def random_basis_changes(partition: SlotPartition, rng: np.random.Generator,
-                         samples: int) -> np.ndarray:
-    """The inverses L^-1 = diag(M_1^-1, ..., M_K^-1) of `samples` random
-    slot-wise basis changes y_{B_k} = M_k z_{B_k}, as one (samples, d_z, d_z)
-    array.  M_k = I + 0.5 * G with G uniform in [-1, 1], drawn sample by
-    sample and slot by slot, each resampled until its condition number is at
-    most 50 (keeps the family well-behaved and every draw reproducible from
-    the generator state).
-
-    When every slot has one size, all samples * K candidates come from one
-    uniform call, are checked by one batched SVD and inverted by one batched
-    inv.  A rejected candidate, or slots of different sizes, restore the
-    generator and take the loop that redraws each rejected candidate in its
-    turn; so every matrix and the generator's final state are the same bits
-    either way."""
-    L_inv = np.zeros((samples, partition.latent_dim, partition.latent_dim))
-    sizes = {len(b) for b in partition.blocks}
-    if samples and len(sizes) == 1:
-        d = sizes.pop()
-        state = rng.bit_generator.state
-        m = np.eye(d) + 0.5 * rng.uniform(-1, 1, size=(samples, partition.K, d, d))
-        s = np.linalg.svd(m, compute_uv=False)  # s[0] / s[-1] is np.linalg.cond(m)
-        if np.all(s[..., 0] / s[..., -1] <= 50.0):
-            inv = np.linalg.inv(m)
-            for k, b in enumerate(partition.blocks):
-                L_inv[(slice(None), *np.ix_(b, b))] = inv[:, k]
-            return L_inv
-        rng.bit_generator.state = state
-    for L in L_inv:
-        for b in partition.blocks:
-            while True:
-                m = np.eye(len(b)) + 0.5 * rng.uniform(-1, 1, size=(len(b), len(b)))
-                s = np.linalg.svd(m, compute_uv=False)
-                if s[0] / s[-1] <= 50.0:
-                    L[np.ix_(b, b)] = np.linalg.inv(m)
-                    break
-    return L_inv
-
-
-def linear_equivalence(partition: SlotPartition, L_inv: np.ndarray) -> SlotwiseDiffeoSpec:
-    """The reparametrization whose slot k map is L_inv's diagonal block on B_k,
-    with no offset and no slot permutation: composed with f it is the
-    equivalent generator f_bar(y) = f(L_inv y), and its latent map pushes z to
-    y = L z."""
+def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> SlotwiseDiffeoSpec:
+    """A random slot-wise linear basis change y_{B_k} = M_k z_{B_k} as the affine
+    maps of L^-1's blocks, unpermuted and with no offset, L^-1 drawn by
+    asymmetry.random_basis_changes: S calls draw what one call of S samples
+    draws.  Composed with f it is the equivalent generator f(L^-1 y)."""
+    L_inv = asymmetry.random_basis_changes(partition, rng, 1)[0]
     return SlotwiseDiffeoSpec(
         tuple(SlotMap(kind="affine", matrix=L_inv[np.ix_(b, b)], offset=np.zeros(len(b)))
               for b in partition.blocks),
         tuple(range(partition.K)))
-
-
-def random_equivalence(partition: SlotPartition, rng: np.random.Generator) -> SlotwiseDiffeoSpec:
-    """A random slot-wise linear basis change y_{B_k} = M_k z_{B_k}, as the
-    linear_equivalence of its inverse: random_basis_changes with one sample,
-    so S calls draw what one random_basis_changes call of S samples draws."""
-    return linear_equivalence(partition, random_basis_changes(partition, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +560,6 @@ def preset_generator(
     else:
         row_ranges = [(0, d_x)] * partition.K
 
-    from .asymmetry import check_within_slot_order  # deferred: avoids module cycle
-
     for _ in range(20):
         slot_fns = []
         for k, b in enumerate(partition.blocks):
@@ -627,7 +582,7 @@ def preset_generator(
             out_dim=d_x,
         )
         probes = rng.uniform(-0.9, 0.9, size=(3, partition.latent_dim))
-        if check_within_slot_order(spec, partition, n, probes).passed:
+        if asymmetry.check_within_slot_order(spec, partition, n, probes).passed:
             return spec
     raise RuntimeError("could not draw a generator with rich within-slot interactions")
 

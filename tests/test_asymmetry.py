@@ -172,7 +172,7 @@ def test_equivalents_by_chain_rule_match_composed_pairs(n):
     alphas = [a for k in range(PART.K) for a in multiindices_within_block(PART, k, n + 1)]
     table = _request(spec, PROBES, alphas)
     rng = np.random.default_rng(4)
-    for eq_table in _equivalents(spec, table, PART, n, 3, 4):
+    for eq_table in _equivalents(table, PART, n, 3, 4):
         pair = compose_slotwise(spec, random_equivalence(PART, rng), PART)
         ref, _ = partials(pair.model, pair.latent_map(PROBES), unit_indices(4) + tuple(alphas))
         for got, want in ((eq_table.J, ref[:, :4].transpose(0, 2, 1)),
@@ -181,17 +181,19 @@ def test_equivalents_by_chain_rule_match_composed_pairs(n):
 
 
 def test_equivalent_witnesses_name_the_pushed_probes():
-    # slot 2 moves no output, so every split of it fails for f and for
-    # every equivalent generator, at the probes its latent map pushes
+    # slot 2 moves no output, so every split of it fails at every order for f
+    # and for every equivalent generator, at the probes the composed pair's
+    # latent map pushes
     def dead_slot(z):
         return np.array([np.sin(z[0] + z[1]), z[0] * z[1], np.exp(z[0])])
 
-    rep = check_interaction_asymmetry(dead_slot, PART, 0, PROBES, equiv_samples=2, rng_seed=3)
-    rng = np.random.default_rng(3)
-    for s in range(2):
-        pushed = compose_slotwise(dead_slot, random_equivalence(PART, rng), PART).latent_map(PROBES)
-        points = [w["point"] for w in rep.witnesses if w["sub_check"] == f"within_equiv_{s}"]
-        assert points == pushed.tolist()
+    for n in (0, 1, 2):
+        rep = check_interaction_asymmetry(dead_slot, PART, n, PROBES, equiv_samples=2, rng_seed=3)
+        rng = np.random.default_rng(3)
+        for s in range(2):
+            pair = compose_slotwise(dead_slot, random_equivalence(PART, rng), PART)
+            points = [w["point"] for w in rep.witnesses if w["sub_check"] == f"within_equiv_{s}"]
+            assert points == pair.latent_map(PROBES).tolist(), (n, s)
 
 
 def first_order_only(z):
@@ -208,7 +210,7 @@ def test_stacked_within_reports_equal_each_table_judged_alone(f, n):
     # run on each of their tables alone
     table = _request(f, PROBES, [*_differenced(_cross_alphas(PART, n), n),
                                  *_chain_rule(PART, n + 1)[0]])
-    tables = [table, *_equivalents(f, table, PART, n, 3, 2)]
+    tables = [table, *_equivalents(table, PART, n, 3, 2)]
     union = _within_plan(PART, n)[2]
     stacked = _judge_within([_peaks(t, union, n) for t in tables], PART, n)
     rep = check_interaction_asymmetry(f, PART, n, PROBES, equiv_samples=3, rng_seed=2)
@@ -571,6 +573,22 @@ def test_compositionality():
     rep = compositionality_check(bilinear_cross, PART, PROBES)
     assert not rep.passed
     assert rep.witnesses[0]["index"]["slots"] == [1, 2]
+
+
+def test_compositionality_names_the_first_clashing_pair():
+    # three 1-d slots with I_1 = {1, 3}, I_2 = {2, 4}, I_3 = {2, 3}: the first
+    # clashing pair in order, (1, 3), is named at output 3, ahead of (2, 3)
+    # and its smaller shared output 2; where z_3 = 0, output 3 leaves I_1
+    def f(z):
+        return np.array([z[0], z[1] + z[2], z[0] * z[2], z[1]])
+
+    part = SlotPartition(blocks=((0,), (1,), (2,)), latent_dim=3)
+    probes = np.vstack([PROBES[:4, :3], [0.4, -0.3, 0.0]])
+    rep = compositionality_check(f, part, probes)
+    assert not rep.passed and rep.margin == -1.0 and rep.probes_passed == 0
+    assert [w["index"] for w in rep.witnesses] == [{"slots": [1, 3], "output": 3}] * 4 + [
+        {"slots": [2, 3], "output": 2}]
+    assert [w["point"] for w in rep.witnesses] == probes.tolist()
 
 
 def test_irreducibility_on_preset():

@@ -593,24 +593,41 @@ def test_drivers_check_configs_before_drawing_data(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(experiments, "make_dataset", refuse)
     no_test_split = ({"data": {"count": 10, "seed": 4, "train_fraction": 0.9,
                                "val_fraction": 0.1}}, "no held-out image to score")
+    inf, nan = float("inf"), float("nan")
+    # the renderer's palette is RGB: any other channel count failed only after the draw
     for bad, named in (({"model": {"slot_dim": 0}}, "slot_dim must be at least 1, got 0"),
                        ({"train": {"batch_size": 0}}, "batch_size must be at least 1, got 0"),
+                       ({"model": {"channels": 1}},
+                        "the train driver's model config must not set channels"),
+                       ({"train": {"alpha": inf}}, "alpha must be finite, got inf"),
+                       ({"train": {"beta": -inf}}, "beta must be finite, got -inf"),
+                       ({"train": {"lr": inf}}, "lr must be finite, got inf"),
+                       ({"train": {"lr": nan}}, "lr must be positive, got nan"),
                        no_test_split):
         with pytest.raises(ValueError, match=named):
             exp_train(bad)
     for bad, named in (({"model": {"n_slots": 3, "slot_dim": 0}},
                         "slot_dim must be at least 1, got 0"),
                        ({"warmup": -5}, "warmup must be at least 0, got -5"),
+                       ({"model": {"channels": 4}},
+                        "the ablation's model config must not set channels"),
+                       ({"alphas": [0.0, inf]}, "alpha must be finite, got inf"),
+                       ({"betas": [inf]}, "beta must be finite, got inf"),
+                       ({"lr": inf}, "lr must be finite, got inf"),
                        no_test_split):
         with pytest.raises(ValueError, match=named):
             experiments.exp_train_ablation(bad)
     monkeypatch.setenv("ASYMLAB_THREADS", "2")
-    path = tmp_path / "ablate.json"
-    path.write_text(json.dumps({"model": {"n_slots": 3, "slot_dim": 0},
-                                "data": {"count": 2000, "seed": 7}}))
-    rc = cli.main(["ablate", "--config", str(path), "--out", str(tmp_path / "ab")])
-    err = capsys.readouterr().err
-    assert rc == 2 and "bad configuration" in err and "slot_dim must be at least 1, got 0" in err
+    for cmd, cfg, named in (
+            ("ablate", {"model": {"n_slots": 3, "slot_dim": 0}},
+             "slot_dim must be at least 1, got 0"),
+            # an infinite weight used to diverge at iteration 0 and exit 1
+            ("train", {"train": {"alpha": inf}}, "alpha must be finite, got inf")):
+        path = tmp_path / f"{cmd}.json"
+        path.write_text(json.dumps({**cfg, "data": {"count": 2000, "seed": 7}}))
+        rc = cli.main([cmd, "--config", str(path), "--out", str(tmp_path / cmd)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "bad configuration" in err and named in err, err
 
 
 def test_cli_names_non_integer_train_fields(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from asymlab import cli
+from asymlab.asymmetry import random_basis_changes
 from asymlab.derivatives import derivative_by_multiindex
 from asymlab.generators import (
     Box,
@@ -23,7 +24,6 @@ from asymlab.generators import (
     monomial_features,
     preset_family,
     preset_generator,
-    random_basis_changes,
     random_equivalence,
     required_output_dim,
     sample_cpe,
