@@ -18,7 +18,6 @@ import numpy as np
 
 from . import experiments, tensorio
 from .asymmetry import certify
-from .autoencoder import TrainingDiverged
 from .generators import GeneratorSpec
 
 
@@ -126,7 +125,10 @@ def _cmd_experiment(args) -> int:
     out = _check_out(args.out, args.force)
     try:
         result = driver(config or None, out=out)
-    except TrainingDiverged as e:
+    except RuntimeError as e:
+        from .autoencoder import TrainingDiverged  # not at the top: certification never loads it
+        if not isinstance(e, TrainingDiverged):
+            raise
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
     except (ValueError, TypeError) as e:

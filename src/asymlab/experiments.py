@@ -15,26 +15,18 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# the training stack (attention, autoencoder, metrics) and the process pool are imported
+# where training or scoring needs them: certification never loads or compiles them
 from . import tensorio
 from .asymmetry import CheckReport, certify_all
-from .attention import (
-    CrossAttentionLayer,
-    PixelHead,
-    analytic_slot_jacobian,
-    cross_attention_forward,
-    l_interact,
-    random_decoder,
-)
-from .autoencoder import (ModelConfig, TrainConfig, TrainingDiverged, build_autoencoder,
-                          encode, train)
 from .generators import (
     PRESET_ORDERS,
     Box,
@@ -47,8 +39,6 @@ from .generators import (
     sample_cpe,
     top_order_cross_nonzero,
 )
-from .metrics import (assignment_from_masks, fd_slot_jacobian, j_ari_from_norms, jis_from_norms,
-                      position_only_index, slot_jacobian_norms, slot_shares)
 from .multiindex import (
     SlotPartition,
     all_multiindices,
@@ -57,6 +47,9 @@ from .multiindex import (
     multiindices_within_block,
 )
 from .sprites import PALETTE, DataConfig, check_integers, check_numbers, make_dataset
+
+if TYPE_CHECKING:
+    from .autoencoder import ModelConfig, TrainConfig, TrainingDiverged
 
 IN_SUPPORT_FLOOR = 1e-14
 
@@ -67,8 +60,9 @@ def config_hash(config: dict) -> str:
 
 def pool_size() -> int:
     env = os.environ.get("ASYMLAB_THREADS")
-    if not env:
-        return os.cpu_count() or 1
+    if not env:  # the CPUs this process may run on, where the platform tells
+        return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     try:
         n = int(env)
     except ValueError:
@@ -512,6 +506,7 @@ def _model_config(data_cfg: DataConfig, model: dict, whose: str, **driver_set) -
     size, channels from the renderer's RGB palette, driver_set (the ablation's seed)
     from the driver, the rest from model.  ValueError naming the keys model sets of
     those, or a bad field."""
+    from .autoencoder import ModelConfig
     bad = sorted({"height", "width", "channels", *driver_set} & set(model))
     if bad:
         raise ValueError(f"{whose} model config must not set {', '.join(bad)}")
@@ -526,6 +521,13 @@ def _check_held_out(data_cfg: DataConfig, eval_images: int) -> None:
         raise ValueError("no held-out image to score: the test split or eval_images is empty")
 
 
+def train(model, dataset, config):
+    """autoencoder.train, called through this module's name so that a replacement of
+    experiments.train (the benchmark's timed copy) is the one that runs."""
+    from . import autoencoder
+    return autoencoder.train(model, dataset, config)
+
+
 def _train_and_score(data_cfg: DataConfig, mc: ModelConfig, tc: TrainConfig,
                      eval_images: int) -> tuple:
     """Draw the dataset, train a fresh model on its train split, and score the first
@@ -533,6 +535,9 @@ def _train_and_score(data_cfg: DataConfig, mc: ModelConfig, tc: TrainConfig,
     Returns (model, log, scores), scores being per-image J-ARI, JIS, the summed J-ARI
     exclusions, per-image (n_pixels, K) norms and foregrounds.  ValueError before
     drawing data when no image is held out (_check_held_out)."""
+    from .autoencoder import build_autoencoder, encode
+    from .metrics import (assignment_from_masks, j_ari_from_norms, jis_from_norms,
+                          slot_jacobian_norms)
     _check_held_out(data_cfg, eval_images)
     dataset = make_dataset(data_cfg)
     eval_idx = dataset.manifest["splits"]["test"][:eval_images]
@@ -557,6 +562,8 @@ def _run_ablation_cell(data_cfg: DataConfig, mc: ModelConfig, tc: TrainConfig,
     """One (alpha, beta, seed) training run; self-contained for the pool.  A
     diverged run returns its TrainingDiverged under "diverged" and its
     partial log, so the driver can name the cell."""
+    from .autoencoder import TrainingDiverged
+    from .metrics import position_only_index, slot_shares
     cell = {"alpha": tc.alpha, "beta": tc.beta, "seed": tc.seed}
     try:
         model, log, scores = _train_and_score(data_cfg, mc, tc, eval_images)
@@ -588,6 +595,7 @@ def exp_train_ablation(config: dict | None = None,
     slot shares per cell, dump per-slot Jacobian heat maps, and compare the
     regularized corner against the unregularized one.  A diverged cell leaves
     log.csv and a failed results.json naming it, then raises TrainingDiverged."""
+    from .autoencoder import TrainConfig, TrainingDiverged
     cfg = _merge_defaults(config, _default_ablation_config(), {"eval_images": 1},
                           ("jis_margin",))
     _check_list(cfg, "alphas", integers=False)
@@ -609,6 +617,7 @@ def exp_train_ablation(config: dict | None = None,
     run_cell = partial(_run_ablation_cell, data_cfg, eval_images=cfg["eval_images"])
     workers = min(pool_size(), len(mcs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_cell, mcs, tcs))
     else:
@@ -685,6 +694,7 @@ def zero_attention_instance(rng_seed: int, n_pixels: int = 6, K: int = 3,
                             slot_dim: int = 4):
     """Decoder instance plus slots where one slot's logits sit ~128 below the
     rest, so its attention mass underflows to numerical zero."""
+    from .attention import CrossAttentionLayer, PixelHead
     rng = np.random.default_rng(rng_seed)
     d_q = slot_dim
     layer = CrossAttentionLayer(
@@ -713,6 +723,9 @@ def exp_jacobian_check(config: dict | None = None,
     differences; suppressed-attention slots must show zero blocks; the
     overlap regularizer must vanish exactly on one-hot rows and match its
     hand-computed values."""
+    from .attention import (analytic_slot_jacobian, cross_attention_forward, l_interact,
+                            random_decoder)
+    from .metrics import fd_slot_jacobian
     cfg = _merge_defaults(config, {
         "trials": 100,
         "seed": 0,
@@ -780,6 +793,7 @@ def exp_jacobian_check(config: dict | None = None,
 
 def exp_train(config: dict | None = None,
               out: str | os.PathLike | None = None) -> ExperimentResult:
+    from .autoencoder import TrainConfig, TrainingDiverged
     cfg = _merge_defaults(config, {
         "data": DataConfig(count=64, seed=7).to_json(),
         "model": {},

@@ -458,6 +458,11 @@ class GraphBand:
         Z[:, 3] = Z[:, 0] * Z[:, 1] * Z[:, 2]
         if self.width > 0:
             Z[:, 3] += rng.uniform(-self.width, self.width, size=n)
+            # a row pushed out of the cube is redrawn from its band's part inside it:
+            # the first draw conditioned on landing there
+            out = np.flatnonzero(np.abs(Z[:, 3]) > 1)
+            p = Z[out, 0] * Z[out, 1] * Z[out, 2]
+            Z[out, 3] = rng.uniform(np.maximum(p - self.width, -1), np.minimum(p + self.width, 1))
         return Z
 
     def contains(self, Z: np.ndarray) -> np.ndarray:

@@ -29,6 +29,9 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)  # read it: os has no getter
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives; mkstemp's 0600 would stay
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import warnings
 
@@ -727,16 +728,16 @@ def _ablation_cell_configs(**train):
 
 
 def test_scoring_takes_one_slot_jacobian_per_image(monkeypatch):
-    from asymlab import experiments
+    from asymlab import experiments, metrics
 
     calls = []
-    norms = experiments.slot_jacobian_norms
+    norms = metrics.slot_jacobian_norms
 
     def counting(decoder, z):
         calls.append(1)
         return norms(decoder, z)
 
-    monkeypatch.setattr(experiments, "slot_jacobian_norms", counting)
+    monkeypatch.setattr(metrics, "slot_jacobian_norms", counting)
     # this data's test split holds three images
     r = exp_train({"data": {"count": 30, "seed": 4}, "eval_images": 3,
                    "train": {"iterations": 2, "batch_size": 4, "warmup": 1}})
@@ -761,6 +762,17 @@ def test_pool_size_rejects_non_integer(monkeypatch):
             pool_size()
     monkeypatch.setenv("ASYMLAB_THREADS", "3")
     assert pool_size() == 3
+
+
+def test_pool_size_defaults_to_the_cpus_this_process_may_run_on(monkeypatch):
+    from asymlab.experiments import pool_size
+
+    monkeypatch.delenv("ASYMLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    assert pool_size() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+    assert pool_size() == 64
 
 
 def test_cli_names_bad_thread_variable(tmp_path, monkeypatch, capsys):
@@ -839,7 +851,7 @@ def test_ablation_verdict_finds_integer_zero_cell():
 
 
 def test_ablation_scores_held_out_images_only(monkeypatch):
-    from asymlab import experiments
+    from asymlab import autoencoder, experiments
     from asymlab.sprites import DataConfig, make_dataset
 
     # the default data: 7 test images, fewer than the 8 eval_images asked for
@@ -847,14 +859,15 @@ def test_ablation_scores_held_out_images_only(monkeypatch):
     dataset = make_dataset(DataConfig.from_json(cfg["data"]))
     flat = dataset.images.reshape(len(dataset.images), -1)
     scored = []
-    encode = experiments.encode
+    encode = autoencoder.encode
 
-    def spy(model, images):  # the cell's own encode calls: scoring only
-        for image in images:
-            scored.extend(np.flatnonzero(np.all(flat == image.ravel(), axis=1)).tolist())
-        return encode(model, images)
+    def spy(model, images, with_cache=False):
+        if not with_cache:  # scoring's calls; each training step asks for the cache
+            for image in images:
+                scored.extend(np.flatnonzero(np.all(flat == image.ravel(), axis=1)).tolist())
+        return encode(model, images, with_cache)
 
-    monkeypatch.setattr(experiments, "encode", spy)
+    monkeypatch.setattr(autoencoder, "encode", spy)
     data_cfg, mc, tc = _ablation_cell_configs(iterations=2, batch_size=4, lr=1e-3, warmup=1)
     row = experiments._run_ablation_cell(data_cfg, mc, tc, cfg["eval_images"])
     splits = dataset.manifest["splits"]

@@ -279,6 +279,27 @@ def test_cpe_complement_outside_support():
     assert np.all(np.abs(pts[:, 3]) <= np.abs(pts[:, 2]) + 0.1 + 1e-12)
 
 
+@pytest.mark.parametrize("width", [0.1, 0.3, 0.5])
+def test_wide_bands_stay_in_the_cube(width):
+    # an offset that pushes z3 past the cube is redrawn, so neither the band's
+    # rows nor the CPE rows built from them leave [-1, 1]^4
+    sup, rng = GraphBand(width), np.random.default_rng(3)
+    assert np.all(sup.contains(sup.sample(rng, 20_000)))
+    pts = sample_cpe(sup, default_partition(2), rng, 5_000)
+    assert np.all(np.abs(pts) <= 1.0) and not np.any(sup.contains(pts))
+
+
+def test_a_band_draw_with_no_row_outside_is_the_plain_draw():
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    Z = GraphBand(0.1).sample(rng, 50)
+    plain = ref.uniform(-1, 1, size=(50, 4))
+    plain[:, 3] = plain[:, 0] * plain[:, 1] * plain[:, 2]
+    plain[:, 3] += ref.uniform(-0.1, 0.1, size=50)
+    assert np.max(np.abs(plain[:, 3])) <= 1  # the premise: nothing to redraw
+    assert np.array_equal(Z, plain)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_box_cpe_complement_is_empty():
     part = default_partition(2)
     with pytest.raises(RuntimeError):

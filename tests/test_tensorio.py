@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,21 @@ def test_json_roundtrip_and_csv(tmp_path):
     assert lines[0] == "run,metric,value"
     assert lines[1] == "0,mse,0.25"
     assert len(lines) == 3
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    # the temporary file is made owner-only; the output it becomes must not be
+    for umask in (0o022, 0o077, 0o002):
+        old = os.umask(umask)
+        try:
+            save_json(tmp_path / f"r{umask:o}.json", {"k": 1})
+            save_tensor(tmp_path / f"t{umask:o}.atns", np.ones(2))
+            (tmp_path / f"plain{umask:o}").write_text("")
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / f"plain{umask:o}").stat().st_mode)
+        for name in (f"r{umask:o}.json", f"t{umask:o}.atns"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want, name
 
 
 def test_no_stray_temp_files(tmp_path):
