@@ -79,16 +79,16 @@ def attend_backward(g_out, A, Q, K, V, scale: float):
 
 def weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of a weight W in y = x @ W.T from g (..., T, out) and
-    x (..., T, in): g^T x per leading index, summed.  One product over all
-    rows at once would be large enough for a threaded BLAS to split, which
-    slows down training runs that share the cores with each other."""
-    return (g.swapaxes(-1, -2) @ x).sum(axis=tuple(range(g.ndim - 2)))
+    x (..., T, in): g^T x summed over every leading index, as one product
+    over all the rows."""
+    return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
 def _pixel_weight_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """weight_gradient for pixel-last g (..., out, P) and x (..., in, P):
-    g x^T per leading index, summed."""
-    return weight_gradient(g.swapaxes(-1, -2), x.swapaxes(-1, -2))
+    g x^T per leading index, summed.  Stacked, not one product: with the
+    pixel head's 3 output rows, one product over (B, P) pairs is slower."""
+    return (g @ x.swapaxes(-1, -2)).sum(axis=tuple(range(g.ndim - 2)))
 
 
 @functools.lru_cache(maxsize=16)

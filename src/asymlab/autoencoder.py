@@ -12,6 +12,7 @@ path is fully inspectable and testable against finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -333,8 +334,11 @@ def _loss_forward(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig
     resid = np.swapaxes(pixels, -1, -2) - np.swapaxes(batch.reshape(B, -1, C), -1, -2)
     rec = float(np.mean(resid**2))
     kl = kl_to_unit_gaussian(mu, lv)
-    # aggregate_attention's sum; the softmax refused non-finite logits, so no checks
-    A_sum = sum(np.sum(c["A"], axis=1) for c in dec_cache.per_layer)
+    # aggregate_attention's sum less its 0 + pass and one-head copy, bit-identical as the
+    # weights are non-negative; the softmax refused non-finite logits, so no checks
+    per_layer = (c["A"][:, 0] if c["A"].shape[1] == 1 else c["A"].sum(axis=1)
+                 for c in dec_cache.per_layer)
+    A_sum = functools.reduce(np.add, per_layer)
     alpha_eff = config.alpha * alpha_scale
     interact, g_attn = _interact(A_sum, alpha_eff)  # and alpha_eff times its gradient
     total = rec + alpha_eff * interact + config.beta * kl
@@ -354,16 +358,26 @@ def _draw_noise(model: SlotAutoencoder, batch_size: int, rng: np.random.Generato
     return rng.standard_normal((batch_size, c.n_slots, c.slot_dim))
 
 
-def loss_disent(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
-                rng: np.random.Generator, noise: np.ndarray | None = None,
-                alpha_scale: float = 1.0) -> LossBreakdown:
-    """Three-part loss on one batch with reparameterized sampling.  noise
-    overrides the rng draw so the stochastic objective can be pinned."""
+def _batch_and_noise(model: SlotAutoencoder, batch: np.ndarray,
+                     rng: np.random.Generator | None, noise: np.ndarray | None):
+    """The loss functions' inputs: a (B, H, W, C) batch, and noise drawn from rng
+    unless given."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim == 3:
         batch = batch[None]
     if noise is None:
+        if rng is None:
+            raise ValueError("need an rng when noise is not supplied")
         noise = _draw_noise(model, batch.shape[0], rng)
+    return batch, noise
+
+
+def loss_disent(model: SlotAutoencoder, batch: np.ndarray, config: TrainConfig,
+                rng: np.random.Generator | None = None, noise: np.ndarray | None = None,
+                alpha_scale: float = 1.0) -> LossBreakdown:
+    """Three-part loss on one batch with reparameterized sampling.  noise
+    overrides the rng draw so the stochastic objective can be pinned."""
+    batch, noise = _batch_and_noise(model, batch, rng, noise)
     return _loss_forward(model, batch, config, noise, alpha_scale)[0]
 
 
@@ -374,13 +388,7 @@ def loss_and_gradients(model: SlotAutoencoder, batch: np.ndarray, config: TrainC
     """Loss plus exact reverse-mode gradients for every trainable parameter,
     under the same fixed noise draw as the loss.  buffers: as in
     cross_attention_forward, kept by a training loop from step to step."""
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim == 3:
-        batch = batch[None]
-    if noise is None:
-        if rng is None:
-            raise ValueError("need an rng when noise is not supplied")
-        noise = _draw_noise(model, batch.shape[0], rng)
+    batch, noise = _batch_and_noise(model, batch, rng, noise)
     breakdown, st = _loss_forward(model, batch, config, noise, alpha_scale, buffers)
     B = batch.shape[0]
     # (B, P, C) and (B, P, K) views of pixel-last arrays, which decoder_backward takes back
@@ -419,7 +427,7 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     ends = np.cumsum([p.size for p in params.values()])
-    m1, m2, flat = np.zeros(ends[-1]), np.zeros(ends[-1]), np.empty(ends[-1])
+    m1, m2, flat, s = np.zeros((4, ends[-1]))
     # Adam is elementwise, so one update over flat vectors is one per group;
     # each group's window on flat takes its gradient in and its step out
     views = {k: flat[e - p.size:e].reshape(p.shape) for (k, p), e in zip(params.items(), ends)}
@@ -447,12 +455,17 @@ def train(model: SlotAutoencoder, dataset: np.ndarray, config: TrainConfig):
             if not np.isfinite(flat).all():
                 bad = _first_nonfinite(grads)
                 raise TrainingDiverged(f"non-finite gradient of {bad}", log, it, bad)
+            # Adam's m1, m2, mhat, vhat and lr mhat / (sqrt(vhat) + eps), operation by operation
+            # in place over m1, m2, flat (g, then the step) and the scratch s
             t = it + 1
-            m1 = b1 * m1 + (1 - b1) * flat
-            m2 = b2 * m2 + (1 - b2) * flat**2
-            mhat = m1 / (1 - b1**t)
-            vhat = m2 / (1 - b2**t)
-            np.divide(config.lr * mhat, np.sqrt(vhat) + eps, out=flat)
+            m1 *= b1
+            m1 += np.multiply(flat, 1 - b1, out=s)
+            m2 *= b2
+            m2 += np.multiply(np.square(flat, out=flat), 1 - b2, out=flat)
+            np.multiply(np.divide(m1, 1 - b1**t, out=s), config.lr, out=s)
+            np.sqrt(np.divide(m2, 1 - b2**t, out=flat), out=flat)
+            flat += eps
+            np.divide(s, flat, out=flat)
             for k, p in params.items():
                 p -= views[k]
     return model, log

@@ -18,6 +18,7 @@ from asymlab.attention import (
     positional_query_inputs,
     random_decoder,
     softmax_rows,
+    weight_gradient,
 )
 
 
@@ -127,6 +128,23 @@ def test_slot_axis_reductions_match_numpy(K, lead):
     grad = (np.sum(v, axis=-1, keepdims=True) - v) / v.shape[0]
     np.testing.assert_allclose(l_interact_grad(A), grad if A.ndim == 3 else grad[0],
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 4)])
+def test_weight_gradient_matches_per_example_sum(lead):
+    # one product over all leading rows against g^T x per leading index, summed:
+    # the same products with one leading index, a different summation order otherwise
+    rng = np.random.default_rng(len(lead) + sum(lead))
+    g, x = rng.normal(size=lead + (7, 4)), rng.normal(size=lead + (7, 6))
+    stacked = (g.swapaxes(-1, -2) @ x).sum(axis=tuple(range(len(lead))))
+    got = weight_gradient(g, x)
+    assert got.shape == (4, 6)
+    if np.prod(lead) == 1:
+        assert np.array_equal(got, stacked)
+    else:
+        rows = g.size // 4
+        scale = np.abs(g).reshape(-1, 4).T @ np.abs(x).reshape(-1, 6)
+        assert np.all(np.abs(got - stacked) <= rows * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("axis", [0, 1, -2])

@@ -166,14 +166,16 @@ def test_gradients_match_fd_two_heads_two_layers():
 @pytest.mark.parametrize("config, image", [
     (ModelConfig(**dict(TINY.to_json(), dec_heads=2, dec_layers=2)), (8, 8, 3)),
     (ModelConfig(), (16, 16, 3)),
-])
+] + [(ModelConfig(**dict(TINY.to_json(), dec_layers=n, dec_heads=h)), (8, 8, 3))
+     for n, h in [(1, 1), (1, 2), (2, 1)]])
 def test_loss_overlap_matches_public_penalty(monkeypatch, config, image):
     # the loss takes its overlap and the gradient it routes from the cache's pixel-last
-    # weights; the public (P, K) functions on the same forward pass's attention agree
+    # weights; the public (P, K) functions on the same forward pass's attention agree bit
+    # for bit (at alpha = 1, so that the routed gradient is not rescaled)
     model = build_autoencoder(config)
     batch = np.random.default_rng(0).uniform(0, 1, size=(3,) + image)
     noise = np.random.default_rng(3).normal(size=(3, config.n_slots, config.slot_dim))
-    cfg = TrainConfig(alpha=0.05, beta=0.05, seed=0)
+    cfg = TrainConfig(alpha=1.0, beta=0.05, seed=0)
     seen = {}
     forward, backward = autoencoder.cross_attention_forward, autoencoder.decoder_backward
 
@@ -191,9 +193,16 @@ def test_loss_overlap_matches_public_penalty(monkeypatch, config, image):
     breakdown, _ = loss_and_gradients(model, batch, cfg, noise=noise)
     A_sum = aggregate_attention(seen["attn"])
     assert A_sum.shape == (3, config.height * config.width, config.n_slots)
-    assert breakdown.interact == pytest.approx(l_interact(A_sum), rel=1e-14, abs=0)
-    np.testing.assert_allclose(seen["routed"], cfg.alpha * l_interact_grad(A_sum),
-                               rtol=1e-14, atol=0)
+    assert breakdown.interact == l_interact(A_sum)
+    assert np.array_equal(seen["routed"], l_interact_grad(A_sum))
+
+
+def test_loss_needs_rng_or_noise():
+    model, batch, cfg = build_autoencoder(TINY), tiny_batch(), TrainConfig()
+    with pytest.raises(ValueError, match="need an rng when noise is not supplied"):
+        loss_disent(model, batch, cfg, rng=None)
+    with pytest.raises(ValueError, match="need an rng when noise is not supplied"):
+        loss_and_gradients(model, batch, cfg)
 
 
 def test_gradients_finite():
