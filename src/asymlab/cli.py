@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: every command is a row of EXPERIMENTS, run through
+one function that builds the driver's config and writes into --out.
 
 Exit codes: 0 when every expected verdict held, 1 when a check or
 experiment reported a mismatch or training diverged, 2 for usage or
@@ -14,11 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments, tensorio
-from .asymmetry import certify
-from .generators import GeneratorSpec
 
 
 class UsageError(Exception):
@@ -50,78 +47,41 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _cmd_check(args) -> int:
-    for flag, value, least in (("--probes", args.probes, 1), ("--equiv", args.equiv, 0),
-                               ("--seed", args.seed, 0)):
-        if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
-    spec_json = _load_json(args.generator)
-    try:
-        spec = GeneratorSpec.from_json(spec_json)
-    except (KeyError, ValueError, TypeError) as e:
-        raise UsageError(f"bad generator file: {e}") from e
-    out = _check_out(args.out, args.force)
-    part = spec.partition
-    rng = np.random.default_rng(args.seed)
-    probes = rng.uniform(-0.8, 0.8, size=(args.probes, part.latent_dim))
-
-    try:
-        # the engine names a non-finite value itself; numpy's warnings add nothing
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            certs = certify(spec, part, args.order, probes, args.equiv, args.seed)
-    except (ValueError, FloatingPointError) as e:
-        # an order the engine cannot difference, an all-zero matrix, or a
-        # generator that overflows at a stencil point
-        raise UsageError(f"cannot certify at order {args.order}: {e}") from e
-    reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
-               "sufficient_independence": certs["independence"]}
-    if args.equiv > 0:
-        reports["asymmetry"] = certs["asymmetry"]
-
-    passed = all(r.passed for r in reports.values())
-    tensorio.save_json(out / "results.json", {
-        "experiment_id": "check",
-        "config": {"generator": args.generator, "order": args.order,
-                   "probes": args.probes, "seed": args.seed,
-                   "equiv": args.equiv},
-        "passed": passed,
-        "reports": {k: r.to_json() for k, r in reports.items()},
-    })
-    tensorio.save_csv(out / "metrics.csv",
-                      ["run_id", "metric", "value", "excluded_pixels"],
-                      [[k, "margin", r.margin, 0] for k, r in reports.items()]
-                      + [[k, "passed", float(r.passed), 0]
-                         for k, r in reports.items()])
-    for k, r in reports.items():
-        print(f"{k}: {'pass' if r.passed else 'FAIL'} (margin {r.margin:.3e})")
-    return 0 if passed else 1
-
-
-# command -> (driver, help, None or (flag, help, its config value from the count given));
-# a flag given sets the config key it is named after, over the config file's
+# command -> (driver, help, flags); each flag is (name, help, argparse type, its config
+# value from the value given), and a flag given sets the config key it is named after,
+# over the config file's
 EXPERIMENTS = {
-    "compgen": (experiments.exp_compgen, "band-support extrapolation contest", None),
-    "train": (experiments.exp_train, "single autoencoder training run", None),
+    "check": (experiments.exp_check, "certify a generator from a JSON spec", (
+        ("generator", "generator spec JSON file", str, _load_json),
+        ("order", "interaction order to certify at", int, int),
+        ("probes", "probe points (default 16)", int, int),
+        ("seed", "probe and equivalence seed (default 0)", int, int),
+        ("equiv", "random equivalent generators to include, 0 skips (default 3)", int, int))),
+    "compgen": (experiments.exp_compgen, "band-support extrapolation contest", ()),
+    "train": (experiments.exp_train, "single autoencoder training run", ()),
     "ablate": (experiments.exp_train_ablation, "regularizer ablation grid",
-               ("seeds", "number of seeds per cell", lambda n: list(range(n)))),
+               (("seeds", "number of seeds per cell", int, lambda n: list(range(n))),)),
     "jac-check": (experiments.exp_jacobian_check, "decoder Jacobian verification",
-                  ("trials", "random instances to test", int)),
+                  (("trials", "random instances to test", int, int),)),
     "characterize": (experiments.exp_characterization,
-                     "preset generator certification suite", None),
+                     "preset generator certification suite", ()),
+    "gen-data": (experiments.exp_gen_data, "render a sprite dataset", ()),
 }
 
 
 def _cmd_experiment(args) -> int:
-    driver, _, flag = EXPERIMENTS[args.command]
+    """Run one command of EXPERIMENTS: its config file, updated by its flags, through
+    its driver into --out."""
+    driver, _, flags = EXPERIMENTS[args.command]
     if driver is experiments.exp_train_ablation:
         try:
             experiments.pool_size()  # a bad ASYMLAB_THREADS is not the config's fault
         except ValueError as e:
             raise UsageError(str(e)) from e
     config = _load_json(args.config) if args.config else {}
-    count = getattr(args, flag[0]) if flag else None
-    if count is not None:
-        config[flag[0]] = flag[2](count)
+    for name, _, _, to_config in flags:
+        if getattr(args, name) is not None:
+            config[name] = to_config(getattr(args, name))
     out = _check_out(args.out, args.force)
     try:
         result = driver(config or None, out=out)
@@ -138,51 +98,19 @@ def _cmd_experiment(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_gen_data(args) -> int:
-    out = _check_out(args.out, args.force)
-    raw = _load_json(args.config) if args.config else None
-    try:
-        result = experiments.exp_gen_data(raw, out=out)
-    except (ValueError, TypeError) as e:
-        raise UsageError(f"bad configuration: {e}") from e
-    print(f"gen-data: wrote {result.config['count']} scenes to {out}")
-    return 0 if result.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="asymlab",
         description="interaction-asymmetry verification lab")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (_, help_text, flags) in EXPERIMENTS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="config JSON (optional)")
+        for name, flag_help, kind, _ in flags:
+            sp.add_argument(f"--{name}", type=kind, help=flag_help)
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--force", action="store_true",
                         help="reuse a non-empty output directory")
-
-    sp = sub.add_parser("check", help="certify a generator from a JSON spec")
-    sp.add_argument("--generator", required=True, help="generator spec JSON")
-    sp.add_argument("--order", type=int, required=True,
-                    help="interaction order to certify at")
-    sp.add_argument("--probes", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--equiv", type=int, default=3,
-                    help="random equivalent generators to include (0 skips)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_check)
-
-    for command, (_, help_text, flag) in EXPERIMENTS.items():
-        sp = sub.add_parser(command, help=help_text)
-        sp.add_argument("--config", help="config JSON (optional)")
-        if flag:
-            sp.add_argument(f"--{flag[0]}", type=int, help=flag[1])
-        common(sp)
-        sp.set_defaults(fn=_cmd_experiment)
-
-    sp = sub.add_parser("gen-data", help="render a sprite dataset")
-    sp.add_argument("--config", help="data config JSON (optional)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_gen_data)
     return p
 
 
@@ -193,7 +121,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _cmd_experiment(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

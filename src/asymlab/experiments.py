@@ -1,6 +1,6 @@
-"""Experiment drivers: generator certification, compositional generalization,
-training ablation, decoder Jacobian verification, plus the single-run train
-and data-generation entry points used by the CLI.
+"""Experiment drivers: generator certification (one spec, or the preset suite),
+compositional generalization, training ablation, decoder Jacobian verification,
+a single training run and data generation; each is one command of the CLI.
 
 Every driver returns an ExperimentResult embedding its config and a content
 hash of it, and optionally writes results.json / metrics.csv / log.csv /
@@ -30,6 +30,7 @@ from .asymmetry import CheckReport, certify_all
 from .generators import (
     PRESET_ORDERS,
     Box,
+    GeneratorSpec,
     GraphBand,
     SlotMap,
     SlotwiseDiffeoSpec,
@@ -109,19 +110,20 @@ class ExperimentResult:
             "extras": self.extras,
         }
 
-    def finish(self, t0: float, out: str | os.PathLike | None,
-               passed: bool | None = None) -> "ExperimentResult":
+    def finish(self, t0: float, out: str | os.PathLike | None, passed: bool | None = None,
+               log: tuple[list[str], list] | None = None) -> "ExperimentResult":
         """Set the verdict, if one is given, and the wall time since t0 (a
-        time.perf_counter reading); write results.json and metrics.csv into out,
-        if there is one."""
+        time.perf_counter reading); write results.json, metrics.csv and, if a log
+        is given, log.csv into out, if there is one."""
         if passed is not None:
             self.passed = passed
         self.wall_clock = time.perf_counter() - t0
         if out is not None:
-            self.write(out)
+            self.write(out, log)
         return self
 
-    def write(self, out: str | os.PathLike) -> None:
+    def write(self, out: str | os.PathLike, log: tuple[list[str], list] | None = None) -> None:
+        """results.json and metrics.csv, and log.csv from log's (header, rows) if given."""
         out = Path(out)
         tensorio.save_json(out / "results.json", self.to_json())
         tensorio.save_csv(
@@ -130,6 +132,8 @@ class ExperimentResult:
             [[m["run_id"], m["metric"], m["value"], m["excluded_pixels"]]
              for m in self.metrics],
         )
+        if log is not None:
+            tensorio.save_csv(out / "log.csv", *log)
 
 
 def _merge_defaults(config: dict | None, defaults: dict, integers: dict | None = None,
@@ -199,19 +203,64 @@ def _log_rows(log: list) -> list[tuple]:
 
 
 def _record_divergence(result: ExperimentResult, out, t0: float, e: TrainingDiverged,
-                       header: list[str], log_rows: list, **where) -> None:
-    """Leave the partial log and a failed results.json naming the point of
-    divergence (plus where, e.g. the ablation cell) in out, if there is one."""
-    if out is None:
-        return
+                       log: tuple[list[str], list], **where) -> None:
+    """Fail result, naming the point of divergence (plus where, e.g. the ablation
+    cell), and leave its results.json and the partial log in out, if there is one."""
     result.extras["divergence"] = {**where, "iteration": e.iteration, "cause": e.args[0],
                                    "group": e.group}
-    result.finish(t0, out, passed=False)
-    tensorio.save_csv(Path(out) / "log.csv", header, log_rows)
+    result.finish(t0, out, passed=False, log=log)
 
 
 # ---------------------------------------------------------------------------
 # generator certification
+
+
+def _certify_named(names: list[str], specs, part: SlotPartition, n: int, probes,
+                   equiv: int, seeds: list[int]) -> list[dict[str, CheckReport]]:
+    """certify_all, with an overflow at a stencil point or an order the engine cannot
+    difference turned into a ValueError naming the order and the generator (names[i]
+    for specs[i]; all of them when the error is not one generator's)."""
+    try:
+        # the engine names a non-finite value itself; numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return certify_all(specs, part, n, probes, equiv, seeds)
+    except (ValueError, FloatingPointError) as e:
+        who = names[e.generator] if hasattr(e, "generator") else ", ".join(names)
+        raise ValueError(f"cannot certify {who} at order {n}: {e}") from e
+
+
+def exp_check(config: dict | None = None,
+              out: str | os.PathLike | None = None) -> ExperimentResult:
+    """Certify one generator, given as its spec's JSON object, at a declared order
+    from one engine request: the cross-order bound, within-slot richness and
+    sufficient independence, and with equiv above 0 interaction asymmetry over that
+    many random equivalent generators, each under its own run id."""
+    cfg = _merge_defaults(config, {"generator": {}, "order": None, "probes": 16, "seed": 0,
+                                   "equiv": 3},
+                          {"order": 0, "probes": 1, "seed": 0, "equiv": 0})
+    if not cfg["generator"]:
+        raise ValueError("generator must be given: a generator spec's JSON object")
+    try:
+        spec = GeneratorSpec.from_json(cfg["generator"])
+    except (KeyError, ValueError, TypeError) as e:
+        raise ValueError(f"bad generator spec: {e}") from e
+    t0 = time.perf_counter()
+    result = ExperimentResult("check", cfg, cfg["seed"])
+    part = spec.partition
+    probes = np.random.default_rng(cfg["seed"]).uniform(
+        -0.8, 0.8, size=(1, cfg["probes"], part.latent_dim))
+    certs = _certify_named(["the generator"], [spec], part, cfg["order"], probes,
+                           cfg["equiv"], [cfg["seed"]])[0]
+    reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
+               "sufficient_independence": certs["independence"]}
+    if cfg["equiv"] > 0:
+        reports["asymmetry"] = certs["asymmetry"]
+    for run_id, rep in reports.items():
+        result.add_report(run_id, rep)
+        result.add_metric(run_id, "margin", rep.margin)
+    for run_id, rep in reports.items():
+        result.add_metric(run_id, "passed", float(rep.passed))
+    return result.finish(t0, out, passed=all(r.passed for r in reports.values()))
 
 
 def exp_characterization(config: dict | None = None,
@@ -243,13 +292,9 @@ def exp_characterization(config: dict | None = None,
         # the same values as one (probes, latent_dim) draw per preset in turn
         probes = rng.uniform(-cfg["probe_scale"], cfg["probe_scale"],
                              size=(len(specs), cfg["probes"], part.latent_dim))
-        try:
-            # the engine names a non-finite value itself; numpy's warnings add nothing
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                certified = certify_all(specs, part, n, probes, cfg["equiv_samples"],
-                                        [cfg["seed"] + i for i in presets])
-        except FloatingPointError as e:  # a generator that overflows at a stencil point
-            raise ValueError(f"cannot certify n{n}_preset{e.generator} at order {n}: {e}") from e
+        certified = _certify_named([f"n{n}_preset{i}" for i in presets], specs, part, n,
+                                   probes, cfg["equiv_samples"],
+                                   [cfg["seed"] + i for i in presets])
         for i, (spec, reports) in enumerate(zip(specs, certified)):
             run_id = f"n{n}_preset{i}"
             rep = reports["cross"]
@@ -381,9 +426,11 @@ def exp_compgen(config: dict | None = None,
     Per seed: fit the slot-structured basis and a degree-matched full
     polynomial baseline to noiseless samples of a slot-structured ground
     truth on the band, then compare mean squared error on samples from the
-    Cartesian-product extension outside the band.  Also verifies that a
-    constructed model f o h agreeing on the band keeps agreeing on the
-    extension.
+    Cartesian-product extension outside the band.  Also gates, at pair_tol,
+    the constructed pair f o h (h a random cubic slot-wise map) on its own
+    latents: f(h(h^-1(z))) - f(z) at band and extension points, a round trip
+    of the slot-map inversion.  That does not show that a model agreeing
+    with f on the band keeps agreeing off it.
     """
     cfg = _merge_defaults(config, {
         "seeds": list(range(10)),
@@ -461,9 +508,9 @@ def exp_compgen(config: dict | None = None,
         }
         all_ok &= ok_c and ok_ratio and ok_in
 
-        # constructed pair f o h: at its own latents h^{-1}(z) it must reproduce
-        # f(z) on the band and off it (one evaluation on both sets' rows); this
-        # exercises the iterative slot-map inversion at extension points
+        # constructed pair f o h at its own latents h^{-1}(z) against f(z), on the band
+        # and off it (one evaluation on both sets' rows): a round trip of the cubic
+        # slot-map inversion, at extension points too
         maps = tuple(
             SlotMap(kind="cubic",
                     linear=rng.uniform(0.7, 1.3, size=len(b)),
@@ -596,8 +643,8 @@ def exp_train_ablation(config: dict | None = None,
     regularized corner against the unregularized one.  A diverged cell leaves
     log.csv and a failed results.json naming it, then raises TrainingDiverged."""
     from .autoencoder import TrainConfig, TrainingDiverged
-    cfg = _merge_defaults(config, _default_ablation_config(), {"eval_images": 1},
-                          ("jis_margin",))
+    cfg = _merge_defaults(config, _default_ablation_config(),
+                          {"eval_images": 1, "iterations": 1}, ("jis_margin",))
     _check_list(cfg, "alphas", integers=False)
     _check_list(cfg, "betas", integers=False)
     _check_list(cfg, "seeds")
@@ -630,7 +677,7 @@ def exp_train_ablation(config: dict | None = None,
     diverged = next((row for row in rows if "diverged" in row), None)
     if diverged is not None:
         e, cell = diverged["diverged"], {k: diverged[k] for k in ("alpha", "beta", "seed")}
-        _record_divergence(result, out, t0, e, ["run_id"] + _LOG_HEADER, log_rows, cell=cell)
+        _record_divergence(result, out, t0, e, (["run_id"] + _LOG_HEADER, log_rows), cell=cell)
         raise TrainingDiverged(f"cell {run_id(diverged)}: {e.args[0]}", e.log,
                                e.iteration, e.group) from e
 
@@ -680,26 +727,23 @@ def exp_train_ablation(config: dict | None = None,
         result.add_metric("grid", "regularized_interact_drop",
                           base["interact_mean"] - reg["interact_mean"])
         result.passed = bool(ok_jis and ok_int)
-    result.finish(t0, out)
-    if out is not None:
-        tensorio.save_csv(Path(out) / "log.csv", ["run_id"] + _LOG_HEADER, log_rows)
-    return result
+    return result.finish(t0, out, log=(["run_id"] + _LOG_HEADER, log_rows))
 
 
 # ---------------------------------------------------------------------------
 # decoder Jacobian verification
 
 
-def zero_attention_instance(rng_seed: int, n_pixels: int = 6, K: int = 3,
-                            slot_dim: int = 4):
-    """Decoder instance plus slots where one slot's logits sit ~128 below the
-    rest, so its attention mass underflows to numerical zero."""
+def zero_attention_instance(rng_seed: int):
+    """Decoder instance on 6 pixels plus 3 slots of width 4, where one slot's
+    logits sit ~128 below the rest, so its attention mass underflows to
+    numerical zero."""
     from .attention import CrossAttentionLayer, PixelHead
     rng = np.random.default_rng(rng_seed)
-    d_q = slot_dim
+    n_pixels, K, d_q = 6, 3, 4  # the slot width is the query width
     layer = CrossAttentionLayer(
-        W_K=np.eye(d_q, slot_dim),
-        W_V=rng.normal(size=(d_q, slot_dim)),
+        W_K=np.eye(d_q),
+        W_V=rng.normal(size=(d_q, d_q)),
         W_Q=np.eye(d_q),
         query_inputs=np.concatenate(
             [np.full((n_pixels, 1), 8.0), 0.1 * rng.normal(size=(n_pixels, d_q - 1))],
@@ -710,7 +754,7 @@ def zero_attention_instance(rng_seed: int, n_pixels: int = 6, K: int = 3,
         W1=rng.normal(size=(5, d_q)), b1=np.zeros(5),
         W2=rng.normal(size=(3, 5)), b2=np.zeros(3),
     )
-    z = rng.normal(scale=0.3, size=(K, slot_dim))
+    z = rng.normal(scale=0.3, size=(K, d_q))
     z[:, 0] = 8.0
     suppressed = int(rng.integers(0, K))
     z[suppressed, 0] = -8.0
@@ -788,7 +832,7 @@ def exp_jacobian_check(config: dict | None = None,
 
 
 # ---------------------------------------------------------------------------
-# single training run and dataset generation (CLI entry points)
+# single training run and dataset generation
 
 
 def exp_train(config: dict | None = None,
@@ -804,12 +848,13 @@ def exp_train(config: dict | None = None,
     data_cfg = DataConfig.from_json(cfg["data"])
     mc = _model_config(data_cfg, cfg["model"], "the train driver's")  # seed is the model's own
     tc = TrainConfig(**cfg["train"])
+    check_integers(tc, {"iterations": 1})  # TrainConfig allows 0: a loss call trains nothing
     result = ExperimentResult("train", cfg, tc.seed)
     try:
         model, log, (jari_vals, jis_vals, *_) = _train_and_score(data_cfg, mc, tc,
                                                                  cfg["eval_images"])
     except TrainingDiverged as e:
-        _record_divergence(result, out, t0, e, _LOG_HEADER, _log_rows(e.log))
+        _record_divergence(result, out, t0, e, (_LOG_HEADER, _log_rows(e.log)))
         raise
     result.add_metric("train", "final_rec", log[-1].rec)
     result.add_metric("train", "final_kl", log[-1].kl)
@@ -818,9 +863,9 @@ def exp_train(config: dict | None = None,
 
     result.add_metric("eval", "j_ari", float(np.mean(jari_vals)))
     result.add_metric("eval", "jis", float(np.mean(jis_vals)))
-    result.finish(t0, out, passed=bool(log[-1].rec < log[0].rec))
+    result.finish(t0, out, passed=bool(log[-1].rec < log[0].rec),
+                  log=(_LOG_HEADER, _log_rows(log)))
     if out is not None:
-        tensorio.save_csv(Path(out) / "log.csv", _LOG_HEADER, _log_rows(log))
         tdir = Path(out) / "tensors"
         manifest = {"model_config": mc.to_json(), "train_config": tc.to_json(),
                     "parameters": {}}
@@ -832,9 +877,11 @@ def exp_train(config: dict | None = None,
     return result
 
 
+PREVIEW_SCENES = 8  # the first scenes gen-data also writes as PPM images
+
+
 def exp_gen_data(config: dict | None = None,
-                 out: str | os.PathLike | None = None,
-                 preview: int = 8) -> ExperimentResult:
+                 out: str | os.PathLike | None = None) -> ExperimentResult:
     cfg = DataConfig.from_json(config) if config else DataConfig()
     t0 = time.perf_counter()
     result = ExperimentResult("gen_data", cfg.to_json(), cfg.seed)
@@ -848,7 +895,7 @@ def exp_gen_data(config: dict | None = None,
         tensorio.save_tensor(out / "tensors" / "images.atns", dataset.images)
         tensorio.save_tensor(out / "tensors" / "labels.atns", labels)
         tensorio.save_json(out / "manifest.json", dataset.manifest)
-        for i in range(min(preview, cfg.count)):
+        for i in range(min(PREVIEW_SCENES, cfg.count)):
             tensorio.save_ppm(out / "images" / f"scene_{i:04d}.ppm",
                               dataset.images[i])
     return result.finish(t0, out)

@@ -9,6 +9,7 @@ import pytest
 
 from asymlab import cli
 from asymlab.experiments import (
+    PREVIEW_SCENES,
     ExperimentResult,
     _gram_min_norm,
     _merge_defaults,
@@ -282,6 +283,9 @@ def test_exp_compgen_names_bad_config(tmp_path, capsys, field, bad, named):
     ("compgen", "cpe_mse_limit", float("inf"), "cpe_mse_limit must be finite, got inf"),
     ("compgen", "pair_tol", float("inf"), "pair_tol must be finite, got inf"),
     ("compgen", "ratio_required", float("inf"), "ratio_required must be finite, got inf"),
+    # zero iterations trained nothing, then failed on the empty log with an IndexError
+    ("train", "train", {"iterations": 0}, "iterations must be at least 1, got 0"),
+    ("ablate", "iterations", 0, "iterations must be at least 1, got 0"),
 ])
 def test_cli_names_bad_driver_config(tmp_path, capsys, cmd, field, bad, named):
     path = tmp_path / "cfg.json"
@@ -313,20 +317,22 @@ def test_cli_jac_check_rejects_zero_trials_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, named", [
-    ("--probes", "0", "--probes must be at least 1, got 0"),
-    ("--probes", "-1", "--probes must be at least 1, got -1"),
-    ("--equiv", "-1", "--equiv must be at least 0, got -1"),
-    ("--seed", "-1", "--seed must be at least 0, got -1"),
-    ("--order", "3", "cannot certify at order 3: unsupported derivative order"),
-    ("--order", "-1", "cannot certify at order -1: interaction order must be >= 0, got -1"),
+    ("--probes", "0", "probes must be at least 1, got 0"),
+    ("--probes", "-1", "probes must be at least 1, got -1"),
+    ("--equiv", "-1", "equiv must be at least 0, got -1"),
+    ("--seed", "-1", "seed must be at least 0, got -1"),
+    ("--order", "3",
+     "cannot certify the generator at order 3: unsupported derivative order |alpha| = 4"),
+    ("--order", "-1", "order must be at least 0, got -1"),
 ])
 def test_cli_check_rejects_bad_counts(tmp_path, capsys, flag, value, named):
-    # refused with exit 2 and the value named, leaving no output directory
+    # refused with exit 2 and the field and value named, leaving no output directory
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
     rc = cli.main(["check", "--generator", str(gen), "--order", "1", flag, value,
                    "--out", str(tmp_path / "out")])
-    assert rc == 2 and named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: bad configuration: {named}\n", err
     assert not (tmp_path / "out").exists()
 
 
@@ -346,7 +352,7 @@ def test_cli_check_names_an_overflowing_generator(tmp_path, capsys):
                        "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: cannot certify at order 1: "
+    assert err.startswith("error: bad configuration: cannot certify the generator at order 1: "
                           "non-finite function value at stencil point [")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
@@ -435,7 +441,7 @@ def test_exp_characterization_small():
 
 def test_exp_gen_data_and_train(tmp_path):
     data_dir = tmp_path / "data"
-    rd = exp_gen_data({"count": 10, "seed": 4}, out=data_dir, preview=2)
+    rd = exp_gen_data({"count": 10, "seed": 4}, out=data_dir)
     assert rd.passed
     images = load_tensor(data_dir / "tensors" / "images.atns")
     labels = load_tensor(data_dir / "tensors" / "labels.atns")
@@ -445,7 +451,7 @@ def test_exp_gen_data_and_train(tmp_path):
     manifest = load_json(data_dir / "manifest.json")
     assert len(manifest["splits"]["train"]) == 8
     previews = sorted((data_dir / "images").glob("scene_*.ppm"))
-    assert len(previews) == 2
+    assert [p.name for p in previews] == [f"scene_{i:04d}.ppm" for i in range(PREVIEW_SCENES)]
 
     run_dir = tmp_path / "run"
     rt = exp_train({"data": {"count": 10, "seed": 4},
@@ -513,7 +519,7 @@ def test_cli_refuses_nonempty_out(tmp_path):
     assert cli.main(args + ["--force"]) == 0
 
 
-def test_cli_bad_inputs(tmp_path):
+def test_cli_bad_inputs(tmp_path, capsys):
     rc = cli.main(["check", "--generator", str(tmp_path / "missing.json"),
                    "--order", "1", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -523,6 +529,14 @@ def test_cli_bad_inputs(tmp_path):
                    "--out", str(tmp_path / "o2")])
     assert rc == 2
     assert cli.main(["check"]) == 2  # missing required arguments
+    # a generator and an order are required by the driver, from flags or the config file
+    for argv, named in ((["--order", "1"], "generator must be given"),
+                        (["--generator", str(tmp_path / "gen.json")],
+                         "order must be an integer, got None")):
+        (tmp_path / "gen.json").write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
+        assert cli.main(["check", *argv, "--out", str(tmp_path / "o3")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o3").exists()
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
     for order in ("-1", "3"):  # below 0, and beyond the engine's order-3 stencils
@@ -954,6 +968,88 @@ def test_cli_check_runs_no_check_twice(tmp_path, monkeypatch, equiv):
     assert rc == 0
     # every report, equivalent generators included, from one request
     assert len(calls) == 1
+
+
+def _check_reference(spec, order: int, probes: int, seed: int, equiv: int, csv_path):
+    """check's reports, rebuilt from certify as the check command built them before it
+    became a driver, and its metrics.csv written at csv_path in that command's layout."""
+    from asymlab.asymmetry import certify
+    from asymlab.tensorio import save_csv
+
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-0.8, 0.8, size=(probes, spec.partition.latent_dim))
+    certs = certify(spec, spec.partition, order, z, equiv, seed)
+    reports = {"cross_order": certs["cross"], "within_slot": certs["within"],
+               "sufficient_independence": certs["independence"]}
+    if equiv > 0:
+        reports["asymmetry"] = certs["asymmetry"]
+    save_csv(csv_path, ["run_id", "metric", "value", "excluded_pixels"],
+             [[k, "margin", r.margin, 0] for k, r in reports.items()]
+             + [[k, "passed", float(r.passed), 0] for k, r in reports.items()])
+    return [{"run_id": k, **r.to_json()} for k, r in reports.items()]
+
+
+@pytest.mark.parametrize("order, equiv, rc", [(2, 3, 0), (1, 3, 1), (2, 0, 0)])
+def test_cli_check_matches_certify(tmp_path, order, equiv, rc):
+    # the same reports (witnesses included), metrics.csv and exit code from the flags or
+    # from a config file holding the spec itself
+    spec = preset_generator(2, rng_seed=0)
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(spec.to_json()))
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"generator": spec.to_json(), "order": order, "probes": 8,
+                               "seed": 5, "equiv": equiv}))
+    reports = _check_reference(spec, order, 8, 5, equiv, tmp_path / "ref.csv")
+    assert all(r["passed"] for r in reports) == (rc == 0)
+    for name, argv in (("flags", ["--generator", str(gen), "--order", str(order), "--probes",
+                                  "8", "--seed", "5", "--equiv", str(equiv)]),
+                       ("config", ["--config", str(cfg)])):
+        assert cli.main(["check", *argv, "--out", str(tmp_path / name)]) == rc
+        res = load_json(tmp_path / name / "results.json")
+        assert res["reports"] == json.loads(json.dumps(reports))
+        assert (res["experiment_id"], res["passed"]) == ("check", rc == 0)
+        assert ((tmp_path / name / "metrics.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_cli_parser_makes_every_command_from_the_table():
+    import argparse
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.EXPERIMENTS)
+    for command, (_, _, flags) in cli.EXPERIMENTS.items():
+        options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert options == {"-h", "--help", "--config", "--out", "--force"} | {
+            f"--{name}" for name, *_ in flags}
+
+
+def test_every_command_writes_one_results_schema(tmp_path):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(preset_generator(1, rng_seed=0).to_json()))
+    tiny = {
+        "check": (["--generator", str(gen), "--order", "1", "--probes", "2"], {}),
+        "characterize": ([], {"presets_per_n": 1, "orders": [0], "probes": 2}),
+        "compgen": ([], {"seeds": [0], "n_train": 200, "n_eval_cpe": 20,
+                         "n_eval_support": 20}),
+        "train": ([], {"data": {"count": 10, "seed": 4}, "eval_images": 1,
+                       "train": {"iterations": 2, "batch_size": 4, "warmup": 1}}),
+        "ablate": ([], {"alphas": [0.0], "betas": [0.0], "seeds": [0], "iterations": 2,
+                        "batch_size": 4, "warmup": 1, "eval_images": 1,
+                        "data": {"count": 10, "seed": 4}}),
+        "jac-check": (["--trials", "1"], {"zero_trials": 1, "battery": 3}),
+        "gen-data": ([], {"count": 2}),
+    }
+    assert set(tiny) == set(cli.EXPERIMENTS)
+    keys = set(ExperimentResult("x", {}, 0).to_json())
+    for command, (argv, config) in tiny.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / command
+        assert cli.main([command, *argv, "--config", str(path), "--out", str(out)]) in (0, 1)
+        assert set(load_json(out / "results.json")) == keys, command
+        assert (out / "metrics.csv").read_text().startswith(
+            "run_id,metric,value,excluded_pixels\n")
 
 
 def test_characterization_same_with_cold_and_warm_caches():

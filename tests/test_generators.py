@@ -96,7 +96,7 @@ def test_spec_refuses_misplaced_slot_functions_and_misfit_features(tmp_path, cap
         gen.write_text(json.dumps(bad))
         rc = cli.main(["check", "--generator", str(gen), "--order", "1",
                        "--out", str(tmp_path / "out")])
-        assert rc == 2 and f"bad generator file: {named}" in capsys.readouterr().err
+        assert rc == 2 and f"bad configuration: bad generator spec: {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
